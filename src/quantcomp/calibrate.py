@@ -1,5 +1,13 @@
 """Pipeline orchestration: quantize a float model, fit compensation, fuse.
 
+Calibration runs the float model once over its sample set (once over each
+of the two sets with ``range_split``); the per-layer outputs set the
+activation grids and are the fit targets.  The fit then makes one quantized
+pass front to back: at each compensated layer
+it captures the layer's output, fits α/β on it in closed form and, when
+fitting sequentially, applies the fit before the pass moves on, so every
+layer is fitted on what it will see at deployment.
+
 The quantized model is simulated in float-assisted form: accumulators are
 exact i64 integer sums over codes, scaled back to real values in f64, run
 through the current per-channel affine compensation, then requantized onto
@@ -17,21 +25,18 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, asdict, field, replace
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from . import intengine, quant, refnet
+from . import quant, refnet
 from .compensate import (
     ActivationPair,
     ChannelAffineParams,
     channel_mse,
     fit_channel_affine,
-    identity_compensation,
 )
 from .intengine import (
-    FusedEntry,
-    FusedModel,
     IntActivationParams,
     accumulator_scale,
     build_gelu_table,
@@ -126,9 +131,14 @@ def quantize_model(
     Returns a new bundle carrying a ``quantization`` manifest section plus
     weight-code blobs (float tensors are retained for reference paths).
     """
+    _, outputs, _ = float_forward_capture(model_f, calib_x)
+    return _quantize_from(model_f, calib_x, outputs, weight_bits, act_bits, estimator)
+
+
+def _quantize_from(model_f: ModelBundle, calib_x, outputs, weight_bits, act_bits, estimator) -> ModelBundle:
+    """``quantize_model`` given the float forward's per-layer ``outputs`` on ``calib_x``."""
     if weight_bits >= 32 or act_bits >= 32:
         raise CalibrationError("32-bit passthrough is not a quantization; pick bits < 32")
-    _, outputs, _ = float_forward_capture(model_f, calib_x)
     manifest = json.loads(json.dumps(model_f.manifest))
     blobs = dict(model_f.blobs)
     s_in, z_in = quant.compute_affine_params(calib_x, act_bits, estimator)
@@ -280,12 +290,18 @@ def sim_forward(
     compensation: dict[int, ChannelAffineParams] | None = None,
     capture: set | None = None,
     capture_inputs=False,
+    *,
+    _on_capture=None,
 ):
     """Quantized forward with per-channel affine compensation applied in f64.
 
     Returns (logits_f32, captures, input_captures) where captures[i] holds the
     layer's dequantized accumulator outputs (the values compensation acts on)
     in row form, before compensation.
+
+    ``_on_capture(i, y)``, the fitting hook of ``fit_compensation``, receives
+    each captured output instead of ``captures``; what it returns (params or
+    None) is the compensation applied at layer i in this pass.
     """
     rt = quant_runtime(bundle)
     compensation = compensation or {}
@@ -303,9 +319,12 @@ def sim_forward(
             acc, spatial = _exact_accumulate(codes, ql)
             acc_scale = accumulator_scale(ql.in_params.s, ql.w_params.scales)
             y = acc_scale[None, :] * (acc + ql.bias_int[None, :])
-            if capture is None or ql.index in capture:
-                captures[ql.index] = y.astype(np.float32)
             comp = compensation.get(ql.index)
+            if capture is None or ql.index in capture:
+                if _on_capture is None:
+                    captures[ql.index] = y.astype(np.float32)
+                else:
+                    comp = _on_capture(ql.index, y.astype(np.float32))
             if comp is not None:
                 y = y * comp.alpha.astype(np.float64)[None, :] + comp.beta.astype(np.float64)[None, :]
             out = ql.out_params
@@ -379,27 +398,30 @@ def calibration_pool(model_f: ModelBundle, config: CalibrationConfig):
 def fit_compensation(model_f: ModelBundle, qbundle: ModelBundle, config: CalibrationConfig, fit_x) -> ModelBundle:
     """Fit channel-affine compensation onto an already-quantized bundle.
 
-    Fitting is sequential front to back by default: layer L's pair is captured
+    One quantized pass over ``fit_x`` fits every compensated layer as it
+    reaches it.  By default the fit is applied at once, so layer L is fitted
     with layers < L already compensated, matching what each correction will
-    see at deployment.  ``config.sequential=False`` fits every layer from one
-    frozen uncompensated pass instead.
+    see at deployment.  ``config.sequential=False`` leaves the pass
+    uncompensated, so every layer is fitted on the frozen quantized model.
     """
-    positions = compensation_positions(model_f, config.position)
     _, y_full, _ = float_forward_capture(model_f, fit_x)
+    return _fit_from(model_f, qbundle, config, fit_x, y_full)
+
+
+def _fit_from(model_f: ModelBundle, qbundle: ModelBundle, config: CalibrationConfig, fit_x, y_full) -> ModelBundle:
+    """``fit_compensation`` given the float forward's per-layer outputs ``y_full`` on ``fit_x``."""
     comp: dict[int, ChannelAffineParams] = {}
     stats = []
-    if config.sequential:
-        for i in positions:
-            _, caps, _ = sim_forward(qbundle, fit_x, comp, capture={i})
-            pair = ActivationPair(y_full[i], caps[i])
-            comp[i] = fit_channel_affine(pair)
-            stats.append(_fit_stat(i, pair, comp[i]))
-    else:
-        _, caps, _ = sim_forward(qbundle, fit_x, capture=set(positions))
-        for i in positions:
-            pair = ActivationPair(y_full[i], caps[i])
-            comp[i] = fit_channel_affine(pair)
-            stats.append(_fit_stat(i, pair, comp[i]))
+
+    def fit(i, y_quant):
+        # the capture is dropped once fitted: only the params and stats outlive this call
+        pair = ActivationPair(y_full[i], y_quant)
+        comp[i] = fit_channel_affine(pair)
+        stats.append(_fit_stat(i, pair, comp[i]))
+        return comp[i] if config.sequential else None
+
+    positions = compensation_positions(model_f, config.position)
+    sim_forward(qbundle, fit_x, capture=set(positions), _on_capture=fit)
     out = ModelBundle(json.loads(json.dumps(qbundle.manifest)), dict(qbundle.blobs))
     out.manifest["compensation"] = {
         "config": config.to_manifest(),
@@ -423,15 +445,17 @@ def calibrate_model(model_f: ModelBundle, config: CalibrationConfig, calib_x=Non
         calib_x = calibration_pool(model_f, config)
     if len(calib_x) < config.sample_count:
         raise CalibrationError(f"need {config.sample_count} calibration samples, pool has {len(calib_x)}")
-    fit_x = calib_x[: config.sample_count]
+    n = config.sample_count
+    fit_x = calib_x[:n]
     if config.range_split:
-        if len(calib_x) < 2 * config.sample_count:
+        if len(calib_x) < 2 * n:
             raise CalibrationError("range_split needs a pool of at least 2 * sample_count")
-        range_x = calib_x[config.sample_count : 2 * config.sample_count]
-    else:
-        range_x = fit_x
-    qbundle = quantize_model(model_f, range_x, config.weight_bits, config.act_bits, config.estimator)
-    return fit_compensation(model_f, qbundle, config, fit_x)
+        qbundle = quantize_model(model_f, calib_x[n : 2 * n], config.weight_bits, config.act_bits, config.estimator)
+        return fit_compensation(model_f, qbundle, config, fit_x)
+    # ranges and fit share one sample set, so one float forward serves both
+    _, y_full, _ = float_forward_capture(model_f, fit_x)
+    qbundle = _quantize_from(model_f, fit_x, y_full, config.weight_bits, config.act_bits, config.estimator)
+    return _fit_from(model_f, qbundle, config, fit_x, y_full)
 
 
 def _fit_stat(i, pair: ActivationPair, params: ChannelAffineParams):
@@ -528,7 +552,7 @@ def fuse_model(comp_bundle: ModelBundle, beta_rounding: bool | None = None) -> M
                     "layer_index": ql.index,
                     "op_kind": ql.op_kind,
                     "weight_codes": f"layer{ql.index}.wq",
-                    "w_bits": rt_bits(comp_bundle, "weight_bits"),
+                    "w_bits": int(ql.w_params.bitwidth),
                     "w_scales": [float(v) for v in ql.w_params.scales],
                     "w_zero_points": [int(v) for v in ql.w_params.zero_points],
                     "s_x": float(ql.in_params.s),
@@ -580,7 +604,3 @@ def fuse_model(comp_bundle: ModelBundle, beta_rounding: bool | None = None) -> M
         "entries": entries,
     }
     return ModelBundle(manifest, blobs)
-
-
-def rt_bits(bundle, key):
-    return int(bundle.manifest["quantization"][key])

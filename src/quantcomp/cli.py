@@ -22,7 +22,6 @@ from .calibrate import (
     CalibrationConfig,
     calibration_pool,
     compensation_params,
-    config_from_manifest,
     fit_compensation,
     fuse_model,
     quantize_model,

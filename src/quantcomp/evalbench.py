@@ -227,9 +227,6 @@ def config_id(task: TaskSpec, config: CalibrationConfig) -> str:
     )
 
 
-DEFAULT_SIZES = (32, 128, 512, 1024)
-
-
 def ablate_calibration_size(sizes, base: CalibrationConfig, task: TaskSpec, seeds) -> EvalReport:
     """One row per (size, seed); calibration subsets are nested within a seed.
 

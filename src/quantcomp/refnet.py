@@ -340,13 +340,18 @@ def load_bundle(path) -> ModelBundle:
     if not mf.is_file():
         raise BundleError(f"no manifest.json under {path}")
     manifest = json.loads(mf.read_text())
+    root = path.resolve()
     blobs = {}
     for name, entry in manifest.get("tensors", {}).items():
         fname = entry.get("file", _blob_filename(name))
         fpath = path / fname
+        if not fpath.resolve().is_relative_to(root):
+            raise BundleError(f"blob {name!r}: file {fname!r} lies outside the bundle directory")
         if not fpath.is_file():
             raise BundleError(f"manifest references missing blob file {fname!r}")
-        dtype = KIND_TO_DTYPE[entry["kind"]]
+        dtype = KIND_TO_DTYPE.get(entry["kind"])
+        if dtype is None:
+            raise BundleError(f"blob {name!r}: unknown tensor kind {entry['kind']!r}")
         shape = tuple(entry["shape"])
         raw = fpath.read_bytes()
         want_bytes = int(np.prod(shape)) * dtype.itemsize

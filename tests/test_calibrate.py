@@ -1,6 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from quantcomp import calibrate
 from quantcomp.calibrate import (
     CalibrationConfig,
     CalibrationError,
@@ -10,12 +13,13 @@ from quantcomp.calibrate import (
     compensation_params,
     compensation_positions,
     fit_compensation,
+    float_forward_capture,
     fuse_model,
     quantize_model,
     sim_forward,
     write_fit_csv,
 )
-from quantcomp.compensate import fit_channel_affine
+from quantcomp.compensate import ActivationPair, channel_mse, fit_channel_affine
 from quantcomp.intengine import InferenceTrace, fused_runtime, run_int_model
 from quantcomp.quant import RangeEstimator
 from quantcomp.refnet import (
@@ -272,3 +276,118 @@ class TestGeluPipeline:
         s_out = comp.manifest["quantization"]["layers"]["2"]["out_scale"]
         assert trace.float_mul_count == 0
         assert np.abs(sim_logits - int_logits).max() <= 2 * s_out
+
+
+def _conv_gelu_model():
+    rng = np.random.default_rng(7)
+
+    def conv(cin, cout):
+        w = (rng.standard_normal((cout, cin, 3, 3)) * 0.4).astype(np.float32)
+        b = (rng.standard_normal(cout) * 0.1).astype(np.float32)
+        return LayerSpec("conv2d", cin, cout, weight=w, bias=b, kernel=3, stride=1, pad=1)
+
+    layers = [
+        conv(2, 4),
+        LayerSpec("relu"),
+        conv(4, 4),
+        LayerSpec("gelu"),
+        LayerSpec("avgpool", kernel=2, stride=2),
+        LayerSpec("flatten"),
+        LayerSpec(
+            "linear",
+            36,
+            3,
+            weight=(rng.standard_normal((3, 36)) * 0.3).astype(np.float32),
+            bias=(rng.standard_normal(3) * 0.1).astype(np.float32),
+        ),
+    ]
+    model = build_from_layers(layers, (2, 6, 6))
+    return model, rng.uniform(-1, 1, (128, 2, 6, 6)).astype(np.float32)
+
+
+def _reference_calibrate(model_f, config, calib_x):
+    """The per-layer loop the one-pass fit replaced: one full sim_forward per
+    compensated layer, with the layers before it compensated when sequential."""
+    n = config.sample_count
+    fit_x = calib_x[:n]
+    range_x = calib_x[n : 2 * n] if config.range_split else fit_x
+    q = quantize_model(model_f, range_x, config.weight_bits, config.act_bits, config.estimator)
+    _, y_full, _ = float_forward_capture(model_f, fit_x)
+    comp, stats = {}, []
+    for i in compensation_positions(model_f, config.position):
+        _, caps, _ = sim_forward(q, fit_x, comp if config.sequential else None, capture={i})
+        pair = ActivationPair(y_full[i], caps[i])
+        p = comp[i] = fit_channel_affine(pair)
+        post = channel_mse(pair.y_full, pair.y_quant * p.alpha.astype(np.float64) + p.beta.astype(np.float64))
+        stats.append(
+            {
+                "layer": i,
+                "channels": p.channels,
+                "pre_mse": float(channel_mse(pair.y_full, pair.y_quant).mean()),
+                "post_mse": float(post.mean()),
+                "fallback_count": int(p.fallback_mask.sum()),
+                "negative_clamped": p.negative_clamped,
+            }
+        )
+    return q, comp, stats
+
+
+class TestOnePassFit:
+    @pytest.mark.parametrize("range_split", [False, True])
+    @pytest.mark.parametrize("sequential", [True, False])
+    @pytest.mark.parametrize("position", ["all", "post"])
+    @pytest.mark.parametrize("net", ["mlp-w4a4", "conv-gelu-w8a8"])
+    def test_matches_per_layer_reference(self, model_f, calib, net, position, sequential, range_split):
+        if net == "mlp-w4a4":
+            model, pool, bits = model_f, calib, 4
+        else:
+            (model, pool), bits = _conv_gelu_model(), 8
+        cfg = CalibrationConfig(
+            sample_count=64,
+            weight_bits=bits,
+            act_bits=bits,
+            position=position,
+            sequential=sequential,
+            range_split=range_split,
+        )
+        got = calibrate_model(model, cfg, pool)
+        q, want, stats = _reference_calibrate(model, cfg, pool)
+        assert got.manifest["quantization"] == q.manifest["quantization"]
+        fitted = compensation_params(got)
+        assert list(fitted) == list(want)
+        for i, p in want.items():
+            assert fitted[i].alpha.tobytes() == p.alpha.tobytes()
+            assert fitted[i].beta.tobytes() == p.beta.tobytes()
+            assert np.array_equal(fitted[i].fallback_mask, p.fallback_mask)
+            assert fitted[i].negative_clamped == p.negative_clamped
+        assert got.manifest["compensation"]["stats"] == stats
+
+    @pytest.mark.parametrize("range_split", [False, True])
+    def test_layer_work_is_done_once(self, monkeypatch, range_split):
+        model = build_mlp((6,) + (8,) * 7 + (3,), rng=np.random.default_rng(3))
+        params = model.param_layer_indices()
+        assert len(params) == 8
+        counts = {"runtime": 0, "accumulate": Counter(), "float": Counter()}
+        quant_runtime, accumulate, forward = calibrate.quant_runtime, calibrate._exact_accumulate, calibrate.layer_forward
+
+        def counted_runtime(bundle):
+            counts["runtime"] += 1
+            return quant_runtime(bundle)
+
+        def counted_accumulate(x_codes, ql):
+            counts["accumulate"][ql.index] += 1
+            return accumulate(x_codes, ql)
+
+        def counted_forward(layer, x, index=None):
+            counts["float"][index] += 1
+            return forward(layer, x, index=index)
+
+        monkeypatch.setattr(calibrate, "quant_runtime", counted_runtime)
+        monkeypatch.setattr(calibrate, "_exact_accumulate", counted_accumulate)
+        monkeypatch.setattr(calibrate, "layer_forward", counted_forward)
+        x = np.random.default_rng(4).standard_normal((128, 6)).astype(np.float32)
+        calibrate_model(model, CalibrationConfig(sample_count=64, range_split=range_split), x)
+        sets = 2 if range_split else 1  # one float forward per sample set
+        assert counts["runtime"] == 1
+        assert counts["accumulate"] == Counter({i: 1 for i in params})
+        assert counts["float"] == Counter({i: sets for i in range(len(model.manifest["layers"]))})

@@ -160,6 +160,26 @@ class TestBundleIO:
         with pytest.raises(BundleError, match="format_version"):
             load_bundle(path)
 
+    def test_blob_file_outside_bundle_rejected(self, tmp_path):
+        m = build_mlp((2, 3))
+        path = save_bundle(m, tmp_path / "m")
+        secret = tmp_path / "secret.bin"
+        secret.write_bytes((path / "layer0.weight.bin").read_bytes())
+        manifest = json.loads((path / "manifest.json").read_text())
+        manifest["tensors"]["layer0.weight"]["file"] = "../secret.bin"
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(BundleError, match="outside the bundle directory"):
+            load_bundle(path)
+
+    def test_unknown_tensor_kind_names_blob(self, tmp_path):
+        m = build_mlp((2, 3))
+        path = save_bundle(m, tmp_path / "m")
+        manifest = json.loads((path / "manifest.json").read_text())
+        manifest["tensors"]["layer0.weight"]["kind"] = "q9"
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(BundleError, match="layer0.weight.*q9"):
+            load_bundle(path)
+
     def test_dangling_manifest_reference(self):
         m = build_mlp((2, 3))
         bad = ModelBundle(json.loads(json.dumps(m.manifest)), dict(m.blobs))
