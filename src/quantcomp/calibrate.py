@@ -8,12 +8,14 @@ it captures the layer's output, fits α/β on it in closed form and, when
 fitting sequentially, applies the fit before the pass moves on, so every
 layer is fitted on what it will see at deployment.
 
-The quantized model is simulated in float-assisted form: accumulators are
-exact i64 integer sums over codes, scaled back to real values in f64, run
-through the current per-channel affine compensation, then requantized onto
-the next grid with the engine's rounding.  This is bit-faithful to the
-integer engine in exact-multiplier mode with unrounded offsets, so fits made
-here deploy unchanged.
+The quantized model is simulated in float-assisted form, by the integer
+engine's own interpreter: ``build_fused_model`` turns the quantization
+section (plus any compensation) into the engine's ``FusedModel`` with
+unrounded offsets, whose layers scale the exact integer accumulators back to
+real values in f64, apply the per-channel affine compensation and requantize
+onto the next grid with the engine's rounding.  The simulation therefore is
+the engine fused with ``beta_rounding=False``, so fits made here deploy
+unchanged.
 
 Activation grids chain: the network input gets one per-tensor grid, every
 linear/conv output gets its own, and relu/gelu/avgpool/flatten preserve the
@@ -25,11 +27,11 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 
-from . import quant, refnet
+from . import intengine, quant, refnet
 from .compensate import (
     ActivationPair,
     ChannelAffineParams,
@@ -37,16 +39,17 @@ from .compensate import (
     fit_channel_affine,
 )
 from .intengine import (
+    FusedEntry,
+    FusedModel,
+    InferenceTrace,
     IntActivationParams,
     accumulator_scale,
     build_gelu_table,
     encode_multiplier,
-    fixed_point_multiply,
     fuse_layer,
-    round_half_away,
 )
-from .quant import QuantParams, RangeEstimator, quantize_uniform, quantize_weights_per_channel
-from .refnet import ModelBundle, TaskSpec, im2col, layer_forward, make_dataset
+from .quant import QuantParams, RangeEstimator, quantize_weights_per_channel
+from .refnet import ModelBundle, TaskSpec, layer_forward, make_dataset
 
 
 class CalibrationError(Exception):
@@ -178,37 +181,26 @@ def _quantize_from(model_f: ModelBundle, calib_x, outputs, weight_bits, act_bits
     return ModelBundle(manifest, blobs)
 
 
-@dataclass
-class _QuantLayer:
-    index: int
-    op_kind: str
-    w_codes: np.ndarray
-    w_params: QuantParams
-    bias: np.ndarray
-    in_params: IntActivationParams
-    out_params: IntActivationParams
-    bias_int: np.ndarray
-    kernel: int = 0
-    stride: int = 1
-    pad: int = 0
+def build_fused_model(
+    bundle: ModelBundle,
+    compensation: dict[int, ChannelAffineParams] | None = None,
+    beta_rounding: bool = False,
+) -> FusedModel:
+    """The engine's step IR for a quantized bundle.
 
-
-@dataclass
-class _QuantRuntime:
-    input_params: IntActivationParams
-    steps: list  # ("param", _QuantLayer) | ("relu", z) | ("gelu", table) | ("avgpool", k, s, m0, shift) | ("flatten",)
-    output_params: IntActivationParams
-    act_bits: int
-
-
-def quant_runtime(bundle: ModelBundle) -> _QuantRuntime:
+    Each linear/conv layer is ``fuse_layer`` of its ``quantization`` entry and
+    its entry in ``compensation`` (identity where it has none); the relu
+    zero-point, gelu table and avgpool multiplier are set up once here.  Built
+    with ``beta_rounding=False`` it is the float-assisted simulation.
+    """
     qsec = bundle.manifest.get("quantization")
     if qsec is None:
         raise CalibrationError("bundle has no quantization section; run quantize first")
+    compensation = compensation or {}
     ab = qsec["act_bits"]
     grid = IntActivationParams(float(qsec["input"]["scale"]), int(qsec["input"]["zero_point"]), ab)
     input_params = grid
-    steps = []
+    entries = []
     for i, entry in enumerate(bundle.manifest["layers"]):
         op = entry["op_kind"]
         if op in refnet.PARAM_OPS:
@@ -220,68 +212,43 @@ def quant_runtime(bundle: ModelBundle) -> _QuantRuntime:
                 np.array(q["weight_zero_points"], dtype=np.int64),
             )
             out = IntActivationParams(float(q["out_scale"]), int(q["out_zero_point"]), ab)
-            bias = bundle.tensor(entry["bias"])
-            acc_scale = accumulator_scale(grid.s, wp.scales)
-            bias_int = np.round(np.asarray(bias, dtype=np.float64) / acc_scale)
-            steps.append(
-                (
-                    "param",
-                    _QuantLayer(
-                        index=i,
-                        op_kind=op,
-                        w_codes=bundle.tensor(q["weight_codes"]),
-                        w_params=wp,
-                        bias=bias,
-                        in_params=grid,
-                        out_params=out,
-                        bias_int=bias_int,
-                        kernel=entry.get("kernel", 0),
-                        stride=entry.get("stride", 1),
-                        pad=entry.get("pad", 0),
-                    ),
-                )
+            layer = fuse_layer(
+                bundle.tensor(q["weight_codes"]),
+                bundle.tensor(entry["bias"]),
+                grid,
+                wp,
+                out,
+                compensation.get(i),
+                beta_rounding=beta_rounding,
+                op_kind=op,
+                kernel=entry.get("kernel", 0),
+                stride=entry.get("stride", 1),
+                pad=entry.get("pad", 0),
             )
+            entries.append(FusedEntry("param", layer=layer))
             grid = out
         elif op == "relu":
-            steps.append(("relu", grid.z))
+            entries.append(FusedEntry("relu", z=grid.z))
         elif op == "gelu":
             a = qsec.get("activations", {}).get(str(i))
             if a is None:
                 raise CalibrationError(f"layer {i}: gelu must directly follow a quantized linear/conv layer")
             out_grid = IntActivationParams(float(a["scale"]), int(a["zero_point"]), ab)
-            steps.append(("gelu", build_gelu_table(grid.s, grid.z, ab, out_grid.s, out_grid.z)))
+            entries.append(FusedEntry("gelu", lut=build_gelu_table(grid.s, grid.z, ab, out_grid.s, out_grid.z)))
             grid = out_grid
         elif op == "avgpool":
             k, s = entry["kernel"], entry["stride"]
             m0, shift = encode_multiplier(1.0 / (k * k))
-            steps.append(("avgpool", k, s, m0, shift))
+            entries.append(FusedEntry("avgpool", kernel=k, stride=s, pool_m0=m0, pool_shift=shift))
         elif op == "flatten":
-            steps.append(("flatten",))
+            entries.append(FusedEntry("flatten"))
         else:
             raise CalibrationError(f"cannot quantize op {op!r}")
-    return _QuantRuntime(input_params, steps, grid, ab)
+    return FusedModel(input_params, entries, grid)
 
 
 # ---------------------------------------------------------------------------
 # float-assisted quantized forward (the fitting-time reference semantics)
-
-
-def _exact_accumulate(x_codes, ql: _QuantLayer):
-    """Exact integer accumulators for one layer; rows are (sample, position)."""
-    if ql.op_kind == "conv2d":
-        cols, h_out, w_out = im2col(
-            x_codes.astype(np.int64), ql.kernel, ql.stride, ql.pad, pad_value=ql.in_params.z
-        )
-        xi = cols.reshape(-1, cols.shape[2])
-        spatial = (h_out, w_out)
-    else:
-        if x_codes.ndim != 2 or x_codes.shape[1] != ql.w_codes.shape[1]:
-            raise CalibrationError(f"layer {ql.index}: input shape {x_codes.shape} does not match weights")
-        xi = x_codes.astype(np.int64)
-        spatial = None
-    w = ql.w_codes.reshape(ql.w_codes.shape[0], -1).astype(np.int64)
-    acc = (xi - ql.in_params.z) @ (w - ql.w_params.zero_points[:, None]).T
-    return acc, spatial
 
 
 def sim_forward(
@@ -295,59 +262,40 @@ def sim_forward(
 ):
     """Quantized forward with per-channel affine compensation applied in f64.
 
+    This is the engine's interpreter over ``build_fused_model(bundle,
+    compensation)``, whose layers requantize the real-valued compensated
+    accumulator, so it equals the engine fused with ``beta_rounding=False``.
     Returns (logits_f32, captures, input_captures) where captures[i] holds the
     layer's dequantized accumulator outputs (the values compensation acts on)
     in row form, before compensation.
 
     ``_on_capture(i, y)``, the fitting hook of ``fit_compensation``, receives
-    each captured output instead of ``captures``; what it returns (params or
-    None) is the compensation applied at layer i in this pass.
+    each captured output instead of ``captures``; params it returns replace
+    layer i's compensation in this pass.
     """
-    rt = quant_runtime(bundle)
-    compensation = compensation or {}
+    model = build_fused_model(bundle, compensation)
+    want = tuple(bundle.manifest["input_shape"])
+    if np.shape(x)[1:] != want:
+        raise CalibrationError(f"input shape {np.shape(x)[1:]} does not match manifest {want}")
     captures, input_caps = {}, {}
-    x = np.asarray(x, dtype=np.float32)
-    codes = quantize_uniform(x, rt.input_params.to_quant_params())
-    for step in rt.steps:
-        kind = step[0]
-        if kind == "param":
-            ql = step[1]
-            if capture_inputs and ql.op_kind == "linear":
-                input_caps[ql.index] = (
-                    (codes.astype(np.float64) - ql.in_params.z) * ql.in_params.s
-                ).astype(np.float32)
-            acc, spatial = _exact_accumulate(codes, ql)
-            acc_scale = accumulator_scale(ql.in_params.s, ql.w_params.scales)
-            y = acc_scale[None, :] * (acc + ql.bias_int[None, :])
-            comp = compensation.get(ql.index)
-            if capture is None or ql.index in capture:
-                if _on_capture is None:
-                    captures[ql.index] = y.astype(np.float32)
-                else:
-                    comp = _on_capture(ql.index, y.astype(np.float32))
-            if comp is not None:
-                y = y * comp.alpha.astype(np.float64)[None, :] + comp.beta.astype(np.float64)[None, :]
-            out = ql.out_params
-            r = np.clip(out.z + round_half_away(y / np.float64(out.s)), 0, 2**rt.act_bits - 1)
-            codes = r.astype(quant.code_dtype(rt.act_bits))
-            if spatial is not None:
-                n = acc.shape[0] // (spatial[0] * spatial[1])
-                codes = np.moveaxis(codes.reshape(n, spatial[0], spatial[1], -1), 3, 1)
-        elif kind == "relu":
-            codes = np.maximum(codes, np.asarray(step[1], dtype=codes.dtype))
-        elif kind == "gelu":
-            codes = step[1][codes]
-        elif kind == "avgpool":
-            _, k, s, m0, shift = step
-            cols, h_out, w_out = im2col(codes.astype(np.int64), k, s, 0)
-            n, c = codes.shape[0], codes.shape[1]
-            sums = cols.reshape(n, h_out * w_out, c, k * k).sum(axis=3)
-            pooled = fixed_point_multiply(sums, m0, shift)
-            codes = np.moveaxis(pooled.reshape(n, h_out, w_out, c), 3, 1).astype(codes.dtype)
-        elif kind == "flatten":
-            codes = codes.reshape(codes.shape[0], -1)
-    p = rt.output_params
-    logits = ((codes.astype(np.float64) - p.z) * p.s).astype(np.float32)
+
+    def tap(i, x_q, acc, layer):
+        if capture_inputs and layer.op_kind == "linear":
+            input_caps[i] = ((x_q.astype(np.float64) - layer.z_x) * layer.s_x).astype(np.float32)
+        if capture is not None and i not in capture:
+            return layer
+        y = (accumulator_scale(layer.s_x, layer.s_w)[None, :] * acc).astype(np.float32)
+        if _on_capture is None:
+            captures[i] = y
+            return layer
+        comp = _on_capture(i, y)
+        if comp is None:
+            return layer
+        # an unrounded layer requantizes from alpha and beta_real alone, so its
+        # multiplier fields may keep describing the compensation it was built with
+        return replace(layer, alpha=comp.alpha, beta_real=comp.beta.astype(np.float64))
+
+    logits = intengine._interpret(model, x, "exact", InferenceTrace(), tap=tap)
     return logits, captures, input_caps
 
 
@@ -508,99 +456,12 @@ def fuse_model(comp_bundle: ModelBundle, beta_rounding: bool | None = None) -> M
 
     Layers without a fitted entry get identity compensation, so fusing a plain
     quantized bundle reproduces the uncompensated integer model exactly.  With
-    ``beta_rounding=False`` the offsets stay f32 and the fused model runs in
+    ``beta_rounding=False`` the offsets stay real and the fused model runs in
     the reference (non-integer-only) mode.
     """
-    rt = quant_runtime(comp_bundle)
-    comp = compensation_params(comp_bundle)
     if beta_rounding is None:
         beta_rounding = bool(
             comp_bundle.manifest.get("compensation", {}).get("config", {}).get("beta_rounding", True)
         )
-    manifest = json.loads(json.dumps(comp_bundle.manifest))
-    blobs = dict(comp_bundle.blobs)
-    entries = []
-    for step in rt.steps:
-        kind = step[0]
-        if kind == "param":
-            ql = step[1]
-            params = comp.get(ql.index)
-            fused = fuse_layer(
-                ql.w_codes,
-                ql.bias,
-                ql.in_params,
-                ql.w_params,
-                ql.out_params,
-                params,
-                beta_rounding=beta_rounding,
-                op_kind=ql.op_kind,
-                kernel=ql.kernel,
-                stride=ql.stride,
-                pad=ql.pad,
-            )
-            bias_blob = f"layer{ql.index}.bias_acc"
-            const_blob = f"layer{ql.index}.const_acc"
-            blobs[bias_blob] = fused.bias_acc.astype(np.int32)
-            blobs[const_blob] = fused.const_acc.astype(np.int32)
-            for name in (bias_blob, const_blob):
-                manifest["tensors"][name] = {"shape": [fused.out_channels], "kind": "i32"}
-            alpha = params.alpha if params is not None else fused.alpha
-            beta = params.beta if params is not None else np.zeros(fused.out_channels, dtype=np.float32)
-            entries.append(
-                {
-                    "kind": "param",
-                    "layer_index": ql.index,
-                    "op_kind": ql.op_kind,
-                    "weight_codes": f"layer{ql.index}.wq",
-                    "w_bits": int(ql.w_params.bitwidth),
-                    "w_scales": [float(v) for v in ql.w_params.scales],
-                    "w_zero_points": [int(v) for v in ql.w_params.zero_points],
-                    "s_x": float(ql.in_params.s),
-                    "z_x": int(ql.in_params.z),
-                    "in_bits": ql.in_params.bitwidth,
-                    "s_r": float(ql.out_params.s),
-                    "z_r": int(ql.out_params.z),
-                    "out_bits": ql.out_params.bitwidth,
-                    "m0": [int(v) for v in fused.m0],
-                    "shift": [int(v) for v in fused.shift],
-                    "bias_acc": bias_blob,
-                    "const_acc": const_blob,
-                    "alpha": [float(v) for v in alpha],
-                    "beta": [float(v) for v in beta],
-                    "kernel": ql.kernel,
-                    "stride": ql.stride,
-                    "pad": ql.pad,
-                }
-            )
-        elif kind == "relu":
-            entries.append({"kind": "relu", "z": int(step[1])})
-        elif kind == "gelu":
-            # regenerate deterministically at load; store for inspection/other engines
-            idx = len(entries)
-            blob = f"entry{idx}.gelu_lut"
-            blobs[blob] = step[1]
-            manifest["tensors"][blob] = {
-                "shape": [len(step[1])],
-                "kind": refnet.DTYPE_TO_KIND[step[1].dtype.newbyteorder("<")],
-            }
-            entries.append({"kind": "gelu", "table": blob})
-        elif kind == "avgpool":
-            _, k, s, m0, shift = step
-            entries.append({"kind": "avgpool", "kernel": k, "stride": s, "m0": int(m0), "shift": int(shift)})
-        elif kind == "flatten":
-            entries.append({"kind": "flatten"})
-    manifest["fusion"] = {
-        "beta_rounding": beta_rounding,
-        "input": {
-            "scale": float(rt.input_params.s),
-            "zero_point": int(rt.input_params.z),
-            "bitwidth": rt.input_params.bitwidth,
-        },
-        "output": {
-            "scale": float(rt.output_params.s),
-            "zero_point": int(rt.output_params.z),
-            "bitwidth": rt.output_params.bitwidth,
-        },
-        "entries": entries,
-    }
-    return ModelBundle(manifest, blobs)
+    model = build_fused_model(comp_bundle, compensation_params(comp_bundle), beta_rounding)
+    return intengine._fused_bundle(comp_bundle, model, beta_rounding)

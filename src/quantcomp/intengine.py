@@ -12,18 +12,25 @@ is folded into bias_acc, so compensation costs nothing at inference.  M' is
 realized as an i32 mantissa in [2^30, 2^31) and a right shift, with
 round-half-away-from-zero on the shifted-out bits (a documented constant of
 this engine; quantization elsewhere rounds half-to-even).
+
+A layer fused with ``beta_rounding=False`` keeps the offset real and
+requantizes as ``Z_r + round((S_x S_W[c] acc_c alpha_c + beta_c) / S_r)``.
+That real-valued form is also the float-assisted simulation that calibration
+fits on: ``calibrate.sim_forward`` runs a model built unrounded through this
+module's interpreter, so the unrounded engine and the simulation are one
+code path.  The ``fusion`` manifest section is written and read only here.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+import json
+from dataclasses import dataclass
 
 import numpy as np
 
 from .compensate import ChannelAffineParams, identity_compensation
 from .quant import QuantParams, code_dtype, quantize_uniform
-from .refnet import gelu, im2col
+from .refnet import DTYPE_TO_KIND, ModelBundle, gelu, im2col
 
 INT32_MIN = -(2**31)
 INT32_MAX = 2**31 - 1
@@ -62,21 +69,29 @@ def accumulator_scale(s_x, s_w):
     return np.float64(s_x) * np.asarray(s_w, dtype=np.float64)
 
 
-def encode_multiplier(m: float):
-    """Real multiplier -> (M0, shift) with M0 in [2^30, 2^31), m ~= M0 * 2^-shift."""
-    m = float(m)
-    if not (m > 0) or not math.isfinite(m):
-        raise EngineError(f"multiplier must be positive and finite, got {m}")
-    if m >= 2**30:
-        raise EngineError(f"multiplier {m} too large to encode")
-    frac, exp = math.frexp(m)  # m = frac * 2^exp, frac in [0.5, 1)
-    m0 = round(frac * (1 << 31))
-    if m0 == 1 << 31:
-        m0 >>= 1
-        exp += 1
-    shift = 31 - exp
-    if shift > 63:
-        raise EngineError(f"multiplier {m} too small to encode")
+def encode_multiplier(m):
+    """Real multiplier -> (M0, shift) with M0 in [2^30, 2^31), m ~= M0 * 2^-shift.
+
+    A scalar gives Python ints; an array of multipliers gives i64 arrays of the
+    same shape, element for element what the scalar call gives.
+    """
+    scalar = np.ndim(m) == 0
+    m = np.asarray(m, dtype=np.float64)
+    if not ((m > 0) & (m < 2.0**30)).all():  # NaN fails both tests
+        bad = m[~(np.isfinite(m) & (m > 0))]
+        if bad.size:
+            raise EngineError(f"multiplier must be positive and finite, got {bad[0]}")
+        raise EngineError(f"multiplier {m[m >= 2**30][0]} too large to encode")
+    frac, exp = np.frexp(m)  # m = frac * 2^exp, frac in [0.5, 1)
+    # frac * 2^31 is exact, and np.rint rounds half to even like Python's round
+    m0 = np.rint(frac * 2.0**31).astype(np.int64)
+    carry = m0 >> 31  # 1 where the mantissa rounded up to 2^31
+    m0 >>= carry
+    shift = 31 - exp - carry
+    if shift.max() > 63:
+        raise EngineError(f"multiplier {m[shift > 63][0]} too small to encode")
+    if scalar:
+        return int(m0), int(shift)
     return m0, shift
 
 
@@ -113,12 +128,14 @@ class FusedLayerParams:
     m_real: np.ndarray  # f64 per channel, exact multiplier for test mode
     bias_acc: np.ndarray  # i64 per channel (quantized bias [+ beta offset])
     const_acc: np.ndarray  # i64 per channel (-Z_x * sum W_q + C_eff * Z_x * Z_W)
-    bitwidth: int
+    bitwidth: int  # output codes
+    w_bits: int
+    in_bits: int
     s_x: float
     s_w: np.ndarray
     s_r: float
     alpha: np.ndarray
-    beta_real: np.ndarray | None = None  # set when beta_rounding is off
+    beta_real: np.ndarray | None = None  # f64 per channel; folded into bias_acc when beta_rounding
     beta_rounding: bool = True
     kernel: int = 0
     stride: int = 1
@@ -142,11 +159,8 @@ class InferenceTrace:
     """Instrumentation for the no-float-in-kernels contract."""
 
     float_mul_count: int = 0
-    kernel_invocations: int = 0
-    layers_run: int = 0
 
     def require_integer(self, *arrays):
-        self.kernel_invocations += 1
         for a in arrays:
             if not np.issubdtype(np.asarray(a).dtype, np.integer):
                 self.float_mul_count += np.asarray(a).size
@@ -166,7 +180,7 @@ def integer_accumulate(x_q, layer: FusedLayerParams, trace: InferenceTrace | Non
     w = layer.w_matrix()
     if x_q.ndim != 2 or x_q.shape[1] != w.shape[1]:
         raise EngineError(f"{layer.op_kind}: accumulate expects (N, {w.shape[1]}), got {x_q.shape}")
-    xi = x_q.astype(np.int64)
+    xi = x_q.astype(np.int64, copy=False)  # read only below, so an i64 input is used as is
     acc = xi @ w.T
     acc -= xi.sum(axis=1, keepdims=True) * layer.z_w[None, :]
     acc += layer.const_acc[None, :] + layer.bias_acc[None, :]
@@ -180,17 +194,19 @@ def requantize(acc, layer: FusedLayerParams, mode="fixedpoint", trace: Inference
 
     ``mode="fixedpoint"`` is the deployable integer path; ``mode="exact"``
     multiplies by the exact real M' (test mode isolating the fixed-point
-    encoding).  A layer fused with ``beta_rounding=False`` keeps beta in f32
-    and adds beta / S_r before the final rounding; that reference mode is not
-    integer-only and shows up in the trace's float counter.
+    encoding).  A layer fused with ``beta_rounding=False`` requantizes the
+    real value ``S_x S_W acc alpha + beta`` in f64 whatever the mode; that
+    reference mode, the fitting-time simulation, is not integer-only and shows
+    up in the trace's float counter.
     """
     acc = np.asarray(acc, dtype=np.int64)
     qmax = 2**layer.bitwidth - 1
     if not layer.beta_rounding:
         if trace is not None:
             trace.float_mul_count += acc.size + layer.out_channels
-        scaled = layer.m_real[None, :] * acc + (layer.beta_real / layer.s_r)[None, :]
-        r = layer.z_r + round_half_away(scaled)
+        y = accumulator_scale(layer.s_x, layer.s_w)[None, :] * acc
+        y = y * layer.alpha.astype(np.float64)[None, :] + layer.beta_real[None, :]
+        r = layer.z_r + round_half_away(y / np.float64(layer.s_r))
     elif mode == "exact":
         r = layer.z_r + round_half_away(layer.m_real[None, :] * acc)
     elif mode == "fixedpoint":
@@ -244,18 +260,14 @@ def fuse_layer(
         raise EngineError("weight params must be per-channel over the output dim")
     acc_scale = accumulator_scale(act_in.s, s_w)  # S_x * S_W per channel
     m_real = alpha * acc_scale / np.float64(out.s)
-    pairs = [encode_multiplier(m) for m in m_real]
-    m0 = np.array([p[0] for p in pairs], dtype=np.int64)
-    shift = np.array([p[1] for p in pairs], dtype=np.int64)
+    m0, shift = encode_multiplier(m_real)
 
     bias_int = _check_i32("quantized bias", np.round(np.asarray(bias, dtype=np.float64) / acc_scale))
     if beta_rounding:
         beta_off = _check_i32("beta offset", np.round(beta / (alpha * acc_scale)))
         bias_acc = _check_i32("bias accumulator", bias_int + beta_off)
-        beta_real = None
     else:
         bias_acc = bias_int
-        beta_real = beta
     w_mat = w_q.reshape(c_out, -1).astype(np.int64)
     c_eff = w_mat.shape[1]
     const_acc = _check_i32(
@@ -277,11 +289,13 @@ def fuse_layer(
         bias_acc=bias_acc,
         const_acc=const_acc,
         bitwidth=out.bitwidth,
+        w_bits=w_params.bitwidth,
+        in_bits=act_in.bitwidth,
         s_x=act_in.s,
         s_w=s_w,
         s_r=out.s,
         alpha=comp.alpha,
-        beta_real=beta_real,
+        beta_real=beta,
         beta_rounding=beta_rounding,
         kernel=kernel,
         stride=stride,
@@ -339,42 +353,42 @@ class FusedEntry:
 
 @dataclass
 class FusedModel:
+    """The step IR: ``entries[i]`` runs layer i of the bundle it was built from."""
+
     input_params: IntActivationParams
     entries: list[FusedEntry]
     output_params: IntActivationParams
-    input_shape: tuple
-    metadata: dict = field(default_factory=dict)
 
 
-def _run_param_entry(entry, x_q, mode, trace, debug):
-    layer = entry.layer
+def _run_param_entry(i, layer, x_q, mode, trace, debug, tap):
     if layer.op_kind == "linear":
-        acc = integer_accumulate(x_q, layer, trace=trace, debug=debug)
-        return requantize(acc, layer, mode=mode, trace=trace)
-    # conv2d: im2col on codes, pad with the input zero-point, one GEMM per position
-    if trace is not None:
+        rows = x_q
+    else:
+        # conv2d: im2col on codes, pad with the input zero-point, one GEMM per position
         trace.require_integer(x_q)
-    cols, h_out, w_out = im2col(x_q.astype(np.int64), layer.kernel, layer.stride, layer.pad, pad_value=layer.z_x)
-    n = x_q.shape[0]
-    acc = integer_accumulate(cols.reshape(n * h_out * w_out, -1), layer, trace=trace, debug=debug)
+        cols, h_out, w_out = im2col(x_q.astype(np.int64), layer.kernel, layer.stride, layer.pad, pad_value=layer.z_x)
+        rows = cols.reshape(x_q.shape[0] * h_out * w_out, -1)
+    acc = integer_accumulate(rows, layer, trace=trace, debug=debug)
+    if tap is not None:
+        layer = tap(i, x_q, acc, layer)
     r = requantize(acc, layer, mode=mode, trace=trace)
-    return np.moveaxis(r.reshape(n, h_out, w_out, layer.out_channels), 3, 1)
+    if layer.op_kind == "linear":
+        return r
+    return np.moveaxis(r.reshape(x_q.shape[0], h_out, w_out, layer.out_channels), 3, 1)
 
 
-def run_int_model(model: FusedModel, x, mode="fixedpoint", trace: InferenceTrace | None = None, debug=True):
-    """Quantize the input once, run all layers in integer arithmetic, dequantize logits.
+def _interpret(model: FusedModel, x, mode, trace: InferenceTrace, debug=True, tap=None):
+    """The one forward over a FusedModel: quantize, run every entry on codes, dequantize.
 
-    Returns (logits_f32, trace).  The input quantization and final dequantization
-    are the only floating-point steps and sit outside the traced kernels.
+    ``tap(i, x_q, acc, layer)``, when given, sees each param entry's input
+    codes and i32 accumulators and returns the layer to requantize them with;
+    the fitting-time simulation captures and overrides compensation through it.
     """
-    if trace is None:
-        trace = InferenceTrace()
     x = np.asarray(x, dtype=np.float32)
     x_q = quantize_uniform(x, model.input_params.to_quant_params())
-    for entry in model.entries:
-        trace.layers_run += 1
+    for i, entry in enumerate(model.entries):
         if entry.kind == "param":
-            x_q = _run_param_entry(entry, x_q, mode, trace, debug)
+            x_q = _run_param_entry(i, entry.layer, x_q, mode, trace, debug, tap)
         elif entry.kind == "relu":
             trace.require_integer(x_q)
             x_q = np.maximum(x_q, np.asarray(entry.z, dtype=x_q.dtype))
@@ -393,8 +407,18 @@ def run_int_model(model: FusedModel, x, mode="fixedpoint", trace: InferenceTrace
         else:
             raise EngineError(f"unknown fused entry kind {entry.kind!r}")
     p = model.output_params
-    logits = ((x_q.astype(np.float64) - p.z) * p.s).astype(np.float32)
-    return logits, trace
+    return ((x_q.astype(np.float64) - p.z) * p.s).astype(np.float32)
+
+
+def run_int_model(model: FusedModel, x, mode="fixedpoint", trace: InferenceTrace | None = None, debug=True):
+    """Quantize the input once, run all layers in integer arithmetic, dequantize logits.
+
+    Returns (logits_f32, trace).  The input quantization and final dequantization
+    are the only floating-point steps and sit outside the traced kernels.
+    """
+    if trace is None:
+        trace = InferenceTrace()
+    return _interpret(model, x, mode, trace, debug), trace
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +426,79 @@ def run_int_model(model: FusedModel, x, mode="fixedpoint", trace: InferenceTrace
 
 # The fused bundle stores, per param layer: the weight-code blob, i32 bias/const
 # accumulator blobs, (M0, shift) arrays, zero-points, scales, and the fitted
-# alpha/beta; activations store their grid constants.  fused_runtime() is the
-# inverse of calibrate.fuse_model()'s serialization.
+# alpha/beta; activations store their grid constants.  _fused_bundle() writes
+# the ``fusion`` section and fused_runtime() reads it back.
+
+
+def _grid_manifest(p: IntActivationParams):
+    return {"scale": float(p.s), "zero_point": int(p.z), "bitwidth": p.bitwidth}
+
+
+def _fused_bundle(bundle: ModelBundle, model: FusedModel, beta_rounding: bool) -> ModelBundle:
+    """``bundle`` plus a ``fusion`` section serializing ``model`` and the blobs it names."""
+    manifest = json.loads(json.dumps(bundle.manifest))
+    blobs = dict(bundle.blobs)
+
+    def store(name, array):
+        blobs[name] = array
+        manifest["tensors"][name] = {"shape": list(array.shape), "kind": DTYPE_TO_KIND[array.dtype.newbyteorder("<")]}
+        return name
+
+    entries = []
+    for i, entry in enumerate(model.entries):
+        if entry.kind == "param":
+            layer = entry.layer
+            entries.append(
+                {
+                    "kind": "param",
+                    "layer_index": i,
+                    "op_kind": layer.op_kind,
+                    "weight_codes": store(f"layer{i}.wq", layer.w_q),
+                    "w_bits": int(layer.w_bits),
+                    "w_scales": [float(v) for v in layer.s_w],
+                    "w_zero_points": [int(v) for v in layer.z_w],
+                    "s_x": float(layer.s_x),
+                    "z_x": int(layer.z_x),
+                    "in_bits": int(layer.in_bits),
+                    "s_r": float(layer.s_r),
+                    "z_r": int(layer.z_r),
+                    "out_bits": int(layer.bitwidth),
+                    "m0": [int(v) for v in layer.m0],
+                    "shift": [int(v) for v in layer.shift],
+                    "bias_acc": store(f"layer{i}.bias_acc", layer.bias_acc.astype(np.int32)),
+                    "const_acc": store(f"layer{i}.const_acc", layer.const_acc.astype(np.int32)),
+                    "alpha": [float(v) for v in layer.alpha],
+                    "beta": [float(v) for v in layer.beta_real],
+                    "kernel": int(layer.kernel),
+                    "stride": int(layer.stride),
+                    "pad": int(layer.pad),
+                }
+            )
+        elif entry.kind == "relu":
+            entries.append({"kind": "relu", "z": int(entry.z)})
+        elif entry.kind == "gelu":
+            entries.append({"kind": "gelu", "table": store(f"entry{i}.gelu_lut", entry.lut)})
+        elif entry.kind == "avgpool":
+            entries.append(
+                {
+                    "kind": "avgpool",
+                    "kernel": int(entry.kernel),
+                    "stride": int(entry.stride),
+                    "m0": int(entry.pool_m0),
+                    "shift": int(entry.pool_shift),
+                }
+            )
+        elif entry.kind == "flatten":
+            entries.append({"kind": "flatten"})
+        else:
+            raise EngineError(f"unknown fused entry kind {entry.kind!r}")
+    manifest["fusion"] = {
+        "beta_rounding": beta_rounding,
+        "input": _grid_manifest(model.input_params),
+        "output": _grid_manifest(model.output_params),
+        "entries": entries,
+    }
+    return ModelBundle(manifest, blobs)
 
 
 def fused_runtime(bundle) -> FusedModel:
@@ -418,7 +513,6 @@ def fused_runtime(bundle) -> FusedModel:
         kind = e["kind"]
         if kind == "param":
             alpha = np.array(e["alpha"], dtype=np.float32)
-            beta = np.array(e["beta"], dtype=np.float64)
             s_w = np.array(e["w_scales"], dtype=np.float64)
             m_real = alpha.astype(np.float64) * accumulator_scale(e["s_x"], s_w) / np.float64(e["s_r"])
             layer = FusedLayerParams(
@@ -433,11 +527,13 @@ def fused_runtime(bundle) -> FusedModel:
                 bias_acc=bundle.tensor(e["bias_acc"]).astype(np.int64),
                 const_acc=bundle.tensor(e["const_acc"]).astype(np.int64),
                 bitwidth=int(e["out_bits"]),
+                w_bits=int(e["w_bits"]),
+                in_bits=int(e["in_bits"]),
                 s_x=float(e["s_x"]),
                 s_w=s_w,
                 s_r=float(e["s_r"]),
                 alpha=alpha,
-                beta_real=None if beta_rounding else beta,
+                beta_real=np.array(e["beta"], dtype=np.float64),
                 beta_rounding=beta_rounding,
                 kernel=int(e.get("kernel", 0)),
                 stride=int(e.get("stride", 1)),
@@ -464,10 +560,4 @@ def fused_runtime(bundle) -> FusedModel:
             raise EngineError(f"unknown fused entry kind {kind!r} in manifest")
     outp = fusion["output"]
     output_params = IntActivationParams(float(outp["scale"]), int(outp["zero_point"]), int(outp["bitwidth"]))
-    return FusedModel(
-        input_params=input_params,
-        entries=entries,
-        output_params=output_params,
-        input_shape=tuple(bundle.manifest["input_shape"]),
-        metadata=bundle.manifest.get("metadata", {}),
-    )
+    return FusedModel(input_params=input_params, entries=entries, output_params=output_params)

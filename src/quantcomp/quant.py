@@ -155,11 +155,14 @@ def quantize_weights_per_channel(w, bitwidth):
         raise QuantError("per-channel weight quantization needs a leading output-channel dim")
     if w.shape[1:] and int(np.prod(w.shape[1:])) == 0:
         raise QuantError("empty channel")
+    if not np.isfinite(w).all():
+        raise QuantError("non-finite weights")
     flat = w.reshape(w.shape[0], -1)
-    scales = np.empty(w.shape[0], dtype=np.float64)
-    zps = np.empty(w.shape[0], dtype=np.int64)
-    for c in range(w.shape[0]):
-        scales[c], zps[c] = _affine_from_bounds(float(flat[c].min()), float(flat[c].max()), bitwidth)
+    lo, hi = flat.min(axis=1), flat.max(axis=1)
+    # _affine_from_bounds for every channel at once, in the same f64 operations
+    qmax = 2**bitwidth - 1
+    scales = np.where(hi <= lo, DEGENERATE_SCALE, (hi - lo) / qmax)
+    zps = np.clip(np.round(-lo / scales), 0, qmax).astype(np.int64)
     params = QuantParams(bitwidth, "per_channel", scales, zps)
     return quantize_uniform(w, params), params
 
@@ -193,25 +196,3 @@ def quantize_log2(x, bitwidth):
 def dequantize_log2(codes, params: Log2Params):
     codes = np.asarray(codes, dtype=np.float64)
     return (params.signs * params.max_abs * np.exp2(-codes)).astype(np.float32)
-
-
-# ---------------------------------------------------------------------------
-# manifest (de)serialization helpers
-
-
-def params_to_manifest(params: QuantParams) -> dict:
-    return {
-        "bitwidth": params.bitwidth,
-        "scheme": params.scheme,
-        "scales": [float(s) for s in params.scales],
-        "zero_points": [int(z) for z in params.zero_points],
-    }
-
-
-def params_from_manifest(entry: dict) -> QuantParams:
-    return QuantParams(
-        entry["bitwidth"],
-        entry["scheme"],
-        np.array(entry["scales"], dtype=np.float32),
-        np.array(entry["zero_points"], dtype=np.int64),
-    )

@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from quantcomp import calibrate
+from quantcomp import calibrate, intengine
 from quantcomp.calibrate import (
     CalibrationConfig,
     CalibrationError,
@@ -66,6 +66,11 @@ class TestCollectPairs:
         seq = collect_pairs(model_f, q, calib[:128], compensation={0: first})
         assert np.array_equal(frozen[0].y_quant, seq[0].y_quant)
         assert not np.array_equal(frozen[2].y_quant, seq[2].y_quant)
+
+    def test_sim_rejects_input_of_the_wrong_shape(self, model_f, calib):
+        q = quantize_model(model_f, calib[:64], 8, 8)
+        with pytest.raises(CalibrationError, match="input shape"):
+            sim_forward(q, np.zeros((4, 7), dtype=np.float32))
 
     def test_architecture_mismatch(self, model_f, calib):
         other = build_mlp((6, 9, 5))
@@ -362,32 +367,48 @@ class TestOnePassFit:
             assert fitted[i].negative_clamped == p.negative_clamped
         assert got.manifest["compensation"]["stats"] == stats
 
+    @pytest.mark.parametrize("sequential", [True, False])
+    @pytest.mark.parametrize("net", ["mlp-w4a4", "conv-gelu-w8a8"])
+    def test_unrounded_engine_equals_simulation_bit_for_bit(self, model_f, calib, net, sequential):
+        if net == "mlp-w4a4":
+            model, pool, bits = model_f, calib, 4
+            x = make_dataset(TASK, 0)[2]
+        else:
+            (model, pool), bits = _conv_gelu_model(), 8
+            x = np.random.default_rng(9).uniform(-1, 1, (96, 2, 6, 6)).astype(np.float32)
+        cfg = CalibrationConfig(sample_count=64, weight_bits=bits, act_bits=bits, sequential=sequential)
+        comp = calibrate_model(model, cfg, pool)
+        sim, _, _ = sim_forward(comp, x, compensation_params(comp))
+        engine, _ = run_int_model(fused_runtime(fuse_model(comp, beta_rounding=False)), x)
+        assert sim.dtype == engine.dtype and sim.tobytes() == engine.tobytes()
+
     @pytest.mark.parametrize("range_split", [False, True])
     def test_layer_work_is_done_once(self, monkeypatch, range_split):
         model = build_mlp((6,) + (8,) * 7 + (3,), rng=np.random.default_rng(3))
         params = model.param_layer_indices()
         assert len(params) == 8
-        counts = {"runtime": 0, "accumulate": Counter(), "float": Counter()}
-        quant_runtime, accumulate, forward = calibrate.quant_runtime, calibrate._exact_accumulate, calibrate.layer_forward
+        counts = {"build": 0, "accumulate": Counter(), "float": Counter()}
+        build, accumulate, forward = calibrate.build_fused_model, intengine.integer_accumulate, calibrate.layer_forward
 
-        def counted_runtime(bundle):
-            counts["runtime"] += 1
-            return quant_runtime(bundle)
+        def counted_build(*args, **kwargs):
+            counts["build"] += 1
+            return build(*args, **kwargs)
 
-        def counted_accumulate(x_codes, ql):
-            counts["accumulate"][ql.index] += 1
-            return accumulate(x_codes, ql)
+        def counted_accumulate(x_q, layer, *args, **kwargs):
+            counts["accumulate"][id(layer.w_q)] += 1
+            return accumulate(x_q, layer, *args, **kwargs)
 
         def counted_forward(layer, x, index=None):
             counts["float"][index] += 1
             return forward(layer, x, index=index)
 
-        monkeypatch.setattr(calibrate, "quant_runtime", counted_runtime)
-        monkeypatch.setattr(calibrate, "_exact_accumulate", counted_accumulate)
+        monkeypatch.setattr(calibrate, "build_fused_model", counted_build)
+        monkeypatch.setattr(intengine, "integer_accumulate", counted_accumulate)
         monkeypatch.setattr(calibrate, "layer_forward", counted_forward)
         x = np.random.default_rng(4).standard_normal((128, 6)).astype(np.float32)
         calibrate_model(model, CalibrationConfig(sample_count=64, range_split=range_split), x)
         sets = 2 if range_split else 1  # one float forward per sample set
-        assert counts["runtime"] == 1
-        assert counts["accumulate"] == Counter({i: 1 for i in params})
+        assert counts["build"] == 1
+        # one accumulate per param layer: eight distinct weight tensors, each run once
+        assert sorted(counts["accumulate"].values()) == [1] * len(params)
         assert counts["float"] == Counter({i: sets for i in range(len(model.manifest["layers"]))})

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +25,16 @@ from quantcomp.quant import QuantParams, quantize_uniform, quantize_weights_per_
 from quantcomp.refnet import gelu
 
 
+def _reference_encode(m):
+    """The per-multiplier encoding in Python ints, the reference for the array form."""
+    frac, exp = math.frexp(m)
+    m0 = round(frac * (1 << 31))
+    if m0 == 1 << 31:
+        m0 >>= 1
+        exp += 1
+    return m0, 31 - exp
+
+
 class TestMultiplierEncoding:
     def test_half(self):
         assert encode_multiplier(0.5) == (2**30, 31)
@@ -41,6 +52,25 @@ class TestMultiplierEncoding:
         for bad in (0.0, -1.0, float("inf"), float("nan"), 2.0**31):
             with pytest.raises(EngineError):
                 encode_multiplier(bad)
+
+    def test_array_call_matches_scalar_calls(self):
+        # 1 - 2^-33 rounds its mantissa up to 2^31 and carries into the shift
+        m = np.array([[0.3, 1e-4, 7.25], [1 - 2.0**-33, 2.0**-20, 0.999999], [2.0**30 - 1, 3.0 * 2.0**-33, 0.5]])
+        m0, shift = encode_multiplier(m)
+        assert m0.dtype == shift.dtype == np.int64 and m0.shape == shift.shape == m.shape
+        for idx in np.ndindex(m.shape):
+            want = _reference_encode(float(m[idx]))
+            assert encode_multiplier(float(m[idx])) == want
+            assert (int(m0[idx]), int(shift[idx])) == want
+        assert encode_multiplier(1 - 2.0**-33) == (2**30, 30)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("inf"), float("nan"), 2.0**31, 2.0**-40])
+    def test_array_call_rejects_what_scalar_rejects(self, bad):
+        with pytest.raises(EngineError) as scalar_error:
+            encode_multiplier(bad)
+        with pytest.raises(EngineError) as array_error:
+            encode_multiplier(np.array([0.5, bad, 0.25]))
+        assert str(array_error.value) == str(scalar_error.value)
 
     def test_fixed_point_matches_real_rounding(self):
         rng = np.random.default_rng(0)
@@ -82,6 +112,8 @@ def simple_layer(w_q, z_w, z_x, z_r, m, bias=None, bits=8, s_x=1.0, s_w=None, s_
         bias_acc=bias,
         const_acc=const,
         bitwidth=bits,
+        w_bits=bits,
+        in_bits=bits,
         s_x=s_x,
         s_w=s_w,
         s_r=1.0 if s_r is None else s_r,

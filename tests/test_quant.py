@@ -7,12 +7,11 @@ from quantcomp.quant import (
     QuantError,
     QuantParams,
     RangeEstimator,
+    _affine_from_bounds,
     code_dtype,
     compute_affine_params,
     dequantize,
     dequantize_log2,
-    params_from_manifest,
-    params_to_manifest,
     quantize_log2,
     quantize_uniform,
     quantize_weights_per_channel,
@@ -159,6 +158,23 @@ class TestPerChannelWeights:
         with pytest.raises(QuantError):
             quantize_weights_per_channel(np.zeros(4), 8)
 
+    @pytest.mark.parametrize("bits", [2, 4, 8])
+    def test_matches_scalar_bounds_channel_by_channel(self, bits):
+        rng = np.random.default_rng(8)
+        w = rng.standard_normal((6, 2, 3, 3)) * rng.uniform(0.01, 4.0, (6, 1, 1, 1))
+        w[3] = 0.7  # a constant channel takes the degenerate scale
+        _, p = quantize_weights_per_channel(w, bits)
+        for c in range(6):
+            s, z = _affine_from_bounds(float(w[c].min()), float(w[c].max()), bits)
+            assert p.scales[c] == s and p.zero_points[c] == z
+        assert p.scales[3] == DEGENERATE_SCALE
+
+    def test_rejects_non_finite_weights(self):
+        w = np.ones((2, 3))
+        w[1, 2] = np.nan
+        with pytest.raises(QuantError, match="non-finite"):
+            quantize_weights_per_channel(w, 8)
+
 
 class TestLog2:
     def test_max_is_code_zero_exact(self):
@@ -190,11 +206,3 @@ class TestLog2:
     def test_all_zero_rejected(self):
         with pytest.raises(QuantError):
             quantize_log2(np.zeros(5), 4)
-
-
-class TestManifestRoundTrip:
-    def test_params_roundtrip(self):
-        p = QuantParams(4, "per_channel", np.array([0.1, 0.3], dtype=np.float32), np.array([1, 7]))
-        q = params_from_manifest(params_to_manifest(p))
-        assert np.array_equal(p.scales, q.scales) and np.array_equal(p.zero_points, q.zero_points)
-        assert p.bitwidth == q.bitwidth and p.scheme == q.scheme
