@@ -26,7 +26,6 @@ on the calibration set.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, asdict, replace
 
 import numpy as np
@@ -142,7 +141,8 @@ def _quantize_from(model_f: ModelBundle, calib_x, outputs, weight_bits, act_bits
     """``quantize_model`` given the float forward's per-layer ``outputs`` on ``calib_x``."""
     if weight_bits >= 32 or act_bits >= 32:
         raise CalibrationError("32-bit passthrough is not a quantization; pick bits < 32")
-    manifest = json.loads(json.dumps(model_f.manifest))
+    # writes only ``tensors`` entries and the ``quantization`` key: copy just those levels
+    manifest = dict(model_f.manifest, tensors=dict(model_f.manifest["tensors"]))
     blobs = dict(model_f.blobs)
     s_in, z_in = quant.compute_affine_params(calib_x, act_bits, estimator)
     qsec = {
@@ -370,7 +370,7 @@ def _fit_from(model_f: ModelBundle, qbundle: ModelBundle, config: CalibrationCon
 
     positions = compensation_positions(model_f, config.position)
     sim_forward(qbundle, fit_x, capture=set(positions), _on_capture=fit)
-    out = ModelBundle(json.loads(json.dumps(qbundle.manifest)), dict(qbundle.blobs))
+    out = ModelBundle(dict(qbundle.manifest), dict(qbundle.blobs))  # only the top level is written
     out.manifest["compensation"] = {
         "config": config.to_manifest(),
         "layers": {

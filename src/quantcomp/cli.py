@@ -206,6 +206,7 @@ def _eval_bundle(bundle, args):
         logits, trace = run_int_model(fused_runtime(bundle), x_te, trace=trace)
         rows["acc_fused"] = accuracy(logits, y_te)
         rows["float_mul_count"] = trace.float_mul_count
+        rows["f64_gemm_macs"] = trace.f64_gemm_macs  # exact integer GEMMs on the host's f64 BLAS
     elif bundle.manifest.get("quantization") is not None:
         logits_q, _, _ = sim_forward(bundle, x_te)
         rows["acc_quant"] = accuracy(logits_q, y_te)

@@ -13,6 +13,19 @@ realized as an i32 mantissa in [2^30, 2^31) and a right shift, with
 round-half-away-from-zero on the shifted-out bits (a documented constant of
 this engine; quantization elsewhere rounds half-to-even).
 
+The host computes the first two terms as one GEMM on zero-point-centred
+weights (Jacob et al. 2018, arXiv 1712.05877): ``acc = x_q @ (W_q - Z_W)^T +
+(const_acc + bias_acc)``, with the last three terms folded into ``const_acc``
+and ``bias_acc`` at fuse time.  The GEMM runs in f64 on BLAS, and its result
+is the exact integer: every partial sum is bounded by
+``(2^in_bits - 1) * sum_j |W_q - Z_W|``, which is at most twice the reach
+that ``fuse_layer`` caps at INT32_MAX (the reach multiplies the same sum by
+``max(Z_x, qmax - Z_x) >= qmax / 2``), so below 2^32 <= 2^53, and no
+summation order can round.  A hand-assembled layer over 2^53 raises
+``EngineError``.  The trace counts these MACs in ``f64_gemm_macs`` apart
+from ``float_mul_count``: they are exact integer arithmetic on the host, not
+a claim about what deployment hardware runs.
+
 A layer fused with ``beta_rounding=False`` keeps the offset real and
 requantizes as ``Z_r + round((S_x S_W[c] acc_c alpha_c + beta_c) / S_r)``.
 That real-valued form is also the float-assisted simulation that calibration
@@ -23,8 +36,8 @@ code path.  The ``fusion`` manifest section is written and read only here.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -103,15 +116,17 @@ def fixed_point_multiply(v, m0, shift):
     """round(v * M0 * 2^-shift) in pure i64 arithmetic, ties away from zero.
 
     ``m0``/``shift`` may be scalars or per-channel arrays broadcasting against
-    the last axis of ``v``.
+    the last axis of ``v``.  Branch-free: for p < 0, -((|p| + h) >> s) equals
+    (p + h - 1) >> s with h = 2^(s-1), so negative products take one extra -1
+    before the shared nudge-and-shift.
     """
     v = np.asarray(v, dtype=np.int64)
-    m0 = np.asarray(m0, dtype=np.int64)
     shift = np.asarray(shift, dtype=np.int64)
-    p = v * m0
-    nudge = np.int64(1) << (shift - 1)
-    mag = (np.abs(p) + nudge) >> shift
-    return np.where(p < 0, -mag, mag)
+    p = v * np.asarray(m0, dtype=np.int64)
+    p -= p < 0
+    p += np.int64(1) << (shift - 1)
+    p >>= shift
+    return p
 
 
 @dataclass
@@ -149,41 +164,60 @@ class FusedLayerParams:
     def fan_in(self):
         return int(np.prod(self.w_q.shape[1:]))
 
-    def w_matrix(self):
-        """Weight codes flattened to (C_out, C_eff) as i64."""
-        return self.w_q.reshape(self.out_channels, -1).astype(np.int64)
+    @cached_property
+    def w_centred(self):
+        """(W_q - Z_W) as f64 (C_out, C_eff), built on first use; EngineError if f64 GEMMs could round."""
+        w = self.w_q.reshape(self.out_channels, -1).astype(np.int64) - self.z_w[:, None]
+        w = w.astype(np.float64)
+        # every partial sum of x_q @ w.T is bounded by qmax_in * max_c sum_j |w[c, j]|;
+        # integers up to 2^53 are exact in f64, so no summation order can round
+        reach = np.abs(w).sum(axis=1).max(initial=0.0) * (2.0**self.in_bits - 1)
+        if reach >= 2.0**53:
+            raise EngineError(f"{self.op_kind}: accumulator reach {reach:.3g} >= 2^53, f64 GEMM would not be exact")
+        return w
 
 
 @dataclass
 class InferenceTrace:
-    """Instrumentation for the no-float-in-kernels contract."""
+    """Instrumentation for the no-float-in-kernels contract.
+
+    ``float_mul_count`` counts elements that reached a kernel as floats.
+    ``f64_gemm_macs`` counts the multiply-accumulates ``integer_accumulate``
+    ran through the f64 GEMM: exact integer arithmetic on the host's BLAS,
+    not float multiplies of the model.
+    """
 
     float_mul_count: int = 0
+    f64_gemm_macs: int = 0
 
     def require_integer(self, *arrays):
         for a in arrays:
-            if not np.issubdtype(np.asarray(a).dtype, np.integer):
-                self.float_mul_count += np.asarray(a).size
+            a = np.asarray(a)
+            if a.dtype.kind not in "iu":
+                self.float_mul_count += a.size
 
 
 def integer_accumulate(x_q, layer: FusedLayerParams, trace: InferenceTrace | None = None, debug=True):
-    """i32 accumulators for a (N, C_eff) code matrix; no floating point anywhere.
+    """i32 accumulators for a (N, C_eff) code matrix; exact integer results.
 
-    The input-independent terms (-Z_x * sum W_q + C_eff * Z_x * Z_W) come
-    precomputed in ``const_acc``; only -Z_W * sum(x_q) depends on the input.
+    ``acc = x_q @ (W_q - Z_W)^T + (const_acc + bias_acc)``, where
+    ``const_acc`` holds the input-independent terms (-Z_x * sum W_q +
+    C_eff * Z_x * Z_W).  The product runs as an f64 GEMM whose every partial
+    sum is an integer below 2^53 (see ``FusedLayerParams.w_centred``), so it
+    is exact whatever order BLAS sums in.
     """
     x_q = np.asarray(x_q)
     if trace is not None:
         trace.require_integer(x_q, layer.w_q, layer.bias_acc, layer.const_acc)
-    if not np.issubdtype(x_q.dtype, np.integer):
+    if x_q.dtype.kind not in "iu":
         raise EngineError(f"{layer.op_kind}: integer kernel fed {x_q.dtype} input")
-    w = layer.w_matrix()
+    w = layer.w_centred
     if x_q.ndim != 2 or x_q.shape[1] != w.shape[1]:
         raise EngineError(f"{layer.op_kind}: accumulate expects (N, {w.shape[1]}), got {x_q.shape}")
-    xi = x_q.astype(np.int64, copy=False)  # read only below, so an i64 input is used as is
-    acc = xi @ w.T
-    acc -= xi.sum(axis=1, keepdims=True) * layer.z_w[None, :]
-    acc += layer.const_acc[None, :] + layer.bias_acc[None, :]
+    if trace is not None:
+        trace.f64_gemm_macs += x_q.shape[0] * w.shape[0] * w.shape[1]
+    acc = (x_q.astype(np.float64) @ w.T).astype(np.int64)
+    acc += layer.const_acc + layer.bias_acc
     if debug and (acc.max(initial=0) > INT32_MAX or acc.min(initial=0) < INT32_MIN):
         raise EngineError(f"{layer.op_kind}: accumulator overflows i32")
     return acc.astype(np.int32)
@@ -212,10 +246,13 @@ def requantize(acc, layer: FusedLayerParams, mode="fixedpoint", trace: Inference
     elif mode == "fixedpoint":
         if trace is not None:
             trace.require_integer(acc)
-        r = layer.z_r + fixed_point_multiply(acc, layer.m0[None, :], layer.shift[None, :])
+        r = fixed_point_multiply(acc, layer.m0[None, :], layer.shift[None, :])
+        r += layer.z_r
     else:
         raise EngineError(f"unknown requantize mode {mode!r}")
-    return np.clip(r, 0, qmax).astype(code_dtype(layer.bitwidth))
+    np.maximum(r, 0, out=r)  # the clip as two ufuncs: np.clip adds per-call overhead
+    np.minimum(r, qmax, out=r)
+    return r.astype(code_dtype(layer.bitwidth))
 
 
 def _check_i32(name, values):
@@ -364,9 +401,9 @@ def _run_param_entry(i, layer, x_q, mode, trace, debug, tap):
     if layer.op_kind == "linear":
         rows = x_q
     else:
-        # conv2d: im2col on codes, pad with the input zero-point, one GEMM per position
+        # conv2d: im2col on the code dtype, pad with the input zero-point, one GEMM per position
         trace.require_integer(x_q)
-        cols, h_out, w_out = im2col(x_q.astype(np.int64), layer.kernel, layer.stride, layer.pad, pad_value=layer.z_x)
+        cols, h_out, w_out = im2col(x_q, layer.kernel, layer.stride, layer.pad, pad_value=layer.z_x)
         rows = cols.reshape(x_q.shape[0] * h_out * w_out, -1)
     acc = integer_accumulate(rows, layer, trace=trace, debug=debug)
     if tap is not None:
@@ -397,9 +434,9 @@ def _interpret(model: FusedModel, x, mode, trace: InferenceTrace, debug=True, ta
             x_q = entry.lut[x_q]
         elif entry.kind == "avgpool":
             trace.require_integer(x_q)
-            cols, h_out, w_out = im2col(x_q.astype(np.int64), entry.kernel, entry.stride, 0)
+            cols, h_out, w_out = im2col(x_q, entry.kernel, entry.stride, 0)
             n, c = x_q.shape[0], x_q.shape[1]
-            sums = cols.reshape(n, h_out * w_out, c, entry.kernel * entry.kernel).sum(axis=3)
+            sums = cols.reshape(n, h_out * w_out, c, entry.kernel * entry.kernel).sum(axis=3, dtype=np.int64)
             pooled = fixed_point_multiply(sums, entry.pool_m0, entry.pool_shift)
             x_q = np.moveaxis(pooled.reshape(n, h_out, w_out, c), 3, 1).astype(x_q.dtype)
         elif entry.kind == "flatten":
@@ -436,7 +473,8 @@ def _grid_manifest(p: IntActivationParams):
 
 def _fused_bundle(bundle: ModelBundle, model: FusedModel, beta_rounding: bool) -> ModelBundle:
     """``bundle`` plus a ``fusion`` section serializing ``model`` and the blobs it names."""
-    manifest = json.loads(json.dumps(bundle.manifest))
+    # writes only ``tensors`` entries and the ``fusion`` key: copy just those levels
+    manifest = dict(bundle.manifest, tensors=dict(bundle.manifest["tensors"]))
     blobs = dict(bundle.blobs)
 
     def store(name, array):

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 FORMAT_VERSION = 1
 
@@ -139,7 +140,9 @@ def gelu_grad(x):
 def im2col(x, kernel, stride, pad, pad_value=0.0):
     """(N, C, H, W) -> (N, P, C*k*k) patch matrix, P = H_out*W_out.
 
-    ``pad_value`` lets the integer path pad with the zero-point code.
+    The matrix is C-contiguous and has the input's dtype, so the integer path
+    extracts patches on its u8/u16 codes.  ``pad_value`` lets it pad with the
+    zero-point code.
     """
     n, c, h, w = x.shape
     h_out = (h + 2 * pad - kernel) // stride + 1
@@ -151,13 +154,9 @@ def im2col(x, kernel, stride, pad, pad_value=0.0):
         xp[:, :, pad : pad + h, pad : pad + w] = x
     else:
         xp = x
-    cols = np.empty((n, h_out * w_out, c * kernel * kernel), dtype=x.dtype)
-    idx = 0
-    for i in range(h_out):
-        for j in range(w_out):
-            patch = xp[:, :, i * stride : i * stride + kernel, j * stride : j * stride + kernel]
-            cols[:, idx, :] = patch.reshape(n, -1)
-            idx += 1
+    # (N, C, H_out, W_out, k, k) view -> one C-ordered copy as (N, H_out, W_out, C, k, k)
+    windows = sliding_window_view(xp, (kernel, kernel), axis=(2, 3))[:, :, ::stride, ::stride]
+    cols = windows.transpose(0, 2, 3, 1, 4, 5).copy().reshape(n, h_out * w_out, c * kernel * kernel)
     return cols, h_out, w_out
 
 

@@ -1,3 +1,4 @@
+import copy
 from collections import Counter
 
 import numpy as np
@@ -24,6 +25,7 @@ from quantcomp.intengine import InferenceTrace, fused_runtime, run_int_model
 from quantcomp.quant import RangeEstimator
 from quantcomp.refnet import (
     LayerSpec,
+    ModelBundle,
     TaskSpec,
     build_from_layers,
     build_mlp,
@@ -412,3 +414,38 @@ class TestOnePassFit:
         # one accumulate per param layer: eight distinct weight tensors, each run once
         assert sorted(counts["accumulate"].values()) == [1] * len(params)
         assert counts["float"] == Counter({i: sets for i in range(len(model.manifest["layers"]))})
+
+
+class TestManifestCopies:
+    @pytest.mark.parametrize("net", ["mlp-w4a4", "conv-gelu-w8a8"])
+    def test_inputs_unchanged_and_outputs_equal_deep_copied_run(self, model_f, calib, net):
+        if net == "mlp-w4a4":
+            model, pool, bits = model_f, calib, 4
+        else:
+            (model, pool), bits = _conv_gelu_model(), 8
+        cfg = CalibrationConfig(sample_count=64, weight_bits=bits, act_bits=bits, range_split=True)
+        model_manifest = copy.deepcopy(model.manifest)
+        comp = calibrate_model(model, cfg, pool)
+        comp_manifest = copy.deepcopy(comp.manifest)
+        fused = fuse_model(comp)
+        assert model.manifest == model_manifest and "quantization" not in model.manifest
+        assert comp.manifest == comp_manifest and "fusion" not in comp.manifest
+        assert comp.manifest["tensors"] is not model.manifest["tensors"]
+        assert fused.manifest["tensors"] is not comp.manifest["tensors"]
+
+        def detached(bundle):
+            return ModelBundle(copy.deepcopy(bundle.manifest), dict(bundle.blobs))
+
+        assert bundles_equal(calibrate_model(detached(model), cfg, pool), comp)
+        assert bundles_equal(fuse_model(detached(comp)), fused)
+
+
+class TestTraceGemmCounter:
+    def test_counts_every_accumulate_mac_and_no_float_multiply(self):
+        model, pool = _conv_gelu_model()
+        comp = calibrate_model(model, CalibrationConfig(sample_count=64, weight_bits=8, act_bits=8), pool)
+        x = pool[:5]
+        _, trace = run_int_model(fused_runtime(fuse_model(comp)), x, trace=InferenceTrace())
+        # conv(2->4) and conv(4->4) over 6x6 positions, then linear 36 -> 3
+        assert trace.f64_gemm_macs == 5 * 36 * 4 * 2 * 9 + 5 * 36 * 4 * 4 * 9 + 5 * 3 * 36
+        assert trace.float_mul_count == 0

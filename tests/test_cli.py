@@ -176,6 +176,14 @@ class TestFuseEvalDump:
         line = [l for l in out.splitlines() if l.startswith("acc_float")][0]
         assert abs(float(line.split()[-1]) - want) < 1e-12
 
+    def test_eval_prints_gemm_macs_next_to_float_count(self, workspace, capsys):
+        assert run("eval", workspace / "fused", "--check") == 0
+        lines = capsys.readouterr().out.splitlines()
+        keys = [l.split(":")[0] for l in lines]
+        at = keys.index("f64_gemm_macs")
+        assert keys[at + 1] == "float_mul_count" and lines[at + 1].split()[-1] == "0"
+        assert int(lines[at].split()[-1]) > 0
+
     def test_eval_check_passes_on_good_bundles(self, workspace, capsys):
         for name in ("comp", "fused"):
             assert run("eval", workspace / name, "--check") == 0

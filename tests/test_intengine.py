@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quantcomp.compensate import ChannelAffineParams, identity_compensation
 from quantcomp.intengine import (
@@ -21,7 +23,7 @@ from quantcomp.intengine import (
     requantize,
     round_half_away,
 )
-from quantcomp.quant import QuantParams, quantize_uniform, quantize_weights_per_channel, tensor_params
+from quantcomp.quant import QuantParams, code_dtype, quantize_uniform, quantize_weights_per_channel, tensor_params
 from quantcomp.refnet import gelu
 
 
@@ -351,6 +353,144 @@ class TestFuseLayer:
         acc = integer_accumulate(x, general)
         manual = (x.astype(np.int64) - 7) @ w_q.T
         assert np.array_equal(acc, manual)
+
+
+def _reference_fixed_point_multiply(v, m0, shift):
+    """The abs/where form fixed_point_multiply replaced, kept as its reference."""
+    v = np.asarray(v, dtype=np.int64)
+    m0 = np.asarray(m0, dtype=np.int64)
+    shift = np.asarray(shift, dtype=np.int64)
+    p = v * m0
+    nudge = np.int64(1) << (shift - 1)
+    mag = (np.abs(p) + nudge) >> shift
+    return np.where(p < 0, -mag, mag)
+
+
+class TestFixedPointMultiplyBranchFree:
+    @pytest.mark.parametrize("shift", range(1, 63))
+    def test_matches_abs_where_form_at_every_shift(self, shift):
+        rng = np.random.default_rng(shift)
+        half = 2 ** (shift - 1)
+        k = np.arange(-3, 4, dtype=np.int64)
+        # exact +-ties (2k+1) * 2^(s-1), their neighbours, zero and random products below 2^62
+        ties = (2 * k + 1) * half
+        v = np.concatenate([ties, ties - 1, ties + 1, [0, 1, -1], rng.integers(-(2**61), 2**61, 64)])
+        v = v[np.abs(v) < 2**62]  # both forms need |p| + 2^(s-1) < 2^63
+        got = fixed_point_multiply(v, 1, shift)
+        want = _reference_fixed_point_multiply(v, 1, shift)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+        # the same ties through a real mantissa: 2^30 * (2k+1) * 2^(s-31) is a tie when s >= 31
+        if shift >= 31:
+            v30 = (2 * k + 1) * 2 ** (shift - 31)
+            v30 = v30[np.abs(v30) < 2**31]
+            want30 = _reference_fixed_point_multiply(v30, 2**30, shift)
+            assert np.array_equal(fixed_point_multiply(v30, 2**30, shift), want30)
+
+    def test_per_channel_multipliers(self):
+        rng = np.random.default_rng(0)
+        shift = np.arange(1, 63, dtype=np.int64)
+        m0 = rng.integers(2**30, 2**31, shift.size)
+        v = rng.integers(-(2**31), 2**31, (50, shift.size))
+        v[0] = 0
+        v[1] = 2**31 - 1
+        v[2] = -(2**31)
+        got = fixed_point_multiply(v, m0[None, :], shift[None, :])
+        assert np.array_equal(got, _reference_fixed_point_multiply(v, m0[None, :], shift[None, :]))
+
+    def test_scalar_multiplier_on_pool_sums(self):
+        # avgpool's use: non-negative sums, one scalar (M0, shift)
+        m0, shift = encode_multiplier(0.25)
+        sums = np.arange(0, 4 * 255 + 1, dtype=np.int64)
+        got = fixed_point_multiply(sums, m0, shift)
+        assert np.array_equal(got, _reference_fixed_point_multiply(sums, m0, shift))
+        assert np.array_equal(got, np.floor(sums / 4 + 0.5).astype(np.int64))
+
+
+def _reference_accumulate(x_q, layer):
+    """The i64 decomposition the f64 GEMM replaced: x @ W^T - Z_W * sum(x) + const + bias."""
+    x = np.asarray(x_q, dtype=np.int64)
+    w = layer.w_q.reshape(layer.out_channels, -1).astype(np.int64)
+    return x @ w.T - x.sum(axis=1, keepdims=True) * layer.z_w[None, :] + layer.const_acc + layer.bias_acc
+
+
+def _fused(w_q, z_w, z_x, in_bits, w_bits, bias_acc=0):
+    """fuse_layer with unit scales, so the quantized bias is ``bias_acc`` itself."""
+    c_out = w_q.shape[0]
+    wp = QuantParams(w_bits, "per_channel", np.ones(c_out), z_w)
+    return fuse_layer(
+        w_q,
+        np.full(c_out, float(bias_acc)),
+        IntActivationParams(1.0, int(z_x), in_bits),
+        wp,
+        IntActivationParams(1.0, 0, 8),
+    )
+
+
+class TestExactAccumulate:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        in_bits=st.integers(2, 8),
+        w_bits=st.integers(2, 8),
+        fan_in=st.integers(1, 300),
+        c_out=st.integers(1, 8),
+        n=st.integers(1, 16),
+        fill=st.sampled_from(["random", "zeros", "qmax"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_int64_formula(self, in_bits, w_bits, fan_in, c_out, n, fill, seed):
+        rng = np.random.default_rng(seed)
+        qx, qw = 2**in_bits - 1, 2**w_bits - 1
+        w_q = rng.integers(0, qw + 1, (c_out, fan_in)).astype(code_dtype(w_bits))
+        z_w = rng.integers(0, qw + 1, c_out)
+        z_x = int(rng.integers(0, qx + 1))
+        layer = _fused(w_q, z_w, z_x, in_bits, w_bits, bias_acc=int(rng.integers(-1000, 1001)))
+        if fill == "random":
+            x = rng.integers(0, qx + 1, (n, fan_in))
+        else:
+            x = np.full((n, fan_in), 0 if fill == "zeros" else qx)
+        x = x.astype(code_dtype(in_bits))
+        trace = InferenceTrace()
+        got = integer_accumulate(x, layer, trace=trace)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, _reference_accumulate(x, layer))
+        assert trace.float_mul_count == 0 and trace.f64_gemm_macs == n * c_out * fan_in
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_layer_at_the_reach_limit(self, sign):
+        # w8a8 with |W_q - Z_W| = 255 and Z_x = 0: reach = 255 * 255 * fan_in
+        fan_in = (2**31 - 1) // (255 * 255)
+        w_q = np.full((1, fan_in), 255 if sign > 0 else 0, dtype=np.uint8)
+        z_w = np.array([0 if sign > 0 else 255])
+        slack = 2**31 - 1 - 255 * 255 * fan_in
+        layer = _fused(w_q, z_w, 0, 8, 8, bias_acc=sign * slack)
+        x = np.full((2, fan_in), 255, dtype=np.uint8)
+        x[1] = 0
+        got = integer_accumulate(x, layer)
+        want = _reference_accumulate(x, layer)
+        assert np.array_equal(got, want)
+        assert got[0, 0] == sign * (2**31 - 1)
+        with pytest.raises(EngineError, match="overflow i32"):
+            _fused(np.concatenate([w_q, w_q[:, :1]], axis=1), z_w, 0, 8, 8)
+
+    def test_hand_built_layer_past_2_53_raises(self):
+        # 1-bit inputs: the bound is sum_j |W_q - Z_W| itself
+        ok = simple_layer(np.array([[2**52, 2**52 - 1]], dtype=np.int64), z_w=0, z_x=0, z_r=0, m=1.0, bits=1)
+        assert ok.w_centred.tolist() == [[2.0**52, 2.0**52 - 1]]
+        bad = simple_layer(np.array([[2**52, 2**52]], dtype=np.int64), z_w=0, z_x=0, z_r=0, m=1.0, bits=1)
+        with pytest.raises(EngineError, match="2\\^53"):
+            integer_accumulate(np.zeros((1, 2), dtype=np.uint8), bad)
+        wide = simple_layer(np.full((1, 4), 2**40, dtype=np.int64), z_w=0, z_x=0, z_r=0, m=1.0, bits=16)
+        with pytest.raises(EngineError, match="2\\^53"):
+            integer_accumulate(np.zeros((1, 4), dtype=np.uint16), wide)
+
+
+class TestTraceCounters:
+    def test_bools_and_floats_count_integers_do_not(self):
+        trace = InferenceTrace()
+        trace.require_integer(np.zeros(3, np.uint8), np.zeros(2, np.int64), np.zeros(4, np.uint16))
+        assert trace.float_mul_count == 0
+        trace.require_integer(np.zeros(5, bool), np.zeros(2, np.float32))
+        assert trace.float_mul_count == 7
 
 
 class TestGeluTable:

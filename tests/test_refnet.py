@@ -14,6 +14,7 @@ from quantcomp.refnet import (
     build_mlp,
     bundles_equal,
     gelu,
+    im2col,
     layer_forward,
     load_bundle,
     make_dataset,
@@ -94,6 +95,46 @@ def conv2d_direct(x, w, b, stride, pad):
                     patch = xp[ni, :, i * stride : i * stride + k, j * stride : j * stride + k]
                     out[ni, co, i, j] = np.sum(patch * w[co]) + b[co]
     return out
+
+
+def _im2col_loop(x, kernel, stride, pad, pad_value=0.0):
+    """The per-position loop im2col replaced, kept as its reference."""
+    n, c, h, w = x.shape
+    h_out = (h + 2 * pad - kernel) // stride + 1
+    w_out = (w + 2 * pad - kernel) // stride + 1
+    xp = np.full((n, c, h + 2 * pad, w + 2 * pad), pad_value, dtype=x.dtype)
+    xp[:, :, pad : pad + h, pad : pad + w] = x
+    cols = np.empty((n, h_out * w_out, c * kernel * kernel), dtype=x.dtype)
+    idx = 0
+    for i in range(h_out):
+        for j in range(w_out):
+            patch = xp[:, :, i * stride : i * stride + kernel, j * stride : j * stride + kernel]
+            cols[:, idx, :] = patch.reshape(n, -1)
+            idx += 1
+    return cols, h_out, w_out
+
+
+class TestIm2col:
+    @pytest.mark.parametrize("dtype", [np.float32, np.uint8, np.uint16])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("pad", [0, 1])
+    @pytest.mark.parametrize("kernel", [1, 2, 3])
+    def test_byte_equal_to_position_loop(self, dtype, stride, pad, kernel):
+        rng = np.random.default_rng([kernel, stride, pad])
+        x = (rng.random((2, 3, 7, 6)) * 250).astype(dtype)
+        pad_value = 7 if pad else 0  # a zero-point code, as the integer path pads with
+        got, h_out, w_out = im2col(x, kernel, stride, pad, pad_value=pad_value)
+        want, h_want, w_want = _im2col_loop(x, kernel, stride, pad, pad_value=pad_value)
+        assert (h_out, w_out) == (h_want, w_want)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+
+    def test_non_contiguous_input_and_fresh_output(self):
+        # the engine feeds im2col the moveaxis view a conv leaves behind
+        x = np.moveaxis(np.arange(2 * 4 * 4 * 3, dtype=np.uint8).reshape(2, 4, 4, 3), 3, 1)
+        got, _, _ = im2col(x, 1, 1, 0)
+        assert got.flags.c_contiguous and not np.shares_memory(got, x)
+        assert got.tobytes() == _im2col_loop(x, 1, 1, 0)[0].tobytes()
 
 
 class TestConvOracle:
