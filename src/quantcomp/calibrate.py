@@ -48,7 +48,7 @@ from .intengine import (
     fuse_layer,
 )
 from .quant import QuantParams, RangeEstimator, quantize_weights_per_channel
-from .refnet import ModelBundle, TaskSpec, layer_forward, make_dataset
+from .refnet import ModelBundle, layer_forward, task_dataset
 
 
 class CalibrationError(Exception):
@@ -81,12 +81,6 @@ class CalibrationConfig:
         d = asdict(self)
         d["estimator"] = {"kind": self.estimator.kind, "percentile": self.estimator.percentile}
         return d
-
-
-def config_from_manifest(entry) -> CalibrationConfig:
-    e = dict(entry)
-    est = e.pop("estimator")
-    return CalibrationConfig(estimator=RangeEstimator(est["kind"], est.get("percentile")), **e)
 
 
 # ---------------------------------------------------------------------------
@@ -141,9 +135,7 @@ def _quantize_from(model_f: ModelBundle, calib_x, outputs, weight_bits, act_bits
     """``quantize_model`` given the float forward's per-layer ``outputs`` on ``calib_x``."""
     if weight_bits >= 32 or act_bits >= 32:
         raise CalibrationError("32-bit passthrough is not a quantization; pick bits < 32")
-    # writes only ``tensors`` entries and the ``quantization`` key: copy just those levels
-    manifest = dict(model_f.manifest, tensors=dict(model_f.manifest["tensors"]))
-    blobs = dict(model_f.blobs)
+    blobs = {}
     s_in, z_in = quant.compute_affine_params(calib_x, act_bits, estimator)
     qsec = {
         "weight_bits": weight_bits,
@@ -153,17 +145,15 @@ def _quantize_from(model_f: ModelBundle, calib_x, outputs, weight_bits, act_bits
         "layers": {},
         "activations": {},
     }
-    entries = model_f.manifest["layers"]
+    layers = model_f.layers
     for i in model_f.param_layer_indices():
-        layer = model_f._layer(i)
-        codes, wp = quantize_weights_per_channel(layer.weight, weight_bits)
+        codes, wp = quantize_weights_per_channel(layers[i].weight, weight_bits)
         blob = f"layer{i}.wq"
         blobs[blob] = codes
-        manifest["tensors"][blob] = {"shape": list(codes.shape), "kind": refnet.DTYPE_TO_KIND[codes.dtype.newbyteorder("<")]}
         # a relu directly after the layer folds into the requantization bounds:
         # the output grid spends all codes on the post-relu range and its
         # zero-point lands at 0, so the clip itself realizes the relu
-        next_op = entries[i + 1]["op_kind"] if i + 1 < len(entries) else None
+        next_op = layers[i + 1].op_kind if i + 1 < len(layers) else None
         grid_src = np.maximum(outputs[i], 0.0) if next_op == "relu" else outputs[i]
         s_r, z_r = quant.compute_affine_params(grid_src, act_bits, estimator)
         qsec["layers"][str(i)] = {
@@ -177,8 +167,14 @@ def _quantize_from(model_f: ModelBundle, calib_x, outputs, weight_bits, act_bits
             # gelu reads pre-activation codes but writes onto its own grid
             s_a, z_a = quant.compute_affine_params(refnet.gelu(outputs[i]), act_bits, estimator)
             qsec["activations"][str(i + 1)] = {"scale": float(s_a), "zero_point": int(z_a)}
-    manifest["quantization"] = qsec
-    return ModelBundle(manifest, blobs)
+    return model_f.derive("quantization", qsec, blobs)
+
+
+def _quantization(bundle: ModelBundle) -> dict:
+    qsec = bundle.manifest.get("quantization")
+    if qsec is None:
+        raise CalibrationError("bundle has no quantization section; run quantize first")
+    return qsec
 
 
 def build_fused_model(
@@ -193,16 +189,14 @@ def build_fused_model(
     zero-point, gelu table and avgpool multiplier are set up once here.  Built
     with ``beta_rounding=False`` it is the float-assisted simulation.
     """
-    qsec = bundle.manifest.get("quantization")
-    if qsec is None:
-        raise CalibrationError("bundle has no quantization section; run quantize first")
+    qsec = _quantization(bundle)
     compensation = compensation or {}
     ab = qsec["act_bits"]
     grid = IntActivationParams(float(qsec["input"]["scale"]), int(qsec["input"]["zero_point"]), ab)
     input_params = grid
     entries = []
-    for i, entry in enumerate(bundle.manifest["layers"]):
-        op = entry["op_kind"]
+    for i, spec in enumerate(bundle.layers):
+        op = spec.op_kind
         if op in refnet.PARAM_OPS:
             q = qsec["layers"][str(i)]
             wp = QuantParams(
@@ -214,16 +208,16 @@ def build_fused_model(
             out = IntActivationParams(float(q["out_scale"]), int(q["out_zero_point"]), ab)
             layer = fuse_layer(
                 bundle.tensor(q["weight_codes"]),
-                bundle.tensor(entry["bias"]),
+                spec.bias,
                 grid,
                 wp,
                 out,
                 compensation.get(i),
                 beta_rounding=beta_rounding,
                 op_kind=op,
-                kernel=entry.get("kernel", 0),
-                stride=entry.get("stride", 1),
-                pad=entry.get("pad", 0),
+                kernel=spec.kernel,
+                stride=spec.stride,
+                pad=spec.pad,
             )
             entries.append(FusedEntry("param", layer=layer))
             grid = out
@@ -237,9 +231,8 @@ def build_fused_model(
             entries.append(FusedEntry("gelu", lut=build_gelu_table(grid.s, grid.z, ab, out_grid.s, out_grid.z)))
             grid = out_grid
         elif op == "avgpool":
-            k, s = entry["kernel"], entry["stride"]
-            m0, shift = encode_multiplier(1.0 / (k * k))
-            entries.append(FusedEntry("avgpool", kernel=k, stride=s, pool_m0=m0, pool_shift=shift))
+            m0, shift = encode_multiplier(1.0 / (spec.kernel * spec.kernel))
+            entries.append(FusedEntry("avgpool", kernel=spec.kernel, stride=spec.stride, pool_m0=m0, pool_shift=shift))
         elif op == "flatten":
             entries.append(FusedEntry("flatten"))
         else:
@@ -332,15 +325,22 @@ def compensation_positions(bundle: ModelBundle, position: str):
 
 def calibration_pool(model_f: ModelBundle, config: CalibrationConfig):
     """Deterministic calibration samples derived from the bundle's task metadata."""
-    meta = model_f.manifest.get("metadata", {})
-    if "task" not in meta:
-        raise CalibrationError("bundle metadata carries no task; pass calibration data explicitly")
-    t = dict(meta["task"])
-    t["hidden"] = tuple(t["hidden"])
-    task = TaskSpec(**t)
-    x_train, _, _, _ = make_dataset(task, meta["seed"])
+    x_train = task_dataset(model_f)[0]
     order = np.random.default_rng([config.seed, 0xCA11B]).permutation(len(x_train))
     return x_train[order]
+
+
+def calibration_sets(config: CalibrationConfig, pool):
+    """(fit set, range set) drawn from ``pool``: its first ``sample_count`` samples
+    serve both, or with ``range_split`` the next ``sample_count`` set the ranges."""
+    n = config.sample_count
+    if len(pool) < n:
+        raise CalibrationError(f"need {n} calibration samples, pool has {len(pool)}")
+    if not config.range_split:
+        return pool[:n], pool[:n]
+    if len(pool) < 2 * n:
+        raise CalibrationError(f"range_split needs a pool of at least 2 * sample_count = {2 * n}, pool has {len(pool)}")
+    return pool[:n], pool[n : 2 * n]
 
 
 def fit_compensation(model_f: ModelBundle, qbundle: ModelBundle, config: CalibrationConfig, fit_x) -> ModelBundle:
@@ -351,7 +351,14 @@ def fit_compensation(model_f: ModelBundle, qbundle: ModelBundle, config: Calibra
     with layers < L already compensated, matching what each correction will
     see at deployment.  ``config.sequential=False`` leaves the pass
     uncompensated, so every layer is fitted on the frozen quantized model.
+    ``config``'s bit-widths must be the ones ``qbundle`` was quantized to.
     """
+    qsec = _quantization(qbundle)
+    if (config.weight_bits, config.act_bits) != (qsec["weight_bits"], qsec["act_bits"]):
+        raise CalibrationError(
+            f"config bits w{config.weight_bits}/a{config.act_bits} do not match the quantized bundle "
+            f"w{qsec['weight_bits']}/a{qsec['act_bits']}"
+        )
     _, y_full, _ = float_forward_capture(model_f, fit_x)
     return _fit_from(model_f, qbundle, config, fit_x, y_full)
 
@@ -370,8 +377,7 @@ def _fit_from(model_f: ModelBundle, qbundle: ModelBundle, config: CalibrationCon
 
     positions = compensation_positions(model_f, config.position)
     sim_forward(qbundle, fit_x, capture=set(positions), _on_capture=fit)
-    out = ModelBundle(dict(qbundle.manifest), dict(qbundle.blobs))  # only the top level is written
-    out.manifest["compensation"] = {
+    section = {
         "config": config.to_manifest(),
         "layers": {
             str(i): {
@@ -384,21 +390,16 @@ def _fit_from(model_f: ModelBundle, qbundle: ModelBundle, config: CalibrationCon
         },
         "stats": stats,
     }
-    return out
+    return qbundle.derive("compensation", section, {})
 
 
 def calibrate_model(model_f: ModelBundle, config: CalibrationConfig, calib_x=None) -> ModelBundle:
     """Quantize, then fit compensation at the configured positions; one-shot pipeline."""
     if calib_x is None:
         calib_x = calibration_pool(model_f, config)
-    if len(calib_x) < config.sample_count:
-        raise CalibrationError(f"need {config.sample_count} calibration samples, pool has {len(calib_x)}")
-    n = config.sample_count
-    fit_x = calib_x[:n]
+    fit_x, range_x = calibration_sets(config, calib_x)
     if config.range_split:
-        if len(calib_x) < 2 * n:
-            raise CalibrationError("range_split needs a pool of at least 2 * sample_count")
-        qbundle = quantize_model(model_f, calib_x[n : 2 * n], config.weight_bits, config.act_bits, config.estimator)
+        qbundle = quantize_model(model_f, range_x, config.weight_bits, config.act_bits, config.estimator)
         return fit_compensation(model_f, qbundle, config, fit_x)
     # ranges and fit share one sample set, so one float forward serves both
     _, y_full, _ = float_forward_capture(model_f, fit_x)
@@ -420,11 +421,9 @@ def _fit_stat(i, pair: ActivationPair, params: ChannelAffineParams):
 
 
 def compensation_params(bundle: ModelBundle) -> dict[int, ChannelAffineParams]:
-    csec = bundle.manifest.get("compensation")
-    if csec is None:
-        return {}
+    """The fitted α/β per compensated layer index; empty for an uncompensated bundle."""
     out = {}
-    for key, e in csec["layers"].items():
+    for key, e in bundle.manifest.get("compensation", {}).get("layers", {}).items():
         out[int(key)] = ChannelAffineParams(
             np.array(e["alpha"], dtype=np.float32),
             np.array(e["beta"], dtype=np.float32),
@@ -434,9 +433,14 @@ def compensation_params(bundle: ModelBundle) -> dict[int, ChannelAffineParams]:
     return out
 
 
+def fit_stats(bundle: ModelBundle) -> list[dict]:
+    """The fit's statistics, one dict per compensated layer; empty for an uncompensated bundle."""
+    return bundle.manifest.get("compensation", {}).get("stats", [])
+
+
 def write_fit_csv(bundle: ModelBundle, path):
     """Fit-statistics sidecar: one row per compensated layer."""
-    stats = bundle.manifest.get("compensation", {}).get("stats", [])
+    stats = fit_stats(bundle)
     with open(path, "w", newline="") as f:
         w = csv.DictWriter(
             f, fieldnames=["layer", "channels", "pre_mse", "post_mse", "fallback_count", "negative_clamped"]
@@ -445,6 +449,39 @@ def write_fit_csv(bundle: ModelBundle, path):
         for row in stats:
             w.writerow(row)
     return len(stats)
+
+
+def model_size_report(bundle: ModelBundle) -> dict:
+    """Logical storage accounting (codes count their true bit-width).
+
+    ``delta_scalars``/``delta_bits`` is the extra cost of compensation: two
+    scalars per compensated output channel before fusion, zero after (the
+    fused multiplier and bias accumulator replace arrays a plain quantized
+    deployment carries anyway).
+    """
+    qsec = bundle.manifest.get("quantization")
+    param_scalars = 0
+    bits = 0
+    for i, layer in enumerate(bundle.layers):
+        if layer.weight is None:
+            continue
+        w, b = layer.weight, layer.bias
+        if qsec is not None:
+            channels = len(qsec["layers"][str(i)]["weight_scales"])
+            param_scalars += w.size + b.size + 2 * channels
+            bits += w.size * qsec["weight_bits"] + b.size * 32 + channels * 64
+        else:
+            param_scalars += w.size + b.size
+            bits += (w.size + b.size) * 32
+    # fusion folds alpha/beta into arrays a plain quantized deployment carries anyway
+    delta_scalars = 0 if bundle.stage == "fused" else sum(2 * p.channels for p in compensation_params(bundle).values())
+    delta_bits = delta_scalars * 32
+    return {
+        "param_scalars": param_scalars,
+        "model_bits": bits + delta_bits,
+        "delta_scalars": delta_scalars,
+        "delta_bits": delta_bits,
+    }
 
 
 # ---------------------------------------------------------------------------

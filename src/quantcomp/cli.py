@@ -1,14 +1,15 @@
 """Command-line entry point.
 
 Subcommands: train, quantize, compensate, fuse, eval, ablate, dump-fused.
-Exit codes: 0 success, 2 validation error, 3 invariant failure in --check mode.
-Relative output paths resolve under $QUANTCOMP_OUT when it is set.
+Exit codes: 0 success; 2 for any named error of the package (and for an I/O
+error), printed as one ``error:`` line; 3 for an invariant failure in --check
+mode.  Relative output paths resolve under $QUANTCOMP_OUT when it is set.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import contextlib
 import os
 import sys
 import tempfile
@@ -20,32 +21,41 @@ import numpy as np
 from . import evalbench
 from .calibrate import (
     CalibrationConfig,
+    CalibrationError,
     calibration_pool,
+    calibration_sets,
     compensation_params,
     fit_compensation,
+    fit_stats,
     fuse_model,
+    model_size_report,
     quantize_model,
     sim_forward,
     write_fit_csv,
 )
-from .evalbench import EvalReport, accuracy, model_size_report, run_cell
-from .intengine import InferenceTrace, fused_runtime, run_int_model
-from .quant import RangeEstimator
+from .evalbench import accuracy
+from .intengine import EngineError, InferenceTrace, fused_runtime, run_int_model
+from .quant import QuantError, RangeEstimator
 from .refnet import (
-    ModelBundle,
+    BundleError,
+    ShapeError,
     TaskSpec,
     TrainError,
     bundles_equal,
     load_bundle,
-    make_dataset,
     model_forward,
     save_bundle,
+    task_dataset,
     train_synthetic,
 )
 
 
 class CliError(Exception):
     pass
+
+
+# every error main reports as ``error: ...`` with exit code 2
+NAMED_ERRORS = (BundleError, ShapeError, TrainError, QuantError, CalibrationError, EngineError, CliError, OSError)
 
 
 TASK_PRESETS = {
@@ -63,18 +73,8 @@ def _out_path(raw):
     return p
 
 
-def _save(bundle, out, force):
-    try:
-        return save_bundle(bundle, _out_path(out), force=force)
-    except Exception as e:
-        raise CliError(str(e)) from e
-
-
-def _load(path):
-    try:
-        return load_bundle(path)
-    except Exception as e:
-        raise CliError(str(e)) from e
+def _save(bundle, args):
+    return save_bundle(bundle, _out_path(args.out), force=args.force)
 
 
 def _estimator(args) -> RangeEstimator:
@@ -123,142 +123,103 @@ def _add_config_flags(p):
 
 
 def _task(args) -> TaskSpec:
-    task = TASK_PRESETS[args.task]()
-    overrides = {}
-    for name in ("classes", "dim", "train_n", "test_n", "noise"):
-        v = getattr(args, name, None)
-        if v is not None:
-            overrides[name] = v
-    if getattr(args, "hidden", None):
+    overrides = {n: getattr(args, n) for n in ("classes", "dim", "train_n", "test_n", "noise") if getattr(args, n) is not None}
+    if args.hidden:
         overrides["hidden"] = tuple(int(h) for h in args.hidden.split(","))
-    if overrides:
-        task = replace(task, **overrides)
-    return task
+    return replace(TASK_PRESETS[args.task](), **overrides)
 
 
 def cmd_train(args):
-    task = _task(args)
-    try:
-        bundle = train_synthetic(task, args.seed, epochs=args.epochs, lr=args.lr, min_accuracy=args.min_accuracy)
-    except TrainError as e:
-        raise CliError(f"training failed: {e}") from e
-    path = _save(bundle, args.out, args.force)
+    bundle = train_synthetic(_task(args), args.seed, epochs=args.epochs, lr=args.lr, min_accuracy=args.min_accuracy)
+    path = _save(bundle, args)
     acc = bundle.manifest["metadata"]["held_out_accuracy"]
     print(f"trained {bundle.manifest['name']} held-out accuracy {acc:.4f} -> {path}")
     return 0
 
 
 def cmd_quantize(args):
-    if args.weight_bits >= 32 or args.act_bits >= 32:
-        raise CliError("bits >= 32 is a passthrough, not a quantization; pick a smaller bit-width")
-    bundle = _load(args.bundle)
     cfg = _config(args)
-    pool = calibration_pool(bundle, cfg)
-    qbundle = quantize_model(bundle, pool[: args.sample_count], args.weight_bits, args.act_bits, _estimator(args))
-    path = _save(qbundle, args.out, args.force)
-    print(f"quantized to w{args.weight_bits}/a{args.act_bits} -> {path}")
+    bundle = load_bundle(args.bundle)
+    _, range_x = calibration_sets(cfg, calibration_pool(bundle, cfg))
+    qbundle = quantize_model(bundle, range_x, cfg.weight_bits, cfg.act_bits, cfg.estimator)
+    path = _save(qbundle, args)
+    print(f"quantized to w{cfg.weight_bits}/a{cfg.act_bits} -> {path}")
     return 0
 
 
 def cmd_compensate(args):
-    model_f = _load(args.bundle_f)
-    model_q = _load(args.bundle_q)
-    qsec = model_q.manifest.get("quantization")
-    if qsec is None:
-        raise CliError("second bundle is not quantized; run quantize first")
     cfg = _config(args)
-    if cfg.weight_bits != qsec["weight_bits"] or cfg.act_bits != qsec["act_bits"]:
-        raise CliError(
-            f"config bits w{cfg.weight_bits}/a{cfg.act_bits} do not match the quantized bundle "
-            f"w{qsec['weight_bits']}/a{qsec['act_bits']}"
-        )
-    pool = calibration_pool(model_f, cfg)
-    comp_bundle = fit_compensation(model_f, model_q, cfg, pool[: cfg.sample_count])
-    path = _save(comp_bundle, args.out, args.force)
+    model_f = load_bundle(args.bundle_f)
+    fit_x, _ = calibration_sets(cfg, calibration_pool(model_f, cfg))
+    comp_bundle = fit_compensation(model_f, load_bundle(args.bundle_q), cfg, fit_x)
+    path = _save(comp_bundle, args)
     rows = write_fit_csv(comp_bundle, Path(path) / "fit_stats.csv")
     print(f"fitted compensation at {rows} positions -> {path}")
     return 0
 
 
 def cmd_fuse(args):
-    bundle = _load(args.bundle)
-    if bundle.manifest.get("quantization") is None:
-        raise CliError("bundle is not quantized; nothing to fuse")
-    fused = fuse_model(bundle, beta_rounding=args.beta_rounding)
-    path = _save(fused, args.out, args.force)
-    n = sum(1 for e in fused.manifest["fusion"]["entries"] if e["kind"] == "param")
-    mode = "integer-only" if args.beta_rounding else "reference (f32 offsets)"
+    fused = fuse_model(load_bundle(args.bundle), beta_rounding=args.beta_rounding)
+    model = fused_runtime(fused)
+    path = _save(fused, args)
+    n = sum(1 for e in model.entries if e.kind == "param")
+    mode = "integer-only" if model.beta_rounding else "reference (f32 offsets)"
     print(f"fused {n} layers ({mode}) -> {path}")
     return 0
 
 
-def _eval_bundle(bundle, args):
-    meta = bundle.manifest.get("metadata", {})
-    if "task" not in meta:
-        raise CliError("bundle metadata carries no task; cannot derive evaluation data")
-    t = dict(meta["task"])
-    t["hidden"] = tuple(t["hidden"])
-    task = TaskSpec(**t)
-    _, _, x_te, y_te = make_dataset(task, meta["seed"])
+def _eval_bundle(bundle, x, y):
     rows = {}
-    if bundle.manifest.get("fusion") is not None:
-        trace = InferenceTrace()
-        logits, trace = run_int_model(fused_runtime(bundle), x_te, trace=trace)
-        rows["acc_fused"] = accuracy(logits, y_te)
+    if bundle.stage == "fused":
+        logits, trace = run_int_model(fused_runtime(bundle), x, trace=InferenceTrace())
+        rows["acc_fused"] = accuracy(logits, y)
         rows["float_mul_count"] = trace.float_mul_count
         rows["f64_gemm_macs"] = trace.f64_gemm_macs  # exact integer GEMMs on the host's f64 BLAS
-    elif bundle.manifest.get("quantization") is not None:
-        logits_q, _, _ = sim_forward(bundle, x_te)
-        rows["acc_quant"] = accuracy(logits_q, y_te)
+    elif bundle.stage == "quantized":
+        rows["acc_quant"] = accuracy(sim_forward(bundle, x)[0], y)
         comp = compensation_params(bundle)
         if comp:
-            logits_c, _, _ = sim_forward(bundle, x_te, comp)
-            rows["acc_comp"] = accuracy(logits_c, y_te)
+            rows["acc_comp"] = accuracy(sim_forward(bundle, x, comp)[0], y)
     else:
-        rows["acc_float"] = accuracy(model_forward(bundle, x_te), y_te)
+        rows["acc_float"] = accuracy(model_forward(bundle, x), y)
     rows.update(model_size_report(bundle))
     return rows
 
 
-def _check_bundle(bundle, args):
+def _check_bundle(bundle, x):
     """Cheap invariant battery for --check mode; returns failure messages."""
     failures = []
     with tempfile.TemporaryDirectory() as tmp:
         save_bundle(bundle, Path(tmp) / "roundtrip", force=True)
         if not bundles_equal(bundle, load_bundle(Path(tmp) / "roundtrip")):
             failures.append("bundle save/load round-trip is not the identity")
-    csec = bundle.manifest.get("compensation")
-    if csec:
-        for s in csec["stats"]:
-            if s["post_mse"] > s["pre_mse"] + 1e-12:
-                failures.append(f"layer {s['layer']}: compensation raised calibration MSE")
-        sizes = model_size_report(bundle)
-        want = sum(2 * len(e["alpha"]) for e in csec["layers"].values())
-        if bundle.manifest.get("fusion") is None and sizes["delta_scalars"] != want:
+    for s in fit_stats(bundle):
+        if s["post_mse"] > s["pre_mse"] + 1e-12:
+            failures.append(f"layer {s['layer']}: compensation raised calibration MSE")
+    comp = compensation_params(bundle)
+    if comp and bundle.stage != "fused":
+        layers = bundle.layers
+        if model_size_report(bundle)["delta_scalars"] != sum(2 * layers[i].out_channels for i in comp):
             failures.append("size accountant disagrees with 2 * sum(C_out)")
-    if bundle.manifest.get("fusion") is not None:
-        meta = bundle.manifest.get("metadata", {})
-        if "task" in meta:
-            t = dict(meta["task"])
-            t["hidden"] = tuple(t["hidden"])
-            x = make_dataset(TaskSpec(**t), meta["seed"])[2][:64]
-            trace = InferenceTrace()
-            logits, trace = run_int_model(fused_runtime(bundle), x, trace=trace)
-            if bundle.manifest["fusion"]["beta_rounding"] and trace.float_mul_count != 0:
-                failures.append(f"float ops leaked into integer kernels ({trace.float_mul_count})")
-            again, _ = run_int_model(fused_runtime(bundle), x)
-            if not np.array_equal(logits, again):
-                failures.append("integer inference is not deterministic")
+    if bundle.stage == "fused":
+        model = fused_runtime(bundle)
+        logits, trace = run_int_model(model, x[:64], trace=InferenceTrace())
+        if model.beta_rounding and trace.float_mul_count != 0:
+            failures.append(f"float ops leaked into integer kernels ({trace.float_mul_count})")
+        again, _ = run_int_model(fused_runtime(bundle), x[:64])
+        if not np.array_equal(logits, again):
+            failures.append("integer inference is not deterministic")
     return failures
 
 
 def cmd_eval(args):
-    bundle = _load(args.bundle)
-    rows = _eval_bundle(bundle, args)
+    bundle = load_bundle(args.bundle)
+    _, _, x_te, y_te = task_dataset(bundle)
+    rows = _eval_bundle(bundle, x_te, y_te)
     for k, v in sorted(rows.items()):
         print(f"{k}: {v}")
     if args.check:
-        failures = _check_bundle(bundle, args)
+        failures = _check_bundle(bundle, x_te)
         for msg in failures:
             print(f"CHECK FAILED: {msg}", file=sys.stderr)
         if failures:
@@ -310,30 +271,31 @@ def cmd_ablate(args):
 
 
 def cmd_dump_fused(args):
-    bundle = _load(args.bundle)
-    fusion = bundle.manifest.get("fusion")
-    if fusion is None:
-        raise CliError("bundle has no fusion section")
-    out = sys.stdout if args.out is None else open(_out_path(args.out), "w")
-    try:
-        print(f"beta_rounding: {fusion['beta_rounding']}", file=out)
-        print(f"input: scale={fusion['input']['scale']} zero_point={fusion['input']['zero_point']}", file=out)
-        for e in fusion["entries"]:
-            if e["kind"] != "param":
-                print(f"[{e['kind']}] {json.dumps({k: v for k, v in e.items() if k != 'kind'})}", file=out)
-                continue
-            print(f"[{e['op_kind']}] layer {e['layer_index']}", file=out)
-            w = bundle.tensor(e["weight_codes"])
-            print(f"  weight_codes: shape={list(w.shape)} bits={e['w_bits']}", file=out)
-            for name in ("m0", "shift", "w_scales", "w_zero_points", "alpha", "beta"):
-                print(f"  {name}: {e[name]}", file=out)
-            print(f"  bias_acc: {bundle.tensor(e['bias_acc']).tolist()}", file=out)
-            print(f"  const_acc: {bundle.tensor(e['const_acc']).tolist()}", file=out)
-            print(f"  z_x={e['z_x']} z_r={e['z_r']} s_x={e['s_x']} s_r={e['s_r']}", file=out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    model = fused_runtime(load_bundle(args.bundle))
+    with open(_out_path(args.out), "w") if args.out else contextlib.nullcontext(sys.stdout) as out:
+        print(f"beta_rounding: {model.beta_rounding}", file=out)
+        print(f"input: scale={model.input_params.s} zero_point={model.input_params.z}", file=out)
+        for i, e in enumerate(model.entries):
+            if e.kind == "param":
+                _dump_layer(i, e.layer, out)
+            elif e.kind == "relu":
+                print(f"[relu] z={e.z}", file=out)
+            elif e.kind == "gelu":
+                print(f"[gelu] lut: {e.lut.tolist()}", file=out)
+            elif e.kind == "avgpool":
+                print(f"[avgpool] kernel={e.kernel} stride={e.stride} m0={e.pool_m0} shift={e.pool_shift}", file=out)
+            else:
+                print(f"[{e.kind}]", file=out)
     return 0
+
+
+def _dump_layer(i, layer, out):
+    print(f"[{layer.op_kind}] layer {i}", file=out)
+    print(f"  weight_codes: shape={list(layer.w_q.shape)} bits={layer.w_bits}", file=out)
+    names = {"w_scales": "s_w", "w_zero_points": "z_w", "beta": "beta_real"}  # printed name -> field
+    for name in ("m0", "shift", "w_scales", "w_zero_points", "alpha", "beta", "bias_acc", "const_acc"):
+        print(f"  {name}: {getattr(layer, names.get(name, name)).tolist()}", file=out)
+    print(f"  z_x={layer.z_x} z_r={layer.z_r} s_x={layer.s_x} s_r={layer.s_r}", file=out)
 
 
 def build_parser():
@@ -367,7 +329,8 @@ def build_parser():
 
     f = sub.add_parser("fuse", help="fold compensation into integer parameters")
     f.add_argument("bundle")
-    f.add_argument("--beta-rounding", dest="beta_rounding", action="store_true", default=True)
+    # neither flag: fuse_model follows the compensation config's beta_rounding
+    f.add_argument("--beta-rounding", dest="beta_rounding", action="store_true", default=None)
     f.add_argument("--no-beta-rounding", dest="beta_rounding", action="store_false")
     f.add_argument("--out", required=True)
     f.add_argument("--force", action="store_true")
@@ -401,7 +364,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as e:
+    except NAMED_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

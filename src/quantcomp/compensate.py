@@ -10,7 +10,7 @@ input, the older whole-matrix style of compensation kept as a baseline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

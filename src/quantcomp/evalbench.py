@@ -19,7 +19,10 @@ from .calibrate import (
     calibration_pool,
     collect_pairs,
     compensation_params,
+    fit_compensation,
+    fit_stats,
     fuse_model,
+    model_size_report,
     quantize_model,
     sim_forward,
 )
@@ -111,9 +114,6 @@ class EvalReport:
             raise ValueError(f"non-finite cells {bad}")
         self.rows.append(row)
 
-    def column(self, name):
-        return [r[name] for r in self.rows]
-
     def where(self, **kv):
         return [r for r in self.rows if all(r[k] == v for k, v in kv.items())]
 
@@ -136,45 +136,6 @@ class EvalReport:
         return path
 
 
-def model_size_report(bundle: ModelBundle) -> dict:
-    """Logical storage accounting (codes count their true bit-width).
-
-    ``delta_scalars``/``delta_bits`` is the extra cost of compensation: two
-    scalars per compensated output channel before fusion, zero after (the
-    fused multiplier and bias accumulator replace arrays a plain quantized
-    deployment carries anyway).
-    """
-    m = bundle.manifest
-    qsec = m.get("quantization")
-    param_scalars = 0
-    bits = 0
-    for i, entry in enumerate(m["layers"]):
-        if "weight" not in entry:
-            continue
-        w = bundle.tensor(entry["weight"])
-        b = bundle.tensor(entry["bias"])
-        if qsec is not None:
-            wb = qsec["weight_bits"]
-            param_scalars += w.size + b.size + 2 * len(qsec["layers"][str(i)]["weight_scales"])
-            bits += w.size * wb + b.size * 32 + len(qsec["layers"][str(i)]["weight_scales"]) * 64
-        else:
-            param_scalars += w.size + b.size
-            bits += (w.size + b.size) * 32
-    csec = m.get("compensation")
-    if csec is not None and m.get("fusion") is None:
-        delta_scalars = sum(2 * len(e["alpha"]) for e in csec["layers"].values())
-        delta_bits = delta_scalars * 32
-    else:
-        delta_scalars = 0
-        delta_bits = 0
-    return {
-        "param_scalars": param_scalars,
-        "model_bits": bits + delta_bits,
-        "delta_scalars": delta_scalars,
-        "delta_bits": delta_bits,
-    }
-
-
 def run_cell(task: TaskSpec, seed: int, config: CalibrationConfig, pool=None, model_f=None, comp_bundle=None) -> dict:
     """Train (or reuse), calibrate, and evaluate one (seed, config) cell."""
     if model_f is None:
@@ -192,7 +153,7 @@ def run_cell(task: TaskSpec, seed: int, config: CalibrationConfig, pool=None, mo
     trace = InferenceTrace()
     logits_z, trace = run_int_model(fused_runtime(fused), x_te, trace=trace)
     sizes = model_size_report(comp_bundle)
-    stats = comp_bundle.manifest["compensation"]["stats"]
+    stats = fit_stats(comp_bundle)
     row = {
         "config_id": config_id(task, config),
         "seed": seed,
@@ -235,15 +196,13 @@ def ablate_calibration_size(sizes, base: CalibrationConfig, task: TaskSpec, seed
     (That mirrors the full-scale protocol, where the baseline's ranges come
     from a small fixed set and only the compensation set is swept.)
     """
-    from .calibrate import fit_compensation, quantize_model as _quantize
-
     report = EvalReport()
     for seed in seeds:
         model_f = train_synthetic(task, seed)
         pool = calibration_pool(model_f, replace(base, seed=seed))
         if max(sizes) > len(pool):
             raise ValueError(f"requested size {max(sizes)} exceeds pool of {len(pool)}")
-        qbundle = _quantize(model_f, pool[: base.sample_count], base.weight_bits, base.act_bits, base.estimator)
+        qbundle = quantize_model(model_f, pool[: base.sample_count], base.weight_bits, base.act_bits, base.estimator)
         for n in sizes:
             cfg = replace(base, sample_count=n, seed=seed)
             comp_bundle = fit_compensation(model_f, qbundle, cfg, pool[:n])

@@ -43,7 +43,7 @@ import numpy as np
 
 from .compensate import ChannelAffineParams, identity_compensation
 from .quant import QuantParams, code_dtype, quantize_uniform
-from .refnet import DTYPE_TO_KIND, ModelBundle, gelu, im2col
+from .refnet import ModelBundle, gelu, im2col
 
 INT32_MIN = -(2**31)
 INT32_MAX = 2**31 - 1
@@ -67,7 +67,9 @@ class IntActivationParams:
         if not (0 <= self.z <= 2**self.bitwidth - 1):
             raise EngineError("activation zero-point outside code range")
 
-    def to_quant_params(self) -> QuantParams:
+    @cached_property
+    def quant_params(self) -> QuantParams:
+        """The grid as ``QuantParams``, built on first use and kept."""
         return QuantParams(self.bitwidth, "per_tensor", np.array([self.s]), np.array([self.z]))
 
 
@@ -197,7 +199,7 @@ class InferenceTrace:
                 self.float_mul_count += a.size
 
 
-def integer_accumulate(x_q, layer: FusedLayerParams, trace: InferenceTrace | None = None, debug=True):
+def integer_accumulate(x_q, layer: FusedLayerParams, trace: InferenceTrace | None = None):
     """i32 accumulators for a (N, C_eff) code matrix; exact integer results.
 
     ``acc = x_q @ (W_q - Z_W)^T + (const_acc + bias_acc)``, where
@@ -218,7 +220,7 @@ def integer_accumulate(x_q, layer: FusedLayerParams, trace: InferenceTrace | Non
         trace.f64_gemm_macs += x_q.shape[0] * w.shape[0] * w.shape[1]
     acc = (x_q.astype(np.float64) @ w.T).astype(np.int64)
     acc += layer.const_acc + layer.bias_acc
-    if debug and (acc.max(initial=0) > INT32_MAX or acc.min(initial=0) < INT32_MIN):
+    if acc.max(initial=0) > INT32_MAX or acc.min(initial=0) < INT32_MIN:
         raise EngineError(f"{layer.op_kind}: accumulator overflows i32")
     return acc.astype(np.int32)
 
@@ -396,8 +398,13 @@ class FusedModel:
     entries: list[FusedEntry]
     output_params: IntActivationParams
 
+    @property
+    def beta_rounding(self):
+        """True when every fused layer folds its offset into the integer bias (integer-only)."""
+        return all(e.layer.beta_rounding for e in self.entries if e.kind == "param")
 
-def _run_param_entry(i, layer, x_q, mode, trace, debug, tap):
+
+def _run_param_entry(i, layer, x_q, mode, trace, tap):
     if layer.op_kind == "linear":
         rows = x_q
     else:
@@ -405,7 +412,7 @@ def _run_param_entry(i, layer, x_q, mode, trace, debug, tap):
         trace.require_integer(x_q)
         cols, h_out, w_out = im2col(x_q, layer.kernel, layer.stride, layer.pad, pad_value=layer.z_x)
         rows = cols.reshape(x_q.shape[0] * h_out * w_out, -1)
-    acc = integer_accumulate(rows, layer, trace=trace, debug=debug)
+    acc = integer_accumulate(rows, layer, trace=trace)
     if tap is not None:
         layer = tap(i, x_q, acc, layer)
     r = requantize(acc, layer, mode=mode, trace=trace)
@@ -414,7 +421,7 @@ def _run_param_entry(i, layer, x_q, mode, trace, debug, tap):
     return np.moveaxis(r.reshape(x_q.shape[0], h_out, w_out, layer.out_channels), 3, 1)
 
 
-def _interpret(model: FusedModel, x, mode, trace: InferenceTrace, debug=True, tap=None):
+def _interpret(model: FusedModel, x, mode, trace: InferenceTrace, tap=None):
     """The one forward over a FusedModel: quantize, run every entry on codes, dequantize.
 
     ``tap(i, x_q, acc, layer)``, when given, sees each param entry's input
@@ -422,10 +429,10 @@ def _interpret(model: FusedModel, x, mode, trace: InferenceTrace, debug=True, ta
     the fitting-time simulation captures and overrides compensation through it.
     """
     x = np.asarray(x, dtype=np.float32)
-    x_q = quantize_uniform(x, model.input_params.to_quant_params())
+    x_q = quantize_uniform(x, model.input_params.quant_params)
     for i, entry in enumerate(model.entries):
         if entry.kind == "param":
-            x_q = _run_param_entry(i, entry.layer, x_q, mode, trace, debug, tap)
+            x_q = _run_param_entry(i, entry.layer, x_q, mode, trace, tap)
         elif entry.kind == "relu":
             trace.require_integer(x_q)
             x_q = np.maximum(x_q, np.asarray(entry.z, dtype=x_q.dtype))
@@ -447,7 +454,7 @@ def _interpret(model: FusedModel, x, mode, trace: InferenceTrace, debug=True, ta
     return ((x_q.astype(np.float64) - p.z) * p.s).astype(np.float32)
 
 
-def run_int_model(model: FusedModel, x, mode="fixedpoint", trace: InferenceTrace | None = None, debug=True):
+def run_int_model(model: FusedModel, x, mode="fixedpoint", trace: InferenceTrace | None = None):
     """Quantize the input once, run all layers in integer arithmetic, dequantize logits.
 
     Returns (logits_f32, trace).  The input quantization and final dequantization
@@ -455,7 +462,7 @@ def run_int_model(model: FusedModel, x, mode="fixedpoint", trace: InferenceTrace
     """
     if trace is None:
         trace = InferenceTrace()
-    return _interpret(model, x, mode, trace, debug), trace
+    return _interpret(model, x, mode, trace), trace
 
 
 # ---------------------------------------------------------------------------
@@ -473,13 +480,10 @@ def _grid_manifest(p: IntActivationParams):
 
 def _fused_bundle(bundle: ModelBundle, model: FusedModel, beta_rounding: bool) -> ModelBundle:
     """``bundle`` plus a ``fusion`` section serializing ``model`` and the blobs it names."""
-    # writes only ``tensors`` entries and the ``fusion`` key: copy just those levels
-    manifest = dict(bundle.manifest, tensors=dict(bundle.manifest["tensors"]))
-    blobs = dict(bundle.blobs)
+    blobs = {}
 
     def store(name, array):
         blobs[name] = array
-        manifest["tensors"][name] = {"shape": list(array.shape), "kind": DTYPE_TO_KIND[array.dtype.newbyteorder("<")]}
         return name
 
     entries = []
@@ -530,19 +534,27 @@ def _fused_bundle(bundle: ModelBundle, model: FusedModel, beta_rounding: bool) -
             entries.append({"kind": "flatten"})
         else:
             raise EngineError(f"unknown fused entry kind {entry.kind!r}")
-    manifest["fusion"] = {
+    fusion = {
         "beta_rounding": beta_rounding,
         "input": _grid_manifest(model.input_params),
         "output": _grid_manifest(model.output_params),
         "entries": entries,
     }
-    return ModelBundle(manifest, blobs)
+    return bundle.derive("fusion", fusion, blobs)
 
 
 def fused_runtime(bundle) -> FusedModel:
+    """The ``FusedModel`` a bundle's ``fusion`` section describes; ``EngineError`` if it is absent or malformed."""
     fusion = bundle.manifest.get("fusion")
     if fusion is None:
         raise EngineError("bundle has no fusion section; run fuse first")
+    try:
+        return _read_fusion(bundle, fusion)
+    except (KeyError, TypeError, ValueError) as e:  # a field missing or of the wrong type
+        raise EngineError(f"malformed fusion section: {type(e).__name__} {e}") from e
+
+
+def _read_fusion(bundle, fusion) -> FusedModel:
     beta_rounding = bool(fusion["beta_rounding"])
     inp = fusion["input"]
     input_params = IntActivationParams(float(inp["scale"]), int(inp["zero_point"]), int(inp["bitwidth"]))

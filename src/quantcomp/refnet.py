@@ -78,6 +78,8 @@ class LayerSpec:
                 raise ShapeError(f"conv2d weight shape {want} expected", index)
             if self.kernel < 1 or self.stride < 1 or self.pad < 0:
                 raise ShapeError("bad conv2d geometry", index)
+        elif self.op_kind == "avgpool" and (self.kernel < 1 or self.stride < 1):
+            raise ShapeError("avgpool kernel and stride must be >= 1", index)
         if self.weight is not None and self.bias is not None:
             if self.bias.shape != (self.out_channels,):
                 raise ShapeError("bias length must equal out_channels", index)
@@ -98,6 +100,21 @@ class ModelBundle:
     @property
     def layers(self):
         return [self._layer(i) for i in range(len(self.manifest["layers"]))]
+
+    @property
+    def stage(self):
+        """The last pipeline step the bundle went through: float, quantized or fused."""
+        return "fused" if "fusion" in self.manifest else "quantized" if "quantization" in self.manifest else "float"
+
+    def derive(self, key, section, blobs):
+        """A new bundle: this one plus manifest section ``key`` and the named ``blobs``.
+
+        Only the top-level manifest and its ``tensors`` dict are copied; the
+        untouched sections are shared with this bundle.
+        """
+        tensors = dict(self.manifest["tensors"])
+        tensors.update((name, _tensor_entry(arr)) for name, arr in blobs.items())
+        return ModelBundle({**self.manifest, "tensors": tensors, key: section}, {**self.blobs, **blobs})
 
     def _layer(self, i):
         entry = self.manifest["layers"][i]
@@ -220,7 +237,6 @@ def build_from_layers(layers, input_shape, name="model", metadata=None):
     }
     blobs = {}
     for i, spec in enumerate(layers):
-        spec.validate(i)
         entry = {"op_kind": spec.op_kind}
         if spec.op_kind in PARAM_OPS:
             entry["in_channels"] = spec.in_channels
@@ -270,7 +286,7 @@ def build_mlp(dims, activation="relu", rng=None, weights=None):
 
 
 def validate_bundle(bundle: ModelBundle):
-    """Check blob references, byte lengths, and channel chaining."""
+    """Check blob references, byte lengths, every layer, and channel chaining."""
     m = bundle.manifest
     if m.get("format_version") != FORMAT_VERSION:
         raise BundleError(f"unsupported format_version {m.get('format_version')!r}")
@@ -288,24 +304,22 @@ def validate_bundle(bundle: ModelBundle):
             raise BundleError(f"blob {name!r} not registered in manifest")
     # channel chaining: run a shape-only pass
     shape = tuple(m["input_shape"])
-    for i, entry in enumerate(m["layers"]):
-        op = entry["op_kind"]
+    for i, layer in enumerate(bundle.layers):
+        layer.validate(i)
+        op = layer.op_kind
         if op == "linear":
-            if len(shape) != 1 or shape[0] != entry["in_channels"]:
-                raise BundleError(f"layer {i}: linear in_channels {entry['in_channels']} does not chain from {shape}")
-            shape = (entry["out_channels"],)
-        elif op == "conv2d":
-            if len(shape) != 3 or shape[0] != entry["in_channels"]:
-                raise BundleError(f"layer {i}: conv2d in_channels does not chain from {shape}")
-            k, s, p = entry["kernel"], entry["stride"], entry["pad"]
-            h = (shape[1] + 2 * p - k) // s + 1
-            w = (shape[2] + 2 * p - k) // s + 1
+            if len(shape) != 1 or shape[0] != layer.in_channels:
+                raise BundleError(f"layer {i}: linear in_channels {layer.in_channels} does not chain from {shape}")
+            shape = (layer.out_channels,)
+        elif op in ("conv2d", "avgpool"):
+            if len(shape) != 3 or (op == "conv2d" and shape[0] != layer.in_channels):
+                raise BundleError(f"layer {i}: {op} input does not chain from {shape}")
+            p = layer.pad if op == "conv2d" else 0  # the avgpool kernel never pads
+            h = (shape[1] + 2 * p - layer.kernel) // layer.stride + 1
+            w = (shape[2] + 2 * p - layer.kernel) // layer.stride + 1
             if h < 1 or w < 1:
-                raise BundleError(f"layer {i}: conv2d geometry leaves no output")
-            shape = (entry["out_channels"], h, w)
-        elif op == "avgpool":
-            k, s = entry["kernel"], entry["stride"]
-            shape = (shape[0], (shape[1] - k) // s + 1, (shape[2] - k) // s + 1)
+                raise BundleError(f"layer {i}: {op} geometry leaves no output")
+            shape = (layer.out_channels if op == "conv2d" else shape[0], h, w)
         elif op == "flatten":
             shape = (int(np.prod(shape)),)
     return shape
@@ -338,7 +352,15 @@ def load_bundle(path) -> ModelBundle:
     mf = path / "manifest.json"
     if not mf.is_file():
         raise BundleError(f"no manifest.json under {path}")
-    manifest = json.loads(mf.read_text())
+    try:
+        bundle = _read_blobs(path, json.loads(mf.read_text()))
+        validate_bundle(bundle)
+    except (KeyError, TypeError, ValueError) as e:  # a manifest that is not JSON or lacks a field
+        raise BundleError(f"malformed bundle under {path}: {type(e).__name__} {e}") from e
+    return bundle
+
+
+def _read_blobs(path, manifest) -> ModelBundle:
     root = path.resolve()
     blobs = {}
     for name, entry in manifest.get("tensors", {}).items():
@@ -358,9 +380,7 @@ def load_bundle(path) -> ModelBundle:
             raise BundleError(f"blob {name!r}: {len(raw)} bytes on disk, manifest implies {want_bytes}")
         blobs[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
         entry.pop("file", None)
-    bundle = ModelBundle(manifest, blobs)
-    validate_bundle(bundle)
-    return bundle
+    return ModelBundle(manifest, blobs)
 
 
 def bundles_equal(a: ModelBundle, b: ModelBundle) -> bool:
@@ -423,6 +443,14 @@ def make_dataset(task: TaskSpec, seed: int):
         x[task.train_n :],
         y[task.train_n :].astype(np.int64),
     )
+
+
+def task_dataset(bundle: ModelBundle):
+    """``make_dataset`` for the task and seed that ``train_synthetic`` recorded in the metadata."""
+    meta = bundle.manifest.get("metadata", {})
+    if "task" not in meta:
+        raise BundleError("bundle metadata carries no task; cannot derive its dataset")
+    return make_dataset(TaskSpec(**dict(meta["task"], hidden=tuple(meta["task"]["hidden"]))), meta["seed"])
 
 
 def _softmax(z):

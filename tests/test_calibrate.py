@@ -449,3 +449,35 @@ class TestTraceGemmCounter:
         # conv(2->4) and conv(4->4) over 6x6 positions, then linear 36 -> 3
         assert trace.f64_gemm_macs == 5 * 36 * 4 * 2 * 9 + 5 * 36 * 4 * 4 * 9 + 5 * 3 * 36
         assert trace.float_mul_count == 0
+
+
+class TestOwnerChecks:
+    def test_fit_compensation_rejects_other_bits(self, model_f, calib):
+        qbundle = quantize_model(model_f, calib[:64], 4, 4)
+        for w, a in ((8, 4), (4, 8)):
+            cfg = CalibrationConfig(sample_count=64, weight_bits=w, act_bits=a)
+            with pytest.raises(CalibrationError, match="do not match the quantized bundle w4/a4"):
+                fit_compensation(model_f, qbundle, cfg, calib[:64])
+
+    def test_fit_compensation_rejects_unquantized(self, model_f, calib):
+        with pytest.raises(CalibrationError, match="no quantization section"):
+            fit_compensation(model_f, model_f, CalibrationConfig(sample_count=64), calib[:64])
+
+    def test_pool_size_rule(self, calib):
+        from quantcomp.calibrate import calibration_sets
+
+        pool = calib[:100]
+        fit_x, range_x = calibration_sets(CalibrationConfig(sample_count=50, range_split=True), pool)
+        assert fit_x is not range_x and np.array_equal(fit_x, pool[:50]) and np.array_equal(range_x, pool[50:100])
+        fit_x, range_x = calibration_sets(CalibrationConfig(sample_count=100), pool)
+        assert np.array_equal(fit_x, pool) and np.array_equal(range_x, pool)
+        with pytest.raises(CalibrationError, match="need 101 calibration samples, pool has 100"):
+            calibration_sets(CalibrationConfig(sample_count=101), pool)
+        with pytest.raises(CalibrationError, match="at least 2 \\* sample_count = 102, pool has 100"):
+            calibration_sets(CalibrationConfig(sample_count=51, range_split=True), pool)
+
+    def test_calibrate_model_applies_pool_size_rule(self, model_f, calib):
+        cfg = CalibrationConfig(sample_count=64, weight_bits=4, act_bits=4, range_split=True)
+        with pytest.raises(CalibrationError, match="2 \\* sample_count"):
+            calibrate_model(model_f, cfg, calib[:127])
+        calibrate_model(model_f, cfg, calib[:128])

@@ -261,3 +261,146 @@ class TestAblate:
         with pytest.raises(SystemExit) as exc:
             main(["train", "--bogus"])
         assert exc.value.code == 2
+
+
+def run_subprocess(*argv):
+    """The CLI as a user runs it: its own process, so an uncaught error shows as a traceback."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    cmd = [sys.executable, "-m", "quantcomp.cli", *map(str, argv)]
+    return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+
+
+def edit_manifest(src, dst, edit):
+    import shutil
+
+    shutil.copytree(src, dst)
+    mf = json.loads((dst / "manifest.json").read_text())
+    edit(mf)
+    (dst / "manifest.json").write_text(json.dumps(mf))
+    return dst
+
+
+def _drop_first_m0(mf):
+    del next(e for e in mf["fusion"]["entries"] if e["kind"] == "param")["m0"]
+
+
+def _transpose_first_weight(mf):
+    mf["tensors"]["layer0.weight"]["shape"].reverse()
+
+
+def _avgpool_kernel_zero(mf):
+    mf["layers"][1]["kernel"] = 0
+
+
+def _avgpool_bundle(path):
+    from quantcomp.refnet import LayerSpec, build_from_layers, save_bundle
+
+    rng = np.random.default_rng(0)
+    layers = [
+        LayerSpec("conv2d", 1, 2, weight=rng.standard_normal((2, 1, 3, 3)).astype(np.float32), bias=np.zeros(2, np.float32), kernel=3, pad=1),
+        LayerSpec("avgpool", kernel=2, stride=2),
+        LayerSpec("flatten"),
+        LayerSpec("linear", 8, 3, weight=rng.standard_normal((3, 8)).astype(np.float32), bias=np.zeros(3, np.float32)),
+    ]
+    return save_bundle(build_from_layers(layers, (1, 4, 4)), path)
+
+
+class TestNamedErrors:
+    """Every named error of the package ends as one ``error:`` line and exit 2, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "case",
+        ["weight_bits_1", "percentile_0.3", "fused_without_m0", "avgpool_kernel_0", "transposed_weight", "truncated_manifest"],
+    )
+    def test_exits_two_without_traceback(self, workspace, tmp_path, case):
+        if case == "weight_bits_1":
+            argv, want = ["quantize", workspace / "float", "--weight-bits", "1", "--out", tmp_path / "o"], "bitwidths"
+        elif case == "percentile_0.3":
+            argv = ["quantize", workspace / "float", "--estimator", "percentile", "--percentile", "0.3", "--out", tmp_path / "o"]
+            want = "percentile"
+        elif case == "fused_without_m0":
+            argv, want = ["eval", edit_manifest(workspace / "fused", tmp_path / "b", _drop_first_m0)], "m0"
+        elif case == "avgpool_kernel_0":
+            edit_manifest(_avgpool_bundle(tmp_path / "pool"), tmp_path / "b", _avgpool_kernel_zero)
+            argv, want = ["quantize", tmp_path / "b", "--out", tmp_path / "o"], "avgpool"
+        elif case == "transposed_weight":
+            argv, want = ["eval", edit_manifest(workspace / "float", tmp_path / "b", _transpose_first_weight)], "weight shape"
+        else:
+            bad = edit_manifest(workspace / "float", tmp_path / "b", lambda mf: None)
+            (bad / "manifest.json").write_text((bad / "manifest.json").read_text()[:50])
+            argv, want = ["eval", bad], "malformed bundle"
+        proc = run_subprocess(*argv)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error:") and want in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_sample_count_beyond_pool(self, workspace, tmp_path, capsys):
+        code = run(
+            "compensate",
+            workspace / "float",
+            workspace / "quant",
+            "--weight-bits",
+            "4",
+            "--act-bits",
+            "4",
+            "--sample-count",
+            "5000",
+            "--out",
+            tmp_path / "x",
+        )
+        assert code == 2
+        assert "need 5000 calibration samples, pool has 1200" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_fit_on_unquantized_bundle(self, workspace, tmp_path, capsys):
+        code = run("compensate", workspace / "float", workspace / "float", "--out", tmp_path / "x")
+        assert code == 2
+        assert "no quantization section" in capsys.readouterr().err
+
+
+class TestFuseFollowsLibrary:
+    def test_fuse_default_follows_compensation_config(self, workspace, tmp_path):
+        from quantcomp.calibrate import fuse_model
+        from quantcomp.refnet import bundles_equal
+
+        q = ["--weight-bits", "4", "--act-bits", "4", "--sample-count", "128"]
+        assert run("compensate", workspace / "float", workspace / "quant", *q, "--no-beta-rounding", "--out", tmp_path / "comp") == 0
+        assert run("fuse", tmp_path / "comp", "--out", tmp_path / "fused") == 0
+        fused = load_bundle(tmp_path / "fused")
+        assert fused.manifest["fusion"]["beta_rounding"] is False
+        assert bundles_equal(fused, fuse_model(load_bundle(tmp_path / "comp")))
+
+    def test_fuse_flag_still_overrides(self, workspace, tmp_path):
+        assert run("fuse", workspace / "comp", "--beta-rounding", "--out", tmp_path / "fused") == 0
+        assert load_bundle(tmp_path / "fused").manifest["fusion"]["beta_rounding"] is True
+
+    @pytest.mark.parametrize("spelling", ["int", "float"])
+    def test_dump_fused_prints_the_engine_multipliers(self, workspace, tmp_path, capsys, spelling):
+        from quantcomp.intengine import fused_runtime
+
+        def m0_as_floats(mf):
+            for e in mf["fusion"]["entries"]:
+                if e["kind"] == "param":
+                    e["m0"] = [float(v) for v in e["m0"]]
+
+        path = workspace / "fused" if spelling == "int" else edit_manifest(workspace / "fused", tmp_path / "b", m0_as_floats)
+        assert run("dump-fused", path) == 0
+        printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("  m0: ")]
+        engine = [e.layer.m0.tolist() for e in fused_runtime(load_bundle(path)).entries if e.kind == "param"]
+        assert printed == [f"  m0: {m0}" for m0 in engine] and len(engine) == 3
+
+    def test_range_split_pipeline_matches_calibrate_model(self, workspace, tmp_path):
+        from quantcomp.calibrate import CalibrationConfig, calibrate_model, calibration_pool
+        from quantcomp.refnet import bundles_equal
+
+        q = ["--weight-bits", "4", "--act-bits", "4", "--sample-count", "128", "--range-split"]
+        assert run("quantize", workspace / "float", *q, "--out", tmp_path / "quant") == 0
+        assert run("compensate", workspace / "float", tmp_path / "quant", *q, "--out", tmp_path / "comp") == 0
+        model_f = load_bundle(workspace / "float")
+        cfg = CalibrationConfig(sample_count=128, weight_bits=4, act_bits=4, range_split=True)
+        assert bundles_equal(load_bundle(tmp_path / "comp"), calibrate_model(model_f, cfg, calibration_pool(model_f, cfg)))

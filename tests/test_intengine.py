@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -506,3 +507,41 @@ class TestGeluTable:
         a = build_gelu_table(0.1, 10, 4)
         b = build_gelu_table(0.1, 10, 4)
         assert np.array_equal(a, b)
+
+
+class TestFusionSectionOwner:
+    def _fused(self):
+        from quantcomp.calibrate import CalibrationConfig, calibrate_model, fuse_model
+        from quantcomp.refnet import build_mlp
+
+        m = build_mlp((4, 6, 3), rng=np.random.default_rng(0))
+        x = np.random.default_rng(1).standard_normal((32, 4)).astype(np.float32)
+        return fuse_model(calibrate_model(m, CalibrationConfig(sample_count=32, weight_bits=4, act_bits=4), x))
+
+    @pytest.mark.parametrize("field", ["m0", "bias_acc", "out_bits"])
+    def test_missing_field_is_engine_error(self, field):
+        from quantcomp.intengine import EngineError, fused_runtime
+        from quantcomp.refnet import ModelBundle
+
+        fused = self._fused()
+        manifest = json.loads(json.dumps(fused.manifest))
+        del manifest["fusion"]["entries"][0][field]
+        with pytest.raises(EngineError, match=f"malformed fusion section: KeyError '{field}'"):
+            fused_runtime(ModelBundle(manifest, fused.blobs))
+
+    def test_malformed_value_is_engine_error(self):
+        from quantcomp.intengine import EngineError, fused_runtime
+        from quantcomp.refnet import ModelBundle
+
+        fused = self._fused()
+        manifest = json.loads(json.dumps(fused.manifest))
+        manifest["fusion"]["entries"][0]["m0"] = [[1], [2, 3]]
+        with pytest.raises(EngineError, match="malformed fusion section"):
+            fused_runtime(ModelBundle(manifest, fused.blobs))
+
+    def test_input_grid_built_once(self):
+        from quantcomp.intengine import IntActivationParams
+
+        p = IntActivationParams(0.5, 3, 8)
+        assert p.quant_params is p.quant_params
+        assert p.quant_params.scalar() == (0.5, 3) and p.quant_params.bitwidth == 8

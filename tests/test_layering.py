@@ -1,0 +1,55 @@
+"""Source-layout rules: each manifest section has one owning module, and no module keeps dead imports.
+
+``refnet`` owns ``layers``/``tensors``/``metadata``, ``calibrate`` owns
+``quantization``/``compensation`` and ``intengine`` owns ``fusion``; the CLI
+and the ablation harness reach a bundle only through those owners.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "quantcomp"
+SECTION_ACCESS = re.compile(r'qsec|csec|\["(quantization|compensation|fusion|task|entries|stats|layers)"\]')
+
+
+@pytest.mark.parametrize("name", ["cli.py", "evalbench.py"])
+def test_no_direct_section_access(name):
+    hits = [
+        f"{name}:{n}: {line.strip()}"
+        for n, line in enumerate((SRC / name).read_text().splitlines(), 1)
+        if SECTION_ACCESS.search(line)
+    ]
+    assert hits == []
+
+
+def _unused_imports(tree):
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted((line, name) for name, line in bound.items() if name not in used)
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py"))
+def test_no_unused_module_level_imports(path):
+    # __init__.py is excluded: its imports are the package's re-exports
+    assert _unused_imports(ast.parse((SRC / path).read_text())) == []
+
+
+def test_unused_import_detector_sees_one():
+    tree = ast.parse("import os\nimport sys\nfrom a import b as c, d\nprint(sys.argv, d)\n")
+    assert _unused_imports(tree) == [(1, "os"), (3, "c")]
+
+
+def test_cli_main_holds_the_only_except():
+    tree = ast.parse((SRC / "cli.py").read_text())
+    main = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main")
+    handlers = [n for n in ast.walk(tree) if isinstance(n, ast.ExceptHandler)]
+    assert handlers and all(h in set(ast.walk(main)) for h in handlers)

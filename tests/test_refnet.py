@@ -266,3 +266,84 @@ class TestTrainer:
         x = np.array([1.0, -1.0, 2.0])
         got = gelu(x)
         assert np.allclose(got, [0.841192, -0.158808, 1.954597], atol=1e-5)
+
+
+def _pool_net(kernel=2, stride=2, hw=4):
+    rng = np.random.default_rng(0)
+    conv = LayerSpec("conv2d", 1, 2, weight=rng.standard_normal((2, 1, 3, 3)).astype(np.float32), bias=np.zeros(2, np.float32), kernel=3, pad=1)
+    return [conv, LayerSpec("avgpool", kernel=kernel, stride=stride), LayerSpec("flatten")], (1, hw, hw)
+
+
+class TestLayerGeometry:
+    @pytest.mark.parametrize("kernel,stride", [(0, 2), (2, 0), (-1, 1)])
+    def test_avgpool_kernel_and_stride_at_least_one(self, kernel, stride):
+        with pytest.raises(ShapeError, match="layer 1: avgpool kernel and stride"):
+            LayerSpec("avgpool", kernel=kernel, stride=stride).validate(1)
+        with pytest.raises(ShapeError, match="avgpool kernel and stride"):
+            build_from_layers(*_pool_net(kernel, stride))
+
+    def test_avgpool_leaving_no_output(self):
+        with pytest.raises(BundleError, match="layer 1: avgpool geometry leaves no output"):
+            build_from_layers(*_pool_net(kernel=5, stride=1))
+
+    def test_avgpool_needs_a_feature_map(self):
+        layers = [linear(np.ones((2, 2)), [0, 0]), LayerSpec("avgpool", kernel=1, stride=1)]
+        with pytest.raises(BundleError, match="layer 1: avgpool input does not chain from \\(2,\\)"):
+            build_from_layers(layers, (2,))
+
+    def test_avgpool_kernel_zero_rejected_at_load(self, tmp_path):
+        path = save_bundle(build_from_layers(*_pool_net()), tmp_path / "m")
+        manifest = json.loads((path / "manifest.json").read_text())
+        manifest["layers"][1]["kernel"] = 0
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ShapeError, match="avgpool"):
+            load_bundle(path)
+
+    def test_transposed_weight_rejected_at_load(self, tmp_path):
+        path = save_bundle(build_mlp((2, 3)), tmp_path / "m")
+        manifest = json.loads((path / "manifest.json").read_text())
+        manifest["tensors"]["layer0.weight"]["shape"] = [2, 3]
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ShapeError, match="layer 0: linear weight shape"):
+            load_bundle(path)
+
+
+class TestBundleOwner:
+    def test_derive_adds_section_and_blobs_without_touching_source(self):
+        m = build_mlp((2, 3))
+        before = json.loads(json.dumps(m.manifest))
+        extra = np.arange(3, dtype=np.int32)
+        d = m.derive("extra", {"k": 1}, {"layer0.extra": extra})
+        assert m.manifest == before and "layer0.extra" not in m.blobs
+        assert d.manifest["extra"] == {"k": 1} and d.blobs["layer0.extra"] is extra
+        assert d.manifest["tensors"]["layer0.extra"] == {"shape": [3], "kind": "i32"}
+        assert d.manifest["layers"] is m.manifest["layers"]
+
+    def test_task_dataset_reads_the_trainer_metadata(self):
+        from quantcomp.refnet import task_dataset
+
+        task = TaskSpec(classes=3, dim=3, train_n=400, test_n=100, hidden=(6,))
+        m = train_synthetic(task, 2, epochs=50, min_accuracy=0.0)
+        for a, b in zip(task_dataset(m), make_dataset(task, 2)):
+            assert np.array_equal(a, b)
+        with pytest.raises(BundleError, match="no task"):
+            task_dataset(build_mlp((2, 3)))
+
+
+class TestMalformedManifest:
+    @pytest.mark.parametrize("damage", ["truncated", "no_tensors", "layer_without_op"])
+    def test_is_bundle_error(self, tmp_path, damage):
+        path = save_bundle(build_mlp((2, 3)), tmp_path / "m")
+        text = (path / "manifest.json").read_text()
+        manifest = json.loads(text)
+        if damage == "truncated":
+            text = text[:50]
+        elif damage == "no_tensors":
+            del manifest["tensors"]
+            text = json.dumps(manifest)
+        else:
+            del manifest["layers"][0]["op_kind"]
+            text = json.dumps(manifest)
+        (path / "manifest.json").write_text(text)
+        with pytest.raises(BundleError, match="malformed bundle under"):
+            load_bundle(path)
