@@ -1,7 +1,7 @@
 """Uniform affine quantization in five minutes.
 
-Walks through range estimation, code round-trips, per-channel weights, and the
-log2 variant on small arrays you can eyeball.
+Walks through range estimation, code round-trips, percentile clipping and
+per-channel weights on small arrays you can eyeball.
 """
 
 import numpy as np
@@ -10,8 +10,6 @@ from quantcomp import (
     RangeEstimator,
     compute_affine_params,
     dequantize,
-    dequantize_log2,
-    quantize_log2,
     quantize_uniform,
     quantize_weights_per_channel,
 )
@@ -49,10 +47,3 @@ mse_c = np.mean((w - dequantize(codes_c, pc)) ** 2)
 mse_t = np.mean((w - dequantize(quantize_uniform(w, pt), pt)) ** 2)
 print(f"  per-channel MSE {mse_c:.6f}  vs per-tensor MSE {mse_t:.6f}")
 print(f"  per-channel scales: {np.round(pc.scales, 4)}")
-
-print("\n== log2 codes are exact on powers of two ==")
-x = np.array([8.0, 4.0, 2.0, 1.0, -8.0, 0.0])
-codes, lp = quantize_log2(x, 4)
-print(f"  x     {x}")
-print(f"  codes {codes} (sign tracked separately)")
-print(f"  back  {dequantize_log2(codes, lp)}")

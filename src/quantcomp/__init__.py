@@ -23,39 +23,28 @@ from .refnet import (
     train_synthetic,
 )
 from .quant import (
-    Log2Params,
     QuantParams,
     RangeEstimator,
     compute_affine_params,
     dequantize,
-    dequantize_log2,
-    quantize_log2,
     quantize_uniform,
     quantize_weights_per_channel,
 )
 from .compensate import (
     ActivationPair,
     ChannelAffineParams,
-    FullMatrixParams,
-    apply_channel_affine,
-    apply_full_matrix,
     diagonal_energy,
     fit_channel_affine,
     fit_full_matrix,
     identity_compensation,
 )
 from .intengine import (
-    FusedLayerParams,
     FusedModel,
     InferenceTrace,
     IntActivationParams,
-    decode_multiplier,
     encode_multiplier,
-    fixed_point_multiply,
     fuse_layer,
     fused_runtime,
-    integer_accumulate,
-    requantize,
     run_int_model,
 )
 from .calibrate import (
@@ -67,13 +56,11 @@ from .calibrate import (
     sim_forward,
 )
 from .evalbench import (
-    EvalReport,
     accuracy,
     ablate_beta_rounding,
     ablate_calibration_size,
     ablate_position,
     blob_task,
-    figure1b_report,
     model_size_report,
     spiral_task,
     square_task,

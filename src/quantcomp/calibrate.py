@@ -288,7 +288,7 @@ def sim_forward(
         # multiplier fields may keep describing the compensation it was built with
         return replace(layer, alpha=comp.alpha, beta_real=comp.beta.astype(np.float64))
 
-    logits = intengine._interpret(model, x, "exact", InferenceTrace(), tap=tap)
+    logits = intengine._interpret(model, x, InferenceTrace(), tap=tap)
     return logits, captures, input_caps
 
 

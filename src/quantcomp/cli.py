@@ -97,6 +97,11 @@ def _config(args) -> CalibrationConfig:
     )
 
 
+def int_list(text):
+    """``"8,16"`` -> ``(8, 16)``; argparse turns the ValueError of a bad item into a usage error (exit 2)."""
+    return tuple(int(v) for v in text.split(","))
+
+
 def _add_task_flags(p):
     p.add_argument("--task", choices=sorted(TASK_PRESETS), default="blobs")
     p.add_argument("--classes", type=int)
@@ -104,7 +109,7 @@ def _add_task_flags(p):
     p.add_argument("--train-n", dest="train_n", type=int)
     p.add_argument("--test-n", dest="test_n", type=int)
     p.add_argument("--noise", type=float)
-    p.add_argument("--hidden", type=str, help="comma-separated hidden widths")
+    p.add_argument("--hidden", type=int_list, help="comma-separated hidden widths")
 
 
 def _add_config_flags(p):
@@ -125,7 +130,7 @@ def _add_config_flags(p):
 def _task(args) -> TaskSpec:
     overrides = {n: getattr(args, n) for n in ("classes", "dim", "train_n", "test_n", "noise") if getattr(args, n) is not None}
     if args.hidden:
-        overrides["hidden"] = tuple(int(h) for h in args.hidden.split(","))
+        overrides["hidden"] = args.hidden
     return replace(TASK_PRESETS[args.task](), **overrides)
 
 
@@ -239,10 +244,9 @@ def cmd_ablate(args):
     failures = []
     for axis in axes:
         if axis == "size":
-            sizes = [int(s) for s in args.sizes.split(",")]
-            report = evalbench.ablate_calibration_size(sizes, base, task, seeds)
+            report = evalbench.ablate_calibration_size(args.sizes, base, task, seeds)
             if args.check:
-                med = [float(np.median([r["output_mse_comp"] for r in report.where(sample_count=n)])) for n in sizes]
+                med = [float(np.median([r["output_mse_comp"] for r in report.where(sample_count=n)])) for n in args.sizes]
                 if any(a < b - 1e-12 for a, b in zip(med, med[1:])):
                     failures.append(f"median output MSE not non-increasing over sizes: {med}")
         elif axis == "position":
@@ -344,7 +348,7 @@ def build_parser():
     a = sub.add_parser("ablate", help="run desk-scale ablations and write CSVs")
     _add_task_flags(a)
     a.add_argument("--axis", choices=["size", "position", "beta", "all"], default="all")
-    a.add_argument("--sizes", default="32,128,512,1024")
+    a.add_argument("--sizes", type=int_list, default="32,128,512,1024")
     a.add_argument("--seeds", type=int, default=10)
     _add_config_flags(a)
     a.add_argument("--format", choices=["wide", "long"], default="wide")

@@ -5,7 +5,8 @@ The per-channel affine fit solves, independently for every output channel c,
 ``a = Cov(y_full_c, y_quant_c) / Var(y_quant_c)`` and
 ``d = mean(y_full_c) - a * mean(y_quant_c)`` with population (1/N) moments.
 The full-matrix fit regresses the residual ``y_full - y_quant`` on a block
-input, the older whole-matrix style of compensation kept as a baseline.
+input, the older whole-matrix style of compensation; it is kept only to
+measure how much of its mass lies on the diagonal (``evalbench.figure1b_report``).
 """
 
 from __future__ import annotations
@@ -88,13 +89,12 @@ def identity_compensation(channels: int) -> ChannelAffineParams:
     )
 
 
-def fit_channel_affine(pair: ActivationPair, clamp_negative_alpha=True) -> ChannelAffineParams:
+def fit_channel_affine(pair: ActivationPair) -> ChannelAffineParams:
     """Closed-form per-channel least-squares fit of (alpha, beta).
 
-    With ``clamp_negative_alpha`` (the default used by the calibration
-    pipeline), channels whose optimal gain comes out negative fall back to
-    alpha=1 with a mean-difference beta so the result stays fusable into a
-    saturating integer engine.  Pass False to get the raw optimum.
+    Channels whose optimal gain comes out negative fall back to alpha=1 with
+    a mean-difference beta, so the result stays fusable into a saturating
+    integer engine.
     """
     yq, yf = pair.y_quant, pair.y_full
     mean_q = yq.mean(axis=0)
@@ -105,22 +105,16 @@ def fit_channel_affine(pair: ActivationPair, clamp_negative_alpha=True) -> Chann
     floor = VARIANCE_FLOOR * (1.0 + mean_q**2)
     fallback = var_q < floor
     alpha = np.where(fallback, 1.0, cov / np.where(fallback, 1.0, var_q))
-    negative = 0
-    if clamp_negative_alpha:
-        neg = (alpha < 0) & ~fallback
-        negative = int(neg.sum())
-        alpha = np.where(neg, 1.0, alpha)
-        fallback_like = fallback | neg
-    else:
-        fallback_like = fallback
-    beta = np.where(fallback_like, mean_f - mean_q, mean_f - alpha * mean_q)
+    neg = (alpha < 0) & ~fallback
+    alpha = np.where(neg, 1.0, alpha)
+    beta = np.where(fallback | neg, mean_f - mean_q, mean_f - alpha * mean_q)
     # the closed form can still yield an exactly-zero gain on freak inputs
     zero = alpha == 0
     if zero.any():
         alpha = np.where(zero, 1.0, alpha)
         beta = np.where(zero, mean_f - mean_q, beta)
         fallback = fallback | zero
-    return ChannelAffineParams(alpha, beta, fallback, negative)
+    return ChannelAffineParams(alpha, beta, fallback, int(neg.sum()))
 
 
 def apply_channel_affine(y_quant, params: ChannelAffineParams):
@@ -172,13 +166,6 @@ def fit_full_matrix(pair: ActivationPair, ridge: float | None = None) -> FullMat
     w = np.linalg.solve(a, xc.T @ rc).T
     b = rm - w @ xm
     return FullMatrixParams(w, b)
-
-
-def apply_full_matrix(y_quant, x_quant, params: FullMatrixParams):
-    """Residual-style compensation: y + (x @ W.T + b)."""
-    y = np.asarray(y_quant, dtype=np.float64)
-    x = np.asarray(x_quant, dtype=np.float64)
-    return (y + x @ params.w.T + params.b).astype(np.float32)
 
 
 def diagonal_energy(w) -> float:

@@ -17,6 +17,7 @@ from .calibrate import (
     CalibrationConfig,
     calibrate_model,
     calibration_pool,
+    calibration_sets,
     collect_pairs,
     compensation_params,
     fit_compensation,
@@ -199,13 +200,15 @@ def ablate_calibration_size(sizes, base: CalibrationConfig, task: TaskSpec, seed
     report = EvalReport()
     for seed in seeds:
         model_f = train_synthetic(task, seed)
-        pool = calibration_pool(model_f, replace(base, seed=seed))
-        if max(sizes) > len(pool):
-            raise ValueError(f"requested size {max(sizes)} exceeds pool of {len(pool)}")
-        qbundle = quantize_model(model_f, pool[: base.sample_count], base.weight_bits, base.act_bits, base.estimator)
-        for n in sizes:
-            cfg = replace(base, sample_count=n, seed=seed)
-            comp_bundle = fit_compensation(model_f, qbundle, cfg, pool[:n])
+        base_cfg = replace(base, seed=seed)
+        pool = calibration_pool(model_f, base_cfg)
+        configs = [replace(base_cfg, sample_count=n) for n in sizes]
+        # every set is drawn before any work, so a size beyond the pool is a CalibrationError up front
+        base_x = calibration_sets(base_cfg, pool)[0]
+        fit_sets = [calibration_sets(cfg, pool)[0] for cfg in configs]
+        qbundle = quantize_model(model_f, base_x, base.weight_bits, base.act_bits, base.estimator)
+        for cfg, fit_x in zip(configs, fit_sets):
+            comp_bundle = fit_compensation(model_f, qbundle, cfg, fit_x)
             report.append(run_cell(task, seed, cfg, model_f=model_f, comp_bundle=comp_bundle))
     return report
 

@@ -32,6 +32,13 @@ That real-valued form is also the float-assisted simulation that calibration
 fits on: ``calibrate.sim_forward`` runs a model built unrounded through this
 module's interpreter, so the unrounded engine and the simulation are one
 code path.  The ``fusion`` manifest section is written and read only here.
+
+The no-float-in-kernels contract is static, so it is checked once, when a
+``FusedModel`` is built: weight codes are integers, every per-channel array
+has one entry per output channel, every (M0, shift) lies in the encoding's
+range, and every gelu table maps each code of its input grid to a code.
+The input is quantized to codes and every step maps codes to codes, so no
+kernel of a checked model sees a float.
 """
 
 from __future__ import annotations
@@ -142,7 +149,6 @@ class FusedLayerParams:
     z_r: int
     m0: np.ndarray  # i64 per channel
     shift: np.ndarray  # i64 per channel
-    m_real: np.ndarray  # f64 per channel, exact multiplier for test mode
     bias_acc: np.ndarray  # i64 per channel (quantized bias [+ beta offset])
     const_acc: np.ndarray  # i64 per channel (-Z_x * sum W_q + C_eff * Z_x * Z_W)
     bitwidth: int  # output codes
@@ -181,22 +187,18 @@ class FusedLayerParams:
 
 @dataclass
 class InferenceTrace:
-    """Instrumentation for the no-float-in-kernels contract.
+    """Work counters of one inference.
 
-    ``float_mul_count`` counts elements that reached a kernel as floats.
-    ``f64_gemm_macs`` counts the multiply-accumulates ``integer_accumulate``
-    ran through the f64 GEMM: exact integer arithmetic on the host's BLAS,
-    not float multiplies of the model.
+    ``float_mul_count`` counts the float multiplies of unrounded layers,
+    which requantize their real-valued offset in f64; it stays 0 on a model
+    fused with ``beta_rounding=True``.  ``f64_gemm_macs`` counts the
+    multiply-accumulates ``integer_accumulate`` ran through the f64 GEMM:
+    exact integer arithmetic on the host's BLAS, not float multiplies of the
+    model.
     """
 
     float_mul_count: int = 0
     f64_gemm_macs: int = 0
-
-    def require_integer(self, *arrays):
-        for a in arrays:
-            a = np.asarray(a)
-            if a.dtype.kind not in "iu":
-                self.float_mul_count += a.size
 
 
 def integer_accumulate(x_q, layer: FusedLayerParams, trace: InferenceTrace | None = None):
@@ -209,8 +211,6 @@ def integer_accumulate(x_q, layer: FusedLayerParams, trace: InferenceTrace | Non
     is exact whatever order BLAS sums in.
     """
     x_q = np.asarray(x_q)
-    if trace is not None:
-        trace.require_integer(x_q, layer.w_q, layer.bias_acc, layer.const_acc)
     if x_q.dtype.kind not in "iu":
         raise EngineError(f"{layer.op_kind}: integer kernel fed {x_q.dtype} input")
     w = layer.w_centred
@@ -225,15 +225,15 @@ def integer_accumulate(x_q, layer: FusedLayerParams, trace: InferenceTrace | Non
     return acc.astype(np.int32)
 
 
-def requantize(acc, layer: FusedLayerParams, mode="fixedpoint", trace: InferenceTrace | None = None):
+def requantize(acc, layer: FusedLayerParams, trace: InferenceTrace | None = None):
     """i32 accumulators -> b-bit output codes.
 
-    ``mode="fixedpoint"`` is the deployable integer path; ``mode="exact"``
-    multiplies by the exact real M' (test mode isolating the fixed-point
-    encoding).  A layer fused with ``beta_rounding=False`` requantizes the
-    real value ``S_x S_W acc alpha + beta`` in f64 whatever the mode; that
-    reference mode, the fitting-time simulation, is not integer-only and shows
-    up in the trace's float counter.
+    A layer fused with ``beta_rounding=True`` multiplies by its fixed-point
+    M' = (M0, shift) in i64 arithmetic, the deployable integer path.  One
+    fused with ``beta_rounding=False`` requantizes the real value
+    ``S_x S_W acc alpha + beta`` in f64; that reference form, the
+    fitting-time simulation, is not integer-only and shows up in the trace's
+    float counter.
     """
     acc = np.asarray(acc, dtype=np.int64)
     qmax = 2**layer.bitwidth - 1
@@ -243,15 +243,9 @@ def requantize(acc, layer: FusedLayerParams, mode="fixedpoint", trace: Inference
         y = accumulator_scale(layer.s_x, layer.s_w)[None, :] * acc
         y = y * layer.alpha.astype(np.float64)[None, :] + layer.beta_real[None, :]
         r = layer.z_r + round_half_away(y / np.float64(layer.s_r))
-    elif mode == "exact":
-        r = layer.z_r + round_half_away(layer.m_real[None, :] * acc)
-    elif mode == "fixedpoint":
-        if trace is not None:
-            trace.require_integer(acc)
+    else:
         r = fixed_point_multiply(acc, layer.m0[None, :], layer.shift[None, :])
         r += layer.z_r
-    else:
-        raise EngineError(f"unknown requantize mode {mode!r}")
     np.maximum(r, 0, out=r)  # the clip as two ufuncs: np.clip adds per-call overhead
     np.minimum(r, qmax, out=r)
     return r.astype(code_dtype(layer.bitwidth))
@@ -298,8 +292,7 @@ def fuse_layer(
     if len(s_w) != c_out:
         raise EngineError("weight params must be per-channel over the output dim")
     acc_scale = accumulator_scale(act_in.s, s_w)  # S_x * S_W per channel
-    m_real = alpha * acc_scale / np.float64(out.s)
-    m0, shift = encode_multiplier(m_real)
+    m0, shift = encode_multiplier(alpha * acc_scale / np.float64(out.s))
 
     bias_int = _check_i32("quantized bias", np.round(np.asarray(bias, dtype=np.float64) / acc_scale))
     if beta_rounding:
@@ -324,7 +317,6 @@ def fuse_layer(
         z_r=out.z,
         m0=m0,
         shift=shift,
-        m_real=m_real,
         bias_acc=bias_acc,
         const_acc=const_acc,
         bitwidth=out.bitwidth,
@@ -390,6 +382,13 @@ class FusedEntry:
     pool_shift: int = 0
 
 
+def _check_encoding(i, m0, shift):
+    """EngineError unless M0 in [2^30, 2^31) and 1 <= shift <= 63, the inputs ``fixed_point_multiply`` rounds right."""
+    m0, shift = np.asarray(m0), np.asarray(shift)
+    if not (np.all((m0 >= 2**30) & (m0 < 2**31)) and np.all((shift >= 1) & (shift <= 63))):
+        raise EngineError(f"layer {i}: multiplier (m0, shift) outside the fixed-point encoding")
+
+
 @dataclass
 class FusedModel:
     """The step IR: ``entries[i]`` runs layer i of the bundle it was built from."""
@@ -398,30 +397,52 @@ class FusedModel:
     entries: list[FusedEntry]
     output_params: IntActivationParams
 
+    def __post_init__(self):
+        """EngineError unless every kernel of this model is fed integer codes of the right length."""
+        bits = self.input_params.bitwidth
+        for i, entry in enumerate(self.entries):
+            if entry.kind == "param":
+                layer = entry.layer
+                if layer.w_q.dtype.kind not in "iu":
+                    raise EngineError(f"layer {i}: weight codes are {layer.w_q.dtype}, not integers")
+                for name in ("z_w", "m0", "shift", "bias_acc", "const_acc", "s_w", "alpha", "beta_real"):
+                    if np.shape(getattr(layer, name)) != (layer.out_channels,):
+                        raise EngineError(
+                            f"layer {i}: {name} has shape {np.shape(getattr(layer, name))}, "
+                            f"layer has {layer.out_channels} output channels"
+                        )
+                _check_encoding(i, layer.m0, layer.shift)
+                bits = layer.bitwidth
+            elif entry.kind == "avgpool":
+                _check_encoding(i, entry.pool_m0, entry.pool_shift)
+            elif entry.kind == "gelu":
+                lut = entry.lut
+                if lut.dtype.kind not in "iu" or lut.shape != (2**bits,) or not 0 <= lut.min() <= lut.max() < 2**bits:
+                    raise EngineError(f"layer {i}: gelu table must map all {2**bits} codes to {bits}-bit codes")
+
     @property
     def beta_rounding(self):
         """True when every fused layer folds its offset into the integer bias (integer-only)."""
         return all(e.layer.beta_rounding for e in self.entries if e.kind == "param")
 
 
-def _run_param_entry(i, layer, x_q, mode, trace, tap):
+def _run_param_entry(i, layer, x_q, trace, tap):
     if layer.op_kind == "linear":
         rows = x_q
     else:
         # conv2d: im2col on the code dtype, pad with the input zero-point, one GEMM per position
-        trace.require_integer(x_q)
         cols, h_out, w_out = im2col(x_q, layer.kernel, layer.stride, layer.pad, pad_value=layer.z_x)
         rows = cols.reshape(x_q.shape[0] * h_out * w_out, -1)
     acc = integer_accumulate(rows, layer, trace=trace)
     if tap is not None:
         layer = tap(i, x_q, acc, layer)
-    r = requantize(acc, layer, mode=mode, trace=trace)
+    r = requantize(acc, layer, trace=trace)
     if layer.op_kind == "linear":
         return r
     return np.moveaxis(r.reshape(x_q.shape[0], h_out, w_out, layer.out_channels), 3, 1)
 
 
-def _interpret(model: FusedModel, x, mode, trace: InferenceTrace, tap=None):
+def _interpret(model: FusedModel, x, trace: InferenceTrace, tap=None):
     """The one forward over a FusedModel: quantize, run every entry on codes, dequantize.
 
     ``tap(i, x_q, acc, layer)``, when given, sees each param entry's input
@@ -432,15 +453,12 @@ def _interpret(model: FusedModel, x, mode, trace: InferenceTrace, tap=None):
     x_q = quantize_uniform(x, model.input_params.quant_params)
     for i, entry in enumerate(model.entries):
         if entry.kind == "param":
-            x_q = _run_param_entry(i, entry.layer, x_q, mode, trace, tap)
+            x_q = _run_param_entry(i, entry.layer, x_q, trace, tap)
         elif entry.kind == "relu":
-            trace.require_integer(x_q)
             x_q = np.maximum(x_q, np.asarray(entry.z, dtype=x_q.dtype))
         elif entry.kind == "gelu":
-            trace.require_integer(x_q, entry.lut)
             x_q = entry.lut[x_q]
         elif entry.kind == "avgpool":
-            trace.require_integer(x_q)
             cols, h_out, w_out = im2col(x_q, entry.kernel, entry.stride, 0)
             n, c = x_q.shape[0], x_q.shape[1]
             sums = cols.reshape(n, h_out * w_out, c, entry.kernel * entry.kernel).sum(axis=3, dtype=np.int64)
@@ -454,15 +472,16 @@ def _interpret(model: FusedModel, x, mode, trace: InferenceTrace, tap=None):
     return ((x_q.astype(np.float64) - p.z) * p.s).astype(np.float32)
 
 
-def run_int_model(model: FusedModel, x, mode="fixedpoint", trace: InferenceTrace | None = None):
+def run_int_model(model: FusedModel, x, trace: InferenceTrace | None = None):
     """Quantize the input once, run all layers in integer arithmetic, dequantize logits.
 
     Returns (logits_f32, trace).  The input quantization and final dequantization
-    are the only floating-point steps and sit outside the traced kernels.
+    are the only floating-point steps and sit outside the kernels; a non-finite
+    input raises ``QuantError``.
     """
     if trace is None:
         trace = InferenceTrace()
-    return _interpret(model, x, mode, trace), trace
+    return _interpret(model, x, trace), trace
 
 
 # ---------------------------------------------------------------------------
@@ -562,9 +581,6 @@ def _read_fusion(bundle, fusion) -> FusedModel:
     for e in fusion["entries"]:
         kind = e["kind"]
         if kind == "param":
-            alpha = np.array(e["alpha"], dtype=np.float32)
-            s_w = np.array(e["w_scales"], dtype=np.float64)
-            m_real = alpha.astype(np.float64) * accumulator_scale(e["s_x"], s_w) / np.float64(e["s_r"])
             layer = FusedLayerParams(
                 op_kind=e["op_kind"],
                 w_q=bundle.tensor(e["weight_codes"]),
@@ -573,16 +589,16 @@ def _read_fusion(bundle, fusion) -> FusedModel:
                 z_r=int(e["z_r"]),
                 m0=np.array(e["m0"], dtype=np.int64),
                 shift=np.array(e["shift"], dtype=np.int64),
-                m_real=m_real,
-                bias_acc=bundle.tensor(e["bias_acc"]).astype(np.int64),
-                const_acc=bundle.tensor(e["const_acc"]).astype(np.int64),
+                # a safe cast: an accumulator blob of floats is a TypeError, not truncated
+                bias_acc=bundle.tensor(e["bias_acc"]).astype(np.int64, casting="safe"),
+                const_acc=bundle.tensor(e["const_acc"]).astype(np.int64, casting="safe"),
                 bitwidth=int(e["out_bits"]),
                 w_bits=int(e["w_bits"]),
                 in_bits=int(e["in_bits"]),
                 s_x=float(e["s_x"]),
-                s_w=s_w,
+                s_w=np.array(e["w_scales"], dtype=np.float64),
                 s_r=float(e["s_r"]),
-                alpha=alpha,
+                alpha=np.array(e["alpha"], dtype=np.float32),
                 beta_real=np.array(e["beta"], dtype=np.float64),
                 beta_rounding=beta_rounding,
                 kernel=int(e.get("kernel", 0)),

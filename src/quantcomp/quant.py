@@ -10,7 +10,7 @@ special case z = 2^(b-1), not a separate path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -134,8 +134,10 @@ def _broadcast_params(params: QuantParams, x):
 
 
 def quantize_uniform(x, params: QuantParams):
-    """Elementwise q = clip(round(x/s) + z, 0, 2^b - 1), half-to-even rounding."""
+    """Elementwise q = clip(round(x/s) + z, 0, 2^b - 1), half-to-even rounding; QuantError on NaN/Inf."""
     x = np.asarray(x, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise QuantError("non-finite input")
     s, z = _broadcast_params(params, x)
     q = np.round(x / s) + z
     return np.clip(q, 0, params.qmax).astype(code_dtype(params.bitwidth))
@@ -166,33 +168,3 @@ def quantize_weights_per_channel(w, bitwidth):
     params = QuantParams(bitwidth, "per_channel", scales, zps)
     return quantize_uniform(w, params), params
 
-
-@dataclass
-class Log2Params:
-    """Log-domain codes: x_hat = sign * max_abs * 2^(-code); sign 0 encodes exact zeros."""
-
-    bitwidth: int
-    max_abs: float
-    signs: np.ndarray = field(repr=False)
-
-
-def quantize_log2(x, bitwidth):
-    """code = clip(round(-log2(|x| / max|x|)), 0, 2^b - 1), sign tracked separately."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.size == 0:
-        raise QuantError("empty tensor")
-    max_abs = float(np.abs(x).max())
-    if max_abs == 0.0:
-        raise QuantError("all-zero tensor has no log2 representation")
-    qmax = 2**bitwidth - 1
-    with np.errstate(divide="ignore"):
-        mag = -np.log2(np.abs(x) / max_abs)
-    codes = np.clip(np.round(mag), 0, qmax)
-    codes = np.where(np.isfinite(mag), codes, qmax)
-    signs = np.sign(x).astype(np.int8)
-    return codes.astype(code_dtype(bitwidth)), Log2Params(bitwidth, max_abs, signs)
-
-
-def dequantize_log2(codes, params: Log2Params):
-    codes = np.asarray(codes, dtype=np.float64)
-    return (params.signs * params.max_abs * np.exp2(-codes)).astype(np.float32)

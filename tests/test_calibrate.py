@@ -176,10 +176,19 @@ class TestFusion:
         x = make_dataset(TASK, 0)[2][:200]
         rt = fused_runtime(fused)
         fx, trace = run_int_model(rt, x, trace=InferenceTrace())
-        ex, _ = run_int_model(rt, x, mode="exact")
-        s_out = comp.manifest["quantization"]["layers"]["4"]["out_scale"]
         assert trace.float_mul_count == 0
-        assert np.abs(fx - ex).max() <= s_out + 1e-9  # fixed-point vs exact multiplier: <= 1 step
+        seen = []
+
+        def tap(i, x_q, acc, layer):
+            seen.append(i)
+            # fixed-point (M0, shift) vs the real multiplier alpha S_x S_W / S_r: <= 1 step per layer
+            m = layer.alpha.astype(np.float64) * intengine.accumulator_scale(layer.s_x, layer.s_w) / layer.s_r
+            want = np.clip(layer.z_r + intengine.round_half_away(m[None, :] * acc), 0, 2**layer.bitwidth - 1)
+            assert np.abs(intengine.requantize(acc, layer).astype(np.int64) - want).max() <= 1
+            return layer
+
+        tapped = intengine._interpret(rt, x, InferenceTrace(), tap=tap)
+        assert seen == [0, 2, 4] and np.array_equal(tapped, fx)
 
     def test_unrounded_mode_uses_float_and_flags_trace(self, model_f, calib):
         cfg = CalibrationConfig(sample_count=128, weight_bits=4, act_bits=4, beta_rounding=False)

@@ -289,6 +289,21 @@ def _drop_first_m0(mf):
     del next(e for e in mf["fusion"]["entries"] if e["kind"] == "param")["m0"]
 
 
+def _cut_first_m0(mf):
+    entry = next(e for e in mf["fusion"]["entries"] if e["kind"] == "param")
+    entry["m0"] = entry["m0"][:2]
+
+
+def _f32_weight_codes(src, dst):
+    from quantcomp.refnet import ModelBundle, save_bundle
+
+    b = load_bundle(src)
+    manifest = json.loads(json.dumps(b.manifest))
+    manifest["tensors"]["layer0.wq"]["kind"] = "f32"
+    blobs = dict(b.blobs, **{"layer0.wq": b.blobs["layer0.wq"].astype(np.float32)})
+    return save_bundle(ModelBundle(manifest, blobs), dst)
+
+
 def _transpose_first_weight(mf):
     mf["tensors"]["layer0.weight"]["shape"].reverse()
 
@@ -315,7 +330,16 @@ class TestNamedErrors:
 
     @pytest.mark.parametrize(
         "case",
-        ["weight_bits_1", "percentile_0.3", "fused_without_m0", "avgpool_kernel_0", "transposed_weight", "truncated_manifest"],
+        [
+            "weight_bits_1",
+            "percentile_0.3",
+            "fused_without_m0",
+            "fused_short_m0",
+            "fused_f32_weight_codes",
+            "avgpool_kernel_0",
+            "transposed_weight",
+            "truncated_manifest",
+        ],
     )
     def test_exits_two_without_traceback(self, workspace, tmp_path, case):
         if case == "weight_bits_1":
@@ -325,6 +349,10 @@ class TestNamedErrors:
             want = "percentile"
         elif case == "fused_without_m0":
             argv, want = ["eval", edit_manifest(workspace / "fused", tmp_path / "b", _drop_first_m0)], "m0"
+        elif case == "fused_short_m0":
+            argv, want = ["eval", edit_manifest(workspace / "fused", tmp_path / "b", _cut_first_m0)], "m0 has shape (2,)"
+        elif case == "fused_f32_weight_codes":
+            argv, want = ["eval", _f32_weight_codes(workspace / "fused", tmp_path / "b")], "weight codes are float32"
         elif case == "avgpool_kernel_0":
             edit_manifest(_avgpool_bundle(tmp_path / "pool"), tmp_path / "b", _avgpool_kernel_zero)
             argv, want = ["quantize", tmp_path / "b", "--out", tmp_path / "o"], "avgpool"
@@ -337,7 +365,7 @@ class TestNamedErrors:
         proc = run_subprocess(*argv)
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error:") and want in proc.stderr
-        assert "Traceback" not in proc.stderr
+        assert "Traceback" not in proc.stderr and len(proc.stderr.splitlines()) == 1
 
     def test_sample_count_beyond_pool(self, workspace, tmp_path, capsys):
         code = run(
@@ -356,6 +384,20 @@ class TestNamedErrors:
         assert code == 2
         assert "need 5000 calibration samples, pool has 1200" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("sizes", [["--sizes", "32,5000", "--sample-count", "64"], ["--sample-count", "5000"]])
+    def test_ablate_size_beyond_pool(self, tmp_path, capsys, sizes):
+        small = ["--classes", "3", "--dim", "2", "--train-n", "100", "--test-n", "50", "--hidden", "4"]
+        code = run("ablate", *small, "--axis", "size", *sizes, "--seeds", "1", "--out-dir", tmp_path)
+        assert code == 2
+        assert "need 5000 calibration samples, pool has 100" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--hidden", "8,x"), ("--sizes", "32,x")])
+    def test_ablate_bad_integer_list_is_usage_error(self, tmp_path, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["ablate", flag, value, "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert f"invalid int_list value: '{value}'" in capsys.readouterr().err
 
     def test_fit_on_unquantized_bundle(self, workspace, tmp_path, capsys):
         code = run("compensate", workspace / "float", workspace / "float", "--out", tmp_path / "x")

@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from quantcomp.calibrate import CalibrationConfig, calibrate_model, calibration_pool, fuse_model
+from quantcomp.calibrate import CalibrationConfig, CalibrationError, calibrate_model, calibration_pool, fuse_model
 from quantcomp.evalbench import (
     EvalReport,
     ablate_beta_rounding,
@@ -103,7 +103,7 @@ class TestReports:
         assert len(longrows) > 10
 
     def test_size_exceeding_pool_rejected(self):
-        with pytest.raises(ValueError, match="pool"):
+        with pytest.raises(CalibrationError, match="pool"):
             ablate_calibration_size([10**6], FAST_CFG, SMALL, seeds=[0])
 
     def test_non_finite_cell_rejected(self):

@@ -111,7 +111,6 @@ def simple_layer(w_q, z_w, z_x, z_r, m, bias=None, bits=8, s_x=1.0, s_w=None, s_
         z_r=z_r,
         m0=np.array([p[0] for p in pairs], dtype=np.int64),
         shift=np.array([p[1] for p in pairs], dtype=np.int64),
-        m_real=m,
         bias_acc=bias,
         const_acc=const,
         bitwidth=bits,
@@ -180,10 +179,8 @@ class TestAccumulate:
         trace = InferenceTrace()
         integer_accumulate(np.array([[1.0, 2.0]]).astype(np.int64), layer, trace=trace)
         assert trace.float_mul_count == 0
-        trace2 = InferenceTrace()
         with pytest.raises(EngineError):
-            integer_accumulate(np.array([[1.5, 2.5]]), layer, trace=trace2)
-        assert trace2.float_mul_count > 0
+            integer_accumulate(np.array([[1.5, 2.5]]), layer, trace=trace)
 
 
 class TestRequantize:
@@ -232,7 +229,7 @@ class TestFuseLayer:
         assert np.array_equal(plain.m0, comp.m0) and np.array_equal(plain.shift, comp.shift)
         assert np.array_equal(plain.bias_acc, comp.bias_acc)
         want_m = accumulator_scale(act_in.s, wp.scales) / out.s
-        assert np.allclose(plain.m_real, want_m, rtol=1e-12)
+        assert np.all(np.abs(decode_multiplier(plain.m0, plain.shift) - want_m) <= want_m * 2.0**-31)
 
     def test_gain_two_doubles_multiplier(self):
         rng = np.random.default_rng(4)
@@ -240,7 +237,8 @@ class TestFuseLayer:
         plain = fuse_layer(w_q, np.zeros(4), act_in, wp, out, None)
         comp = ChannelAffineParams(np.full(4, 2.0, np.float32), np.zeros(4, np.float32), np.zeros(4, bool))
         fused = fuse_layer(w_q, np.zeros(4), act_in, wp, out, comp)
-        assert np.allclose(fused.m_real, 2.0 * plain.m_real, rtol=1e-12)
+        # doubling a multiplier keeps its mantissa and takes one off its shift
+        assert np.array_equal(fused.m0, plain.m0) and np.array_equal(fused.shift, plain.shift - 1)
         assert np.array_equal(fused.bias_acc, plain.bias_acc)
 
     def test_rejects_nonpositive_alpha(self):
@@ -302,48 +300,30 @@ class TestFuseLayer:
             ref = np.clip(z_r + round_half_away((alpha * y_real + beta) / s_r), 0, 2**bits - 1)
             assert np.abs(got - ref).max() <= 1
 
-    def test_exact_mode_matches_explicit_path_away_from_ties(self):
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            c_in, c_out, bits = 8, 5, 8
-            w = rng.standard_normal((c_out, c_in))
-            x = rng.uniform(-1, 1, (32, c_in))
-            w_q, wp = quantize_weights_per_channel(w, bits)
-            xp = tensor_params(x, bits)
-            yp = tensor_params(x @ w.T, bits)
-            act_in = IntActivationParams(*xp.scalar(), bits)
-            out = IntActivationParams(*yp.scalar(), bits)
-            alpha = rng.uniform(0.5, 2.0, c_out).astype(np.float32)
-            beta = rng.uniform(-1, 1, c_out).astype(np.float32)
-            comp = ChannelAffineParams(alpha, beta, np.zeros(c_out, bool))
-            fused = fuse_layer(w_q, np.zeros(c_out), act_in, wp, out, comp)
-            x_q = quantize_uniform(x, xp)
-            acc = integer_accumulate(x_q, fused)
-            exact = requantize(acc, fused, mode="exact").astype(np.int64)
-            # explicit alpha application on the same integer accumulator
-            scaled = (fused.alpha.astype(np.float64) * accumulator_scale(act_in.s, wp.scales) / out.s)[
-                None, :
-            ] * acc
-            not_tie = np.abs(scaled - np.floor(scaled) - 0.5) > 1e-9
-            explicit = np.clip(out.z + round_half_away(fused.m_real[None, :] * acc), 0, 255).astype(np.int64)
-            assert np.array_equal(exact[not_tie], explicit[not_tie])
-
-    def test_fixedpoint_vs_exact_within_one_step(self):
-        rng = np.random.default_rng(10)
-        for _ in range(30):
-            c_in, c_out, bits = 10, 6, 8
-            w = rng.standard_normal((c_out, c_in))
-            x = rng.uniform(-2, 2, (64, c_in))
-            w_q, wp = quantize_weights_per_channel(w, bits)
-            xp = tensor_params(x, bits)
-            yp = tensor_params(x @ w.T, bits)
-            fused = fuse_layer(
-                w_q, np.zeros(c_out), IntActivationParams(*xp.scalar(), bits), wp, IntActivationParams(*yp.scalar(), bits), None
-            )
-            acc = integer_accumulate(quantize_uniform(x, xp), fused)
-            fx = requantize(acc, fused).astype(np.int64)
-            ex = requantize(acc, fused, mode="exact").astype(np.int64)
-            assert np.abs(fx - ex).max() <= 1
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        bits=st.integers(2, 8),
+        c_in=st.integers(1, 16),
+        c_out=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_fixedpoint_vs_exact_within_one_step(self, bits, c_in, c_out, seed):
+        # the engine's (M0, shift) requantization vs the real multiplier m = alpha S_x S_W / S_r
+        rng = np.random.default_rng(seed)
+        qmax = 2**bits - 1
+        w_q = rng.integers(0, qmax + 1, (c_out, c_in)).astype(code_dtype(bits))
+        wp = QuantParams(bits, "per_channel", 2.0 ** rng.uniform(-12, 0, c_out), rng.integers(0, qmax + 1, c_out))
+        act_in = IntActivationParams(2.0 ** rng.uniform(-8, 0), int(rng.integers(0, qmax + 1)), bits)
+        out = IntActivationParams(2.0 ** rng.uniform(-8, 2), int(rng.integers(0, qmax + 1)), bits)
+        alpha = rng.uniform(0.25, 4.0, c_out).astype(np.float32)
+        comp = ChannelAffineParams(alpha, np.zeros(c_out, np.float32), np.zeros(c_out, bool))
+        fused = fuse_layer(w_q, np.zeros(c_out), act_in, wp, out, comp)
+        m = alpha.astype(np.float64) * accumulator_scale(act_in.s, wp.scales) / out.s
+        assert np.all(np.abs(decode_multiplier(fused.m0, fused.shift) - m) <= m * 2.0**-31)
+        acc = integer_accumulate(rng.integers(0, qmax + 1, (64, c_in)).astype(code_dtype(bits)), fused)
+        got = requantize(acc, fused).astype(np.int64)
+        want = np.clip(out.z + round_half_away(m[None, :] * acc), 0, qmax)
+        assert np.abs(got - want).max() <= 1
 
     def test_symmetric_weight_specialization(self):
         # Z_W = 0 must flow through the general path unchanged
@@ -485,15 +465,6 @@ class TestExactAccumulate:
             integer_accumulate(np.zeros((1, 4), dtype=np.uint16), wide)
 
 
-class TestTraceCounters:
-    def test_bools_and_floats_count_integers_do_not(self):
-        trace = InferenceTrace()
-        trace.require_integer(np.zeros(3, np.uint8), np.zeros(2, np.int64), np.zeros(4, np.uint16))
-        assert trace.float_mul_count == 0
-        trace.require_integer(np.zeros(5, bool), np.zeros(2, np.float32))
-        assert trace.float_mul_count == 7
-
-
 class TestGeluTable:
     def test_table_matches_real_gelu_on_grid(self):
         s, z, bits = 0.05, 40, 8
@@ -538,6 +509,94 @@ class TestFusionSectionOwner:
         manifest["fusion"]["entries"][0]["m0"] = [[1], [2, 3]]
         with pytest.raises(EngineError, match="malformed fusion section"):
             fused_runtime(ModelBundle(manifest, fused.blobs))
+
+    @pytest.mark.parametrize("field", ["m0", "shift", "w_scales", "w_zero_points", "alpha", "beta"])
+    def test_short_per_channel_list_fails_at_load(self, field):
+        from quantcomp.intengine import fused_runtime
+        from quantcomp.refnet import ModelBundle
+
+        fused = self._fused()
+        manifest = json.loads(json.dumps(fused.manifest))
+        entry = manifest["fusion"]["entries"][0]
+        assert len(entry[field]) == 6
+        entry[field] = entry[field][:2]
+        with pytest.raises(EngineError, match=f"layer 0: .* has shape \\(2,\\), layer has 6 output channels"):
+            fused_runtime(ModelBundle(manifest, fused.blobs))
+
+    @pytest.mark.parametrize("field, value", [("m0", 2**29), ("m0", 2**40), ("shift", 0), ("shift", 70)])
+    def test_multiplier_outside_encoding_fails_at_load(self, field, value):
+        from quantcomp.intengine import fused_runtime
+        from quantcomp.refnet import ModelBundle
+
+        fused = self._fused()
+        manifest = json.loads(json.dumps(fused.manifest))
+        manifest["fusion"]["entries"][0][field] = [value] * 6
+        with pytest.raises(EngineError, match="layer 0: multiplier"):
+            fused_runtime(ModelBundle(manifest, fused.blobs))
+
+    def test_multiplier_with_shift_zero_fails_at_build(self):
+        from quantcomp.intengine import FusedEntry, FusedModel
+
+        # encode_multiplier emits shift 0 for m just below 2^30, which fixed_point_multiply cannot round
+        grid = IntActivationParams(1.0, 0, 8)
+        wp = QuantParams(8, "per_channel", np.ones(1), np.zeros(1))
+        out = IntActivationParams(2.0**-30 / (1 - 2.0**-40), 0, 8)
+        layer = fuse_layer(np.zeros((1, 1), dtype=np.uint8), np.zeros(1), grid, wp, out)
+        assert (layer.m0[0], layer.shift[0]) == (2**30, 0)
+        with pytest.raises(EngineError, match="layer 0: multiplier"):
+            FusedModel(grid, [FusedEntry("param", layer=layer)], out)
+        pool = FusedEntry("avgpool", kernel=2, stride=2, pool_m0=2**30, pool_shift=0)
+        with pytest.raises(EngineError, match="layer 0: multiplier"):
+            FusedModel(grid, [pool], grid)
+
+    @pytest.mark.parametrize("blob", ["layer0.wq", "layer0.bias_acc"])
+    def test_float_blob_fails_at_load(self, blob):
+        from quantcomp.intengine import fused_runtime
+        from quantcomp.refnet import ModelBundle
+
+        fused = self._fused()
+        blobs = dict(fused.blobs, **{blob: fused.blobs[blob].astype(np.float32)})
+        with pytest.raises(EngineError):
+            fused_runtime(ModelBundle(fused.manifest, blobs))
+
+    @pytest.mark.parametrize("table", ["short", "float", "out_of_range"])
+    def test_bad_gelu_table_fails_at_build(self, table):
+        from quantcomp.calibrate import build_fused_model, quantize_model
+        from quantcomp.intengine import FusedModel
+        from quantcomp.refnet import build_mlp
+
+        m = build_mlp((4, 6, 3), activation="gelu", rng=np.random.default_rng(0))
+        x = np.random.default_rng(1).standard_normal((32, 4)).astype(np.float32)
+        model = build_fused_model(quantize_model(m, x, 4, 4))
+        gelu_entry = model.entries[1]
+        assert gelu_entry.kind == "gelu" and gelu_entry.lut.shape == (16,)
+        gelu_entry.lut = {
+            "short": gelu_entry.lut[:8],
+            "float": gelu_entry.lut.astype(np.float64),
+            "out_of_range": np.full(16, 16, dtype=np.uint8),
+        }[table]
+        with pytest.raises(EngineError, match="layer 1: gelu table"):
+            FusedModel(model.input_params, model.entries, model.output_params)
+
+    def test_float_weight_codes_fail_in_build_fused_model(self):
+        from quantcomp.calibrate import build_fused_model, quantize_model
+        from quantcomp.refnet import ModelBundle, build_mlp
+
+        m = build_mlp((4, 6, 3), rng=np.random.default_rng(0))
+        q = quantize_model(m, np.random.default_rng(1).standard_normal((32, 4)).astype(np.float32), 4, 4)
+        blobs = dict(q.blobs, **{"layer0.wq": q.blobs["layer0.wq"].astype(np.float32)})
+        with pytest.raises(EngineError, match="layer 0: weight codes are float32"):
+            build_fused_model(ModelBundle(q.manifest, blobs))
+
+    def test_non_finite_input_is_quant_error(self):
+        from quantcomp.intengine import fused_runtime, run_int_model
+        from quantcomp.quant import QuantError
+
+        model = fused_runtime(self._fused())
+        x = np.zeros((3, 4), dtype=np.float32)
+        x[1, 2] = np.nan
+        with pytest.raises(QuantError, match="non-finite"):
+            run_int_model(model, x)
 
     def test_input_grid_built_once(self):
         from quantcomp.intengine import IntActivationParams

@@ -1,8 +1,10 @@
-"""Source-layout rules: each manifest section has one owning module, and no module keeps dead imports.
+"""Source-layout rules: each manifest section has one owning module, and no module keeps dead imports or exports.
 
 ``refnet`` owns ``layers``/``tensors``/``metadata``, ``calibrate`` owns
 ``quantization``/``compensation`` and ``intengine`` owns ``fusion``; the CLI
-and the ablation harness reach a bundle only through those owners.
+and the ablation harness reach a bundle only through those owners.  The
+package root re-exports only names that the package itself, the benchmark or
+the demos use.
 """
 
 import ast
@@ -11,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "quantcomp"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "quantcomp"
 SECTION_ACCESS = re.compile(r'qsec|csec|\["(quantization|compensation|fusion|task|entries|stats|layers)"\]')
 
 
@@ -53,3 +56,36 @@ def test_cli_main_holds_the_only_except():
     main = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main")
     handlers = [n for n in ast.walk(tree) if isinstance(n, ast.ExceptHandler)]
     assert handlers and all(h in set(ast.walk(main)) for h in handlers)
+
+
+def _referenced_names(path):
+    """Every identifier a file names: variables, attributes and imported names."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_export_has_a_caller():
+    exports = [
+        (node.module, alias.name)
+        for node in ast.parse((SRC / "__init__.py").read_text()).body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    ]
+    assert exports
+    outside = set()
+    for path in [*ROOT.glob("bench/**/*.py"), *ROOT.glob("demos/*.py")]:
+        outside |= _referenced_names(path)
+    in_src = {p.stem: _referenced_names(p) for p in SRC.glob("*.py") if p.name != "__init__.py"}
+    unused = [
+        f"{module}.{name}"
+        for module, name in exports
+        if name not in outside and not any(name in names for stem, names in in_src.items() if stem != module)
+    ]
+    assert unused == []

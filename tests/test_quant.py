@@ -3,7 +3,6 @@ import pytest
 
 from quantcomp.quant import (
     DEGENERATE_SCALE,
-    Log2Params,
     QuantError,
     QuantParams,
     RangeEstimator,
@@ -11,8 +10,6 @@ from quantcomp.quant import (
     code_dtype,
     compute_affine_params,
     dequantize,
-    dequantize_log2,
-    quantize_log2,
     quantize_uniform,
     quantize_weights_per_channel,
     tensor_params,
@@ -79,6 +76,12 @@ class TestQuantizeDequantize:
         p = tensor_params(np.array([0.0, 1.0]), 4)
         assert quantize_uniform(np.array([99.0]), p)[0] == 15
         assert quantize_uniform(np.array([-99.0]), p)[0] == 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        p = tensor_params(np.array([0.0, 1.0]), 8)
+        with pytest.raises(QuantError, match="non-finite"):
+            quantize_uniform(np.array([0.5, bad]), p)
 
     def test_zero_point_dequantizes_to_zero(self):
         p = tensor_params(np.array([-2.0, 2.0]), 8)
@@ -175,34 +178,3 @@ class TestPerChannelWeights:
         with pytest.raises(QuantError, match="non-finite"):
             quantize_weights_per_channel(w, 8)
 
-
-class TestLog2:
-    def test_max_is_code_zero_exact(self):
-        x = np.array([4.0, 2.0, 1.0])
-        codes, p = quantize_log2(x, 4)
-        assert codes[0] == 0
-        assert dequantize_log2(codes, p)[0] == 4.0
-
-    def test_half_max_is_code_one_exact(self):
-        x = np.array([4.0, 2.0])
-        codes, p = quantize_log2(x, 4)
-        assert codes[1] == 1
-        assert dequantize_log2(codes, p)[1] == 2.0
-
-    def test_signs_and_zeros(self):
-        x = np.array([-4.0, 0.0, 4.0])
-        codes, p = quantize_log2(x, 3)
-        recon = dequantize_log2(codes, p)
-        assert recon[0] == -4.0 and recon[1] == 0.0 and recon[2] == 4.0
-
-    def test_within_one_octave(self):
-        rng = np.random.default_rng(7)
-        x = rng.uniform(0.01, 1.0, 300)
-        codes, p = quantize_log2(x, 8)
-        recon = dequantize_log2(codes, p)
-        ratio = recon / x
-        assert np.all(ratio <= np.sqrt(2) + 1e-9) and np.all(ratio >= 1 / np.sqrt(2) - 1e-9)
-
-    def test_all_zero_rejected(self):
-        with pytest.raises(QuantError):
-            quantize_log2(np.zeros(5), 4)
