@@ -34,7 +34,7 @@ from .calibrate import (
     write_fit_csv,
 )
 from .evalbench import accuracy
-from .intengine import EngineError, InferenceTrace, fused_runtime, run_int_model
+from .intengine import EngineError, InferenceTrace, dump_fused, fused_runtime, run_int_model
 from .quant import QuantError, RangeEstimator
 from .refnet import (
     BundleError,
@@ -277,29 +277,8 @@ def cmd_ablate(args):
 def cmd_dump_fused(args):
     model = fused_runtime(load_bundle(args.bundle))
     with open(_out_path(args.out), "w") if args.out else contextlib.nullcontext(sys.stdout) as out:
-        print(f"beta_rounding: {model.beta_rounding}", file=out)
-        print(f"input: scale={model.input_params.s} zero_point={model.input_params.z}", file=out)
-        for i, e in enumerate(model.entries):
-            if e.kind == "param":
-                _dump_layer(i, e.layer, out)
-            elif e.kind == "relu":
-                print(f"[relu] z={e.z}", file=out)
-            elif e.kind == "gelu":
-                print(f"[gelu] lut: {e.lut.tolist()}", file=out)
-            elif e.kind == "avgpool":
-                print(f"[avgpool] kernel={e.kernel} stride={e.stride} m0={e.pool_m0} shift={e.pool_shift}", file=out)
-            else:
-                print(f"[{e.kind}]", file=out)
+        dump_fused(model, out)
     return 0
-
-
-def _dump_layer(i, layer, out):
-    print(f"[{layer.op_kind}] layer {i}", file=out)
-    print(f"  weight_codes: shape={list(layer.w_q.shape)} bits={layer.w_bits}", file=out)
-    names = {"w_scales": "s_w", "w_zero_points": "z_w", "beta": "beta_real"}  # printed name -> field
-    for name in ("m0", "shift", "w_scales", "w_zero_points", "alpha", "beta", "bias_acc", "const_acc"):
-        print(f"  {name}: {getattr(layer, names.get(name, name)).tolist()}", file=out)
-    print(f"  z_x={layer.z_x} z_r={layer.z_r} s_x={layer.s_x} s_r={layer.s_r}", file=out)
 
 
 def build_parser():
@@ -356,7 +335,8 @@ def build_parser():
     a.add_argument("--check", action="store_true")
     a.set_defaults(func=cmd_ablate)
 
-    d = sub.add_parser("dump-fused", help="emit fused parameters as text")
+    what = "print a fused bundle as the engine loads it: its grids, then each entry's record keys, one per line"
+    d = sub.add_parser("dump-fused", help=what, description=what)
     d.add_argument("bundle")
     d.add_argument("--out")
     d.set_defaults(func=cmd_dump_fused)

@@ -177,7 +177,7 @@ def run_cell(task: TaskSpec, seed: int, config: CalibrationConfig, pool=None, mo
         "model_bits": sizes["model_bits"],
         "delta_scalars": sizes["delta_scalars"],
         "delta_bits": sizes["delta_bits"],
-        "float_mul_count": trace.float_mul_count if config.beta_rounding else 0,
+        "float_mul_count": trace.float_mul_count,
     }
     return row
 
@@ -244,8 +244,7 @@ def figure1b_report(model_f: ModelBundle, bitwidth: int, sample_count=512, seed=
     """
     estimator = estimator or RangeEstimator()
     cfg = CalibrationConfig(sample_count=sample_count, weight_bits=bitwidth, act_bits=bitwidth, seed=seed, estimator=estimator)
-    pool = calibration_pool(model_f, cfg)
-    fit_x = pool[:sample_count]
+    fit_x = calibration_sets(cfg, calibration_pool(model_f, cfg))[0]
     qbundle = quantize_model(model_f, fit_x, bitwidth, bitwidth, estimator)
     pairs = collect_pairs(model_f, qbundle, fit_x, capture_inputs=True)
     rows = []

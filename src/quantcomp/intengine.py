@@ -31,14 +31,20 @@ requantizes as ``Z_r + round((S_x S_W[c] acc_c alpha_c + beta_c) / S_r)``.
 That real-valued form is also the float-assisted simulation that calibration
 fits on: ``calibrate.sim_forward`` runs a model built unrounded through this
 module's interpreter, so the unrounded engine and the simulation are one
-code path.  The ``fusion`` manifest section is written and read only here.
+code path.
 
 The no-float-in-kernels contract is static, so it is checked once, when a
-``FusedModel`` is built: weight codes are integers, every per-channel array
+``FusedModel`` is built: every entry is a kind the engine runs, conv2d and
+avgpool windows are sound, weight codes are integers, every per-channel array
 has one entry per output channel, every (M0, shift) lies in the encoding's
 range, and every gelu table maps each code of its input grid to a code.
 The input is quantized to codes and every step maps codes to codes, so no
 kernel of a checked model sees a float.
+
+The ``fusion`` manifest section is written, read and printed only here, and
+one table declares its record layout: ``FUSED_RECORDS`` lists, per entry
+kind, each record key, the attribute that holds it and how it is stored.
+The writer, the reader, ``dump_fused`` and the per-channel check all follow it.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ import numpy as np
 
 from .compensate import ChannelAffineParams, identity_compensation
 from .quant import QuantParams, code_dtype, quantize_uniform
-from .refnet import ModelBundle, gelu, im2col
+from .refnet import PARAM_OPS, ModelBundle, gelu, im2col
 
 INT32_MIN = -(2**31)
 INT32_MAX = 2**31 - 1
@@ -372,7 +378,7 @@ def build_gelu_table(s, z, bitwidth, s_out=None, z_out=None):
 class FusedEntry:
     """One step of the integer forward: a fused layer or a code-domain op."""
 
-    kind: str  # param | relu | gelu | avgpool | flatten
+    kind: str  # a key of FUSED_RECORDS: param | relu | gelu | avgpool | flatten
     layer: FusedLayerParams | None = None
     z: int = 0  # grid zero-point for relu
     lut: np.ndarray | None = None  # gelu table
@@ -382,11 +388,109 @@ class FusedEntry:
     pool_shift: int = 0
 
 
+@dataclass(frozen=True)
+class RecordKey:
+    """One key of a fused record, the attribute that holds it, and how the ``fusion`` section stores it.
+
+    ``form`` is ``scalar`` (inline, converted with ``dtype``), ``channels`` (an
+    inline per-channel list, read back as a ``dtype`` array), ``acc`` (a
+    per-channel blob written as i32 and read back to i64 through a safe cast,
+    so a blob of floats fails instead of truncating), ``blob`` (an array blob
+    kept as built) or ``index`` (the entry's position, held by no attribute).
+    A blob is named ``blob.format(i=entry index)``.  Only a key with a
+    ``default`` may be missing from a record.
+    """
+
+    key: str
+    attr: str | None  # of FusedLayerParams in a param record, else of FusedEntry
+    form: str
+    dtype: type | None = None
+    blob: str = ""
+    default: int | None = None
+
+    def write(self, i, holder, blobs):
+        """This key's manifest value for entry ``i``; a blob it names goes into ``blobs``."""
+        if self.form == "index":
+            return i
+        value = getattr(holder, self.attr)
+        if self.form in ("acc", "blob"):
+            name = self.blob.format(i=i)
+            blobs[name] = value.astype(np.int32) if self.form == "acc" else value
+            return name
+        return self.dtype(value) if self.form == "scalar" else np.asarray(value, dtype=self.dtype).tolist()
+
+    def read(self, record, bundle):
+        """The attribute value that ``record`` stores under this key."""
+        raw = record[self.key] if self.default is None else record.get(self.key, self.default)
+        if self.form in ("acc", "blob"):
+            blob = bundle.tensor(raw)
+            return blob.astype(np.int64, casting="safe") if self.form == "acc" else blob
+        return self.dtype(raw) if self.form == "scalar" else np.array(raw, dtype=self.dtype)
+
+    def show(self, i, holder):
+        """This key's value for entry ``i`` as ``dump_fused`` prints it."""
+        value = i if self.form == "index" else getattr(holder, self.attr)
+        if self.form == "blob":
+            return f"shape={list(value.shape)} dtype={value.dtype}"
+        return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+# The one declaration of the fused record: per entry kind, its keys in order.
+# Every kind's record also holds its ``kind``; a param record's layer shares
+# the fusion section's ``beta_rounding``.
+FUSED_RECORDS = {
+    "param": (
+        RecordKey("layer_index", None, "index"),
+        RecordKey("op_kind", "op_kind", "scalar", str),
+        RecordKey("weight_codes", "w_q", "blob", blob="layer{i}.wq"),
+        RecordKey("w_bits", "w_bits", "scalar", int),
+        RecordKey("w_scales", "s_w", "channels", np.float64),
+        RecordKey("w_zero_points", "z_w", "channels", np.int64),
+        RecordKey("s_x", "s_x", "scalar", float),
+        RecordKey("z_x", "z_x", "scalar", int),
+        RecordKey("in_bits", "in_bits", "scalar", int),
+        RecordKey("s_r", "s_r", "scalar", float),
+        RecordKey("z_r", "z_r", "scalar", int),
+        RecordKey("out_bits", "bitwidth", "scalar", int),
+        RecordKey("m0", "m0", "channels", np.int64),
+        RecordKey("shift", "shift", "channels", np.int64),
+        RecordKey("bias_acc", "bias_acc", "acc", blob="layer{i}.bias_acc"),
+        RecordKey("const_acc", "const_acc", "acc", blob="layer{i}.const_acc"),
+        RecordKey("alpha", "alpha", "channels", np.float32),
+        RecordKey("beta", "beta_real", "channels", np.float64),
+        RecordKey("kernel", "kernel", "scalar", int, default=0),
+        RecordKey("stride", "stride", "scalar", int, default=1),
+        RecordKey("pad", "pad", "scalar", int, default=0),
+    ),
+    "relu": (RecordKey("z", "z", "scalar", int),),
+    "gelu": (RecordKey("table", "lut", "blob", blob="entry{i}.gelu_lut"),),
+    "avgpool": (
+        RecordKey("kernel", "kernel", "scalar", int),
+        RecordKey("stride", "stride", "scalar", int),
+        RecordKey("m0", "pool_m0", "scalar", int),
+        RecordKey("shift", "pool_shift", "scalar", int),
+    ),
+    "flatten": (),
+}
+_PER_CHANNEL_KEYS = tuple(k for k in FUSED_RECORDS["param"] if k.form in ("channels", "acc"))
+
+
+def _holder(entry: FusedEntry):
+    """The object whose attributes ``FUSED_RECORDS[entry.kind]`` names."""
+    return entry.layer if entry.kind == "param" else entry
+
+
 def _check_encoding(i, m0, shift):
     """EngineError unless M0 in [2^30, 2^31) and 1 <= shift <= 63, the inputs ``fixed_point_multiply`` rounds right."""
     m0, shift = np.asarray(m0), np.asarray(shift)
     if not (np.all((m0 >= 2**30) & (m0 < 2**31)) and np.all((shift >= 1) & (shift <= 63))):
         raise EngineError(f"layer {i}: multiplier (m0, shift) outside the fixed-point encoding")
+
+
+def _check_window(i, op, kernel, stride, pad=0):
+    """EngineError unless a conv2d or avgpool window has kernel >= 1, stride >= 1 and pad >= 0."""
+    if kernel < 1 or stride < 1 or pad < 0:
+        raise EngineError(f"layer {i}: {op} needs kernel >= 1, stride >= 1, pad >= 0; got {kernel}, {stride}, {pad}")
 
 
 @dataclass
@@ -398,22 +502,28 @@ class FusedModel:
     output_params: IntActivationParams
 
     def __post_init__(self):
-        """EngineError unless every kernel of this model is fed integer codes of the right length."""
+        """EngineError unless every entry is a known kind on a sound window, fed integer codes of the right length."""
         bits = self.input_params.bitwidth
         for i, entry in enumerate(self.entries):
+            if entry.kind not in FUSED_RECORDS:
+                raise EngineError(f"layer {i}: unknown fused entry kind {entry.kind!r}")
             if entry.kind == "param":
                 layer = entry.layer
+                if layer.op_kind not in PARAM_OPS:
+                    raise EngineError(f"layer {i}: param op_kind must be one of {PARAM_OPS}, got {layer.op_kind!r}")
+                if layer.op_kind == "conv2d":
+                    _check_window(i, "conv2d", layer.kernel, layer.stride, layer.pad)
                 if layer.w_q.dtype.kind not in "iu":
                     raise EngineError(f"layer {i}: weight codes are {layer.w_q.dtype}, not integers")
-                for name in ("z_w", "m0", "shift", "bias_acc", "const_acc", "s_w", "alpha", "beta_real"):
-                    if np.shape(getattr(layer, name)) != (layer.out_channels,):
-                        raise EngineError(
-                            f"layer {i}: {name} has shape {np.shape(getattr(layer, name))}, "
-                            f"layer has {layer.out_channels} output channels"
-                        )
+                n = layer.out_channels
+                for k in _PER_CHANNEL_KEYS:
+                    if np.shape(getattr(layer, k.attr)) != (n,):
+                        shape = np.shape(getattr(layer, k.attr))
+                        raise EngineError(f"layer {i}: {k.key} has shape {shape}, layer has {n} output channels")
                 _check_encoding(i, layer.m0, layer.shift)
                 bits = layer.bitwidth
             elif entry.kind == "avgpool":
+                _check_window(i, "avgpool", entry.kernel, entry.stride)
                 _check_encoding(i, entry.pool_m0, entry.pool_shift)
             elif entry.kind == "gelu":
                 lut = entry.lut
@@ -466,8 +576,6 @@ def _interpret(model: FusedModel, x, trace: InferenceTrace, tap=None):
             x_q = np.moveaxis(pooled.reshape(n, h_out, w_out, c), 3, 1).astype(x_q.dtype)
         elif entry.kind == "flatten":
             x_q = x_q.reshape(x_q.shape[0], -1)
-        else:
-            raise EngineError(f"unknown fused entry kind {entry.kind!r}")
     p = model.output_params
     return ((x_q.astype(np.float64) - p.z) * p.s).astype(np.float32)
 
@@ -487,72 +595,26 @@ def run_int_model(model: FusedModel, x, trace: InferenceTrace | None = None):
 # ---------------------------------------------------------------------------
 # bundle <-> runtime
 
-# The fused bundle stores, per param layer: the weight-code blob, i32 bias/const
-# accumulator blobs, (M0, shift) arrays, zero-points, scales, and the fitted
-# alpha/beta; activations store their grid constants.  _fused_bundle() writes
-# the ``fusion`` section and fused_runtime() reads it back.
+# _fused_bundle() writes the ``fusion`` section, fused_runtime() reads it back
+# and dump_fused() prints a loaded model: all three, and the per-channel check
+# of FusedModel, follow FUSED_RECORDS.
 
 
 def _grid_manifest(p: IntActivationParams):
     return {"scale": float(p.s), "zero_point": int(p.z), "bitwidth": p.bitwidth}
 
 
+def _read_grid(g) -> IntActivationParams:
+    return IntActivationParams(float(g["scale"]), int(g["zero_point"]), int(g["bitwidth"]))
+
+
 def _fused_bundle(bundle: ModelBundle, model: FusedModel, beta_rounding: bool) -> ModelBundle:
     """``bundle`` plus a ``fusion`` section serializing ``model`` and the blobs it names."""
     blobs = {}
-
-    def store(name, array):
-        blobs[name] = array
-        return name
-
-    entries = []
-    for i, entry in enumerate(model.entries):
-        if entry.kind == "param":
-            layer = entry.layer
-            entries.append(
-                {
-                    "kind": "param",
-                    "layer_index": i,
-                    "op_kind": layer.op_kind,
-                    "weight_codes": store(f"layer{i}.wq", layer.w_q),
-                    "w_bits": int(layer.w_bits),
-                    "w_scales": [float(v) for v in layer.s_w],
-                    "w_zero_points": [int(v) for v in layer.z_w],
-                    "s_x": float(layer.s_x),
-                    "z_x": int(layer.z_x),
-                    "in_bits": int(layer.in_bits),
-                    "s_r": float(layer.s_r),
-                    "z_r": int(layer.z_r),
-                    "out_bits": int(layer.bitwidth),
-                    "m0": [int(v) for v in layer.m0],
-                    "shift": [int(v) for v in layer.shift],
-                    "bias_acc": store(f"layer{i}.bias_acc", layer.bias_acc.astype(np.int32)),
-                    "const_acc": store(f"layer{i}.const_acc", layer.const_acc.astype(np.int32)),
-                    "alpha": [float(v) for v in layer.alpha],
-                    "beta": [float(v) for v in layer.beta_real],
-                    "kernel": int(layer.kernel),
-                    "stride": int(layer.stride),
-                    "pad": int(layer.pad),
-                }
-            )
-        elif entry.kind == "relu":
-            entries.append({"kind": "relu", "z": int(entry.z)})
-        elif entry.kind == "gelu":
-            entries.append({"kind": "gelu", "table": store(f"entry{i}.gelu_lut", entry.lut)})
-        elif entry.kind == "avgpool":
-            entries.append(
-                {
-                    "kind": "avgpool",
-                    "kernel": int(entry.kernel),
-                    "stride": int(entry.stride),
-                    "m0": int(entry.pool_m0),
-                    "shift": int(entry.pool_shift),
-                }
-            )
-        elif entry.kind == "flatten":
-            entries.append({"kind": "flatten"})
-        else:
-            raise EngineError(f"unknown fused entry kind {entry.kind!r}")
+    entries = [
+        {"kind": e.kind, **{k.key: k.write(i, _holder(e), blobs) for k in FUSED_RECORDS[e.kind]}}
+        for i, e in enumerate(model.entries)
+    ]
     fusion = {
         "beta_rounding": beta_rounding,
         "input": _grid_manifest(model.input_params),
@@ -568,62 +630,32 @@ def fused_runtime(bundle) -> FusedModel:
     if fusion is None:
         raise EngineError("bundle has no fusion section; run fuse first")
     try:
-        return _read_fusion(bundle, fusion)
-    except (KeyError, TypeError, ValueError) as e:  # a field missing or of the wrong type
+        beta_rounding = bool(fusion["beta_rounding"])
+        entries = []
+        for e in fusion["entries"]:
+            kind = e["kind"]
+            # a kind the table does not list reads as a bare entry, which FusedModel rejects
+            values = {k.attr: k.read(e, bundle) for k in FUSED_RECORDS.get(kind, ()) if k.attr}
+            if kind == "param":
+                entries.append(FusedEntry(kind, layer=FusedLayerParams(**values, beta_rounding=beta_rounding)))
+            else:
+                entries.append(FusedEntry(kind, **values))
+        return FusedModel(_read_grid(fusion["input"]), entries, _read_grid(fusion["output"]))
+    except (KeyError, TypeError, ValueError) as e:  # a key missing or a value of the wrong type
         raise EngineError(f"malformed fusion section: {type(e).__name__} {e}") from e
 
 
-def _read_fusion(bundle, fusion) -> FusedModel:
-    beta_rounding = bool(fusion["beta_rounding"])
-    inp = fusion["input"]
-    input_params = IntActivationParams(float(inp["scale"]), int(inp["zero_point"]), int(inp["bitwidth"]))
-    entries = []
-    for e in fusion["entries"]:
-        kind = e["kind"]
-        if kind == "param":
-            layer = FusedLayerParams(
-                op_kind=e["op_kind"],
-                w_q=bundle.tensor(e["weight_codes"]),
-                z_w=np.array(e["w_zero_points"], dtype=np.int64),
-                z_x=int(e["z_x"]),
-                z_r=int(e["z_r"]),
-                m0=np.array(e["m0"], dtype=np.int64),
-                shift=np.array(e["shift"], dtype=np.int64),
-                # a safe cast: an accumulator blob of floats is a TypeError, not truncated
-                bias_acc=bundle.tensor(e["bias_acc"]).astype(np.int64, casting="safe"),
-                const_acc=bundle.tensor(e["const_acc"]).astype(np.int64, casting="safe"),
-                bitwidth=int(e["out_bits"]),
-                w_bits=int(e["w_bits"]),
-                in_bits=int(e["in_bits"]),
-                s_x=float(e["s_x"]),
-                s_w=np.array(e["w_scales"], dtype=np.float64),
-                s_r=float(e["s_r"]),
-                alpha=np.array(e["alpha"], dtype=np.float32),
-                beta_real=np.array(e["beta"], dtype=np.float64),
-                beta_rounding=beta_rounding,
-                kernel=int(e.get("kernel", 0)),
-                stride=int(e.get("stride", 1)),
-                pad=int(e.get("pad", 0)),
-            )
-            entries.append(FusedEntry("param", layer=layer))
-        elif kind == "relu":
-            entries.append(FusedEntry("relu", z=int(e["z"])))
-        elif kind == "gelu":
-            entries.append(FusedEntry("gelu", lut=bundle.tensor(e["table"])))
-        elif kind == "avgpool":
-            entries.append(
-                FusedEntry(
-                    "avgpool",
-                    kernel=int(e["kernel"]),
-                    stride=int(e["stride"]),
-                    pool_m0=int(e["m0"]),
-                    pool_shift=int(e["shift"]),
-                )
-            )
-        elif kind == "flatten":
-            entries.append(FusedEntry("flatten"))
-        else:
-            raise EngineError(f"unknown fused entry kind {kind!r} in manifest")
-    outp = fusion["output"]
-    output_params = IntActivationParams(float(outp["scale"]), int(outp["zero_point"]), int(outp["bitwidth"]))
-    return FusedModel(input_params=input_params, entries=entries, output_params=output_params)
+def dump_fused(model: FusedModel, file):
+    """Print ``model`` to ``file`` as text: its grids, then one block per entry with one line per record key.
+
+    Per-channel arrays print in full and a blob as its shape and dtype; the
+    values are the loaded engine's, whatever spelling the manifest used.
+    """
+    print(f"beta_rounding: {model.beta_rounding}", file=file)
+    for name, grid in (("input", model.input_params), ("output", model.output_params)):
+        print(f"{name}: " + " ".join(f"{k}={v}" for k, v in _grid_manifest(grid).items()), file=file)
+    for i, entry in enumerate(model.entries):
+        holder = _holder(entry)
+        print(f"[{holder.op_kind if entry.kind == 'param' else entry.kind}] layer {i}", file=file)
+        for k in FUSED_RECORDS[entry.kind]:
+            print(f"  {k.key}: {k.show(i, holder)}", file=file)

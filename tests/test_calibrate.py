@@ -490,3 +490,82 @@ class TestOwnerChecks:
         with pytest.raises(CalibrationError, match="2 \\* sample_count"):
             calibrate_model(model_f, cfg, calib[:127])
         calibrate_model(model_f, cfg, calib[:128])
+
+
+# the record keys of each fused entry kind, as the ``fusion`` section stores them
+FUSED_RECORD_KEYS = {
+    "param": {
+        "kind", "layer_index", "op_kind", "weight_codes", "w_bits", "w_scales", "w_zero_points", "s_x", "z_x",
+        "in_bits", "s_r", "z_r", "out_bits", "m0", "shift", "bias_acc", "const_acc", "alpha", "beta", "kernel",
+        "stride", "pad",
+    },
+    "relu": {"kind", "z"},
+    "gelu": {"kind", "table"},
+    "avgpool": {"kind", "kernel", "stride", "m0", "shift"},
+    "flatten": {"kind"},
+}
+
+
+@pytest.fixture(scope="module")
+def conv_gelu_comp():
+    model, pool = _conv_gelu_model()
+    return calibrate_model(model, CalibrationConfig(sample_count=64, weight_bits=8, act_bits=8), pool)
+
+
+def _assert_same_fields(a, b, where):
+    """Dataclasses ``a`` and ``b`` hold equal fields: arrays by dtype, shape and bytes, the rest by type and value."""
+    import dataclasses
+
+    assert type(a) is type(b), where
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        at = f"{where}.{f.name}"
+        if dataclasses.is_dataclass(x):
+            _assert_same_fields(x, y, at)
+        elif isinstance(x, np.ndarray):
+            assert isinstance(y, np.ndarray) and (x.dtype, x.shape) == (y.dtype, y.shape), at
+            assert x.tobytes() == y.tobytes(), at
+        else:
+            assert (type(x), x) == (type(y), y), at
+
+
+class TestFusedRecord:
+    @pytest.mark.parametrize("beta_rounding", [True, False])
+    def test_bundle_round_trip_rebuilds_the_model_field_for_field(self, conv_gelu_comp, beta_rounding):
+        comp = conv_gelu_comp
+        built = calibrate.build_fused_model(comp, compensation_params(comp), beta_rounding)
+        read = fused_runtime(fuse_model(comp, beta_rounding=beta_rounding))
+        assert [e.kind for e in built.entries] == ["param", "relu", "param", "gelu", "avgpool", "flatten", "param"]
+        _assert_same_fields(built.input_params, read.input_params, "input_params")
+        _assert_same_fields(built.output_params, read.output_params, "output_params")
+        assert len(built.entries) == len(read.entries)
+        for i, (b, r) in enumerate(zip(built.entries, read.entries)):
+            _assert_same_fields(b, r, f"entries[{i}]")
+
+    def test_record_keys_of_every_kind(self, conv_gelu_comp):
+        records = fuse_model(conv_gelu_comp).manifest["fusion"]["entries"]
+        assert {r["kind"] for r in records} == set(FUSED_RECORD_KEYS)
+        for r in records:
+            assert set(r) == FUSED_RECORD_KEYS[r["kind"]], r["kind"]
+
+    def test_dump_fused_prints_every_record_key(self, conv_gelu_comp, tmp_path, capsys):
+        from quantcomp.cli import main
+        from quantcomp.refnet import save_bundle
+
+        fused = fuse_model(conv_gelu_comp)
+        assert main(["dump-fused", str(save_bundle(fused, tmp_path / "fused"))]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "beta_rounding: True"
+        assert lines[1].startswith("input: scale=") and lines[2].startswith("output: scale=")
+        blocks = []
+        for line in lines[3:]:
+            if line.startswith("["):
+                blocks.append((line, []))
+            else:
+                assert line.startswith("  ") and ": " in line, line
+                blocks[-1][1].append(line.strip().split(": ", 1)[0])
+        records = fused.manifest["fusion"]["entries"]
+        assert len(blocks) == len(records)
+        for i, ((header, keys), record) in enumerate(zip(blocks, records)):
+            assert header == f"[{record.get('op_kind', record['kind'])}] layer {i}"
+            assert keys == [k for k in record if k != "kind"]

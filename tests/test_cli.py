@@ -294,6 +294,10 @@ def _cut_first_m0(mf):
     entry["m0"] = entry["m0"][:2]
 
 
+def _dense_first_param(mf):
+    next(e for e in mf["fusion"]["entries"] if e["kind"] == "param")["op_kind"] = "dense"
+
+
 def _f32_weight_codes(src, dst):
     from quantcomp.refnet import ModelBundle, save_bundle
 
@@ -336,6 +340,7 @@ class TestNamedErrors:
             "fused_without_m0",
             "fused_short_m0",
             "fused_f32_weight_codes",
+            "fused_unknown_op_kind",
             "avgpool_kernel_0",
             "transposed_weight",
             "truncated_manifest",
@@ -353,6 +358,8 @@ class TestNamedErrors:
             argv, want = ["eval", edit_manifest(workspace / "fused", tmp_path / "b", _cut_first_m0)], "m0 has shape (2,)"
         elif case == "fused_f32_weight_codes":
             argv, want = ["eval", _f32_weight_codes(workspace / "fused", tmp_path / "b")], "weight codes are float32"
+        elif case == "fused_unknown_op_kind":
+            argv, want = ["eval", edit_manifest(workspace / "fused", tmp_path / "b", _dense_first_param)], "op_kind"
         elif case == "avgpool_kernel_0":
             edit_manifest(_avgpool_bundle(tmp_path / "pool"), tmp_path / "b", _avgpool_kernel_zero)
             argv, want = ["quantize", tmp_path / "b", "--out", tmp_path / "o"], "avgpool"

@@ -89,6 +89,8 @@ class TestReports:
         assert len(rep.rows) == 2
         rounded = rep.where(beta_rounding=True)[0]
         assert rounded["float_mul_count"] == 0
+        # the unrounded cell requantizes its real offsets in f64, and the row reports it
+        assert rep.where(beta_rounding=False)[0]["float_mul_count"] > 0
 
     def test_csv_wide_and_long(self, tmp_path):
         rep = ablate_calibration_size([32, 64], FAST_CFG, SMALL, seeds=[0])
@@ -138,6 +140,12 @@ class TestFigure1b:
         m = train_synthetic(square_task(), 0, epochs=60, min_accuracy=0.0)
         rows = figure1b_report(m, 4, sample_count=128)
         assert len(rows) == 3  # 16->16, 16->16, 16->16 all square
+
+    def test_sample_count_beyond_pool_rejected(self):
+        task = TaskSpec(classes=3, dim=4, train_n=200, test_n=50, hidden=(4, 4))
+        m = train_synthetic(task, 0, epochs=5, min_accuracy=0.0)
+        with pytest.raises(CalibrationError, match="need 100000 calibration samples, pool has 200"):
+            figure1b_report(m, 4, sample_count=100000)
 
     def test_presets_shape(self):
         assert blob_task().kind == "blobs"

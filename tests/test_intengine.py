@@ -500,6 +500,17 @@ class TestFusionSectionOwner:
         with pytest.raises(EngineError, match=f"malformed fusion section: KeyError '{field}'"):
             fused_runtime(ModelBundle(manifest, fused.blobs))
 
+    def test_window_keys_optional_on_read(self):
+        from quantcomp.intengine import fused_runtime
+        from quantcomp.refnet import ModelBundle
+
+        fused = self._fused()
+        manifest = json.loads(json.dumps(fused.manifest))
+        for key in ("kernel", "stride", "pad"):
+            del manifest["fusion"]["entries"][0][key]
+        layer = fused_runtime(ModelBundle(manifest, fused.blobs)).entries[0].layer
+        assert (layer.kernel, layer.stride, layer.pad) == (0, 1, 0)
+
     def test_malformed_value_is_engine_error(self):
         from quantcomp.intengine import EngineError, fused_runtime
         from quantcomp.refnet import ModelBundle
@@ -587,6 +598,44 @@ class TestFusionSectionOwner:
         blobs = dict(q.blobs, **{"layer0.wq": q.blobs["layer0.wq"].astype(np.float32)})
         with pytest.raises(EngineError, match="layer 0: weight codes are float32"):
             build_fused_model(ModelBundle(q.manifest, blobs))
+
+    def _fused_conv(self):
+        from quantcomp.calibrate import CalibrationConfig, calibrate_model, fuse_model
+        from quantcomp.refnet import LayerSpec, build_from_layers
+
+        rng = np.random.default_rng(0)
+        w_conv = rng.standard_normal((2, 1, 3, 3)).astype(np.float32)
+        w_fc = rng.standard_normal((3, 8)).astype(np.float32)
+        layers = [
+            LayerSpec("conv2d", 1, 2, weight=w_conv, bias=np.zeros(2, np.float32), kernel=3, pad=1),
+            LayerSpec("avgpool", kernel=2, stride=2),
+            LayerSpec("flatten"),
+            LayerSpec("linear", 8, 3, weight=w_fc, bias=np.zeros(3, np.float32)),
+        ]
+        x = rng.standard_normal((32, 1, 4, 4)).astype(np.float32)
+        return fuse_model(calibrate_model(build_from_layers(layers, (1, 4, 4)), CalibrationConfig(sample_count=32), x))
+
+    @pytest.mark.parametrize(
+        "entry, field, value, want",
+        [
+            (0, "op_kind", "dense", "layer 0: param op_kind must be one of"),
+            (0, "stride", 0, "layer 0: conv2d needs kernel >= 1, stride >= 1, pad >= 0; got 3, 0, 1"),
+            (0, "kernel", 0, "layer 0: conv2d needs"),
+            (0, "pad", -1, "layer 0: conv2d needs"),
+            (1, "stride", 0, "layer 1: avgpool needs kernel >= 1, stride >= 1, pad >= 0; got 2, 0, 0"),
+            (1, "kernel", 0, "layer 1: avgpool needs"),
+            (1, "kind", "maxpool", "layer 1: unknown fused entry kind 'maxpool'"),
+        ],
+    )
+    def test_bad_record_fails_at_load(self, entry, field, value, want):
+        from quantcomp.intengine import fused_runtime
+        from quantcomp.refnet import ModelBundle
+
+        fused = self._fused_conv()
+        manifest = json.loads(json.dumps(fused.manifest))
+        manifest["fusion"]["entries"][entry][field] = value
+        with pytest.raises(EngineError, match=want):
+            fused_runtime(ModelBundle(manifest, fused.blobs))
 
     def test_non_finite_input_is_quant_error(self):
         from quantcomp.intengine import fused_runtime, run_int_model

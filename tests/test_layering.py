@@ -2,16 +2,20 @@
 
 ``refnet`` owns ``layers``/``tensors``/``metadata``, ``calibrate`` owns
 ``quantization``/``compensation`` and ``intengine`` owns ``fusion``; the CLI
-and the ablation harness reach a bundle only through those owners.  The
+and the ablation harness reach a bundle only through those owners, and name
+no field of the fused layout (``FusedLayerParams``, ``FusedEntry``).  The
 package root re-exports only names that the package itself, the benchmark or
 the demos use.
 """
 
 import ast
+import dataclasses
 import re
 from pathlib import Path
 
 import pytest
+
+from quantcomp.intengine import FusedEntry, FusedLayerParams
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "quantcomp"
@@ -25,6 +29,19 @@ def test_no_direct_section_access(name):
         for n, line in enumerate((SRC / name).read_text().splitlines(), 1)
         if SECTION_ACCESS.search(line)
     ]
+    assert hits == []
+
+
+@pytest.mark.parametrize("name", ["cli.py", "evalbench.py"])
+def test_no_fused_field_access(name):
+    # the fused layout stays behind intengine; ``kind`` and ``beta_rounding`` are also
+    # FusedModel's and argparse's own names
+    fields = {f.name for cls in (FusedEntry, FusedLayerParams) for f in dataclasses.fields(cls)}
+    fields -= {"kind", "beta_rounding"}
+    tree = ast.parse((SRC / name).read_text())
+    hits = sorted(
+        f"{name}:{n.lineno}: .{n.attr}" for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr in fields
+    )
     assert hits == []
 
 
