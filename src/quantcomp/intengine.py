@@ -26,6 +26,18 @@ summation order can round.  A hand-assembled layer over 2^53 raises
 from ``float_mul_count``: they are exact integer arithmetic on the host, not
 a claim about what deployment hardware runs.
 
+Codes with spatial extent travel channels-last (NHWC), the layout integer
+engines use so that a patch copy moves contiguous channel runs.  The
+interpreter transposes the quantized (N, C, H, W) input once.  A conv2d
+builds its patch matrix with ``im2col(..., channels_last=True)``, whose rows
+order their columns (k, k, C_in), and consumes its weight in the same
+(C_out, k, k, C_in) order through ``FusedLayerParams.w_centred``; the GEMM's
+(N*H_out*W_out, C_out) result is NHWC as it stands.  avgpool sums its k*k
+strided slices in i64.  flatten restores NCHW order before it reshapes, and
+so does the interpreter for a 4-D result, so linear weights, the fused record
+and the bundle on disk keep the float model's NCHW layout.  The GEMM is exact
+in any summation order, so the layout moves no bit.
+
 A layer fused with ``beta_rounding=False`` keeps the offset real and
 requantizes as ``Z_r + round((S_x S_W[c] acc_c alpha_c + beta_c) / S_r)``.
 That real-valued form is also the float-assisted simulation that calibration
@@ -56,7 +68,7 @@ import numpy as np
 
 from .compensate import ChannelAffineParams, identity_compensation
 from .quant import QuantParams, code_dtype, quantize_uniform
-from .refnet import PARAM_OPS, ModelBundle, gelu, im2col
+from .refnet import PARAM_OPS, ModelBundle, gelu, im2col, window_positions
 
 INT32_MIN = -(2**31)
 INT32_MAX = 2**31 - 1
@@ -180,8 +192,13 @@ class FusedLayerParams:
 
     @cached_property
     def w_centred(self):
-        """(W_q - Z_W) as f64 (C_out, C_eff), built on first use; EngineError if f64 GEMMs could round."""
-        w = self.w_q.reshape(self.out_channels, -1).astype(np.int64) - self.z_w[:, None]
+        """(W_q - Z_W) as f64 (C_out, C_eff), built on first use; EngineError if f64 GEMMs could round.
+
+        A conv2d weight is permuted to (C_out, k, k, C_in) first, the column
+        order of the engine's channels-last patches.
+        """
+        w_q = self.w_q.transpose(0, 2, 3, 1) if self.op_kind == "conv2d" else self.w_q
+        w = w_q.reshape(self.out_channels, -1).astype(np.int64) - self.z_w[:, None]
         w = w.astype(np.float64)
         # every partial sum of x_q @ w.T is bounded by qmax_in * max_c sum_j |w[c, j]|;
         # integers up to 2^53 are exact in f64, so no summation order can round
@@ -419,13 +436,20 @@ class RecordKey:
             return name
         return self.dtype(value) if self.form == "scalar" else np.asarray(value, dtype=self.dtype).tolist()
 
-    def read(self, record, bundle):
-        """The attribute value that ``record`` stores under this key."""
+    def read(self, i, record, bundle):
+        """The attribute value that entry ``i``'s ``record`` stores under this key.
+
+        An integer key rejects a number with a fractional part instead of
+        truncating it; an integral float such as ``8.0`` reads as ``8``.
+        """
         raw = record[self.key] if self.default is None else record.get(self.key, self.default)
         if self.form in ("acc", "blob"):
             blob = bundle.tensor(raw)
             return blob.astype(np.int64, casting="safe") if self.form == "acc" else blob
-        return self.dtype(raw) if self.form == "scalar" else np.array(raw, dtype=self.dtype)
+        value = self.dtype(raw) if self.form == "scalar" else np.array(raw, dtype=self.dtype)
+        if self.dtype in (int, np.int64) and (value.tolist() if self.form == "channels" else value) != raw:
+            raise EngineError(f"layer {i}: {self.key} must hold integers, got {raw!r}")
+        return value
 
     def show(self, i, holder):
         """This key's value for entry ``i`` as ``dump_fused`` prints it."""
@@ -540,8 +564,9 @@ def _run_param_entry(i, layer, x_q, trace, tap):
     if layer.op_kind == "linear":
         rows = x_q
     else:
-        # conv2d: im2col on the code dtype, pad with the input zero-point, one GEMM per position
-        cols, h_out, w_out = im2col(x_q, layer.kernel, layer.stride, layer.pad, pad_value=layer.z_x)
+        # conv2d on NHWC codes: (k, k, C) patches on the code dtype, padded with the
+        # input zero-point; the GEMM's (N*H_out*W_out, C_out) result is already NHWC
+        cols, h_out, w_out = im2col(x_q, layer.kernel, layer.stride, layer.pad, pad_value=layer.z_x, channels_last=True)
         rows = cols.reshape(x_q.shape[0] * h_out * w_out, -1)
     acc = integer_accumulate(rows, layer, trace=trace)
     if tap is not None:
@@ -549,7 +574,25 @@ def _run_param_entry(i, layer, x_q, trace, tap):
     r = requantize(acc, layer, trace=trace)
     if layer.op_kind == "linear":
         return r
-    return np.moveaxis(r.reshape(x_q.shape[0], h_out, w_out, layer.out_channels), 3, 1)
+    return r.reshape(x_q.shape[0], h_out, w_out, layer.out_channels)
+
+
+def _avgpool_codes(entry, x_q):
+    """Average pooling of NHWC codes: k*k strided slices summed in i64, then the fixed-point 1/k^2."""
+    k, s = entry.kernel, entry.stride
+    n, h, w, c = x_q.shape
+    h_out, w_out = window_positions(h, w, k, s, 0)
+    h_span, w_span = s * (h_out - 1) + 1, s * (w_out - 1) + 1
+    sums = np.zeros((n, h_out, w_out, c), dtype=np.int64)
+    for di in range(k):
+        for dj in range(k):
+            sums += x_q[:, di : di + h_span : s, dj : dj + w_span : s]
+    return fixed_point_multiply(sums, entry.pool_m0, entry.pool_shift).astype(x_q.dtype)
+
+
+def _nchw(x_q):
+    """NHWC codes back in NCHW order (a view); codes of any other rank unchanged."""
+    return x_q.transpose(0, 3, 1, 2) if x_q.ndim == 4 else x_q
 
 
 def _interpret(model: FusedModel, x, trace: InferenceTrace, tap=None):
@@ -558,9 +601,15 @@ def _interpret(model: FusedModel, x, trace: InferenceTrace, tap=None):
     ``tap(i, x_q, acc, layer)``, when given, sees each param entry's input
     codes and i32 accumulators and returns the layer to requantize them with;
     the fitting-time simulation captures and overrides compensation through it.
+    A linear entry's ``x_q`` is its (N, C_in) matrix; a conv2d entry's is
+    (N, H, W, C_in), NHWC, and its ``acc`` rows run over (n, h_out, w_out).
+    4-D codes stay NHWC from the input to the last entry or a flatten; the
+    result is NCHW.
     """
     x = np.asarray(x, dtype=np.float32)
     x_q = quantize_uniform(x, model.input_params.quant_params)
+    if x_q.ndim == 4:
+        x_q = x_q.transpose(0, 2, 3, 1)  # 4-D codes travel NHWC between entries
     for i, entry in enumerate(model.entries):
         if entry.kind == "param":
             x_q = _run_param_entry(i, entry.layer, x_q, trace, tap)
@@ -569,13 +618,10 @@ def _interpret(model: FusedModel, x, trace: InferenceTrace, tap=None):
         elif entry.kind == "gelu":
             x_q = entry.lut[x_q]
         elif entry.kind == "avgpool":
-            cols, h_out, w_out = im2col(x_q, entry.kernel, entry.stride, 0)
-            n, c = x_q.shape[0], x_q.shape[1]
-            sums = cols.reshape(n, h_out * w_out, c, entry.kernel * entry.kernel).sum(axis=3, dtype=np.int64)
-            pooled = fixed_point_multiply(sums, entry.pool_m0, entry.pool_shift)
-            x_q = np.moveaxis(pooled.reshape(n, h_out, w_out, c), 3, 1).astype(x_q.dtype)
+            x_q = _avgpool_codes(entry, x_q)
         elif entry.kind == "flatten":
-            x_q = x_q.reshape(x_q.shape[0], -1)
+            x_q = _nchw(x_q).reshape(x_q.shape[0], -1)
+    x_q = _nchw(x_q)
     p = model.output_params
     return ((x_q.astype(np.float64) - p.z) * p.s).astype(np.float32)
 
@@ -632,10 +678,10 @@ def fused_runtime(bundle) -> FusedModel:
     try:
         beta_rounding = bool(fusion["beta_rounding"])
         entries = []
-        for e in fusion["entries"]:
+        for i, e in enumerate(fusion["entries"]):
             kind = e["kind"]
             # a kind the table does not list reads as a bare entry, which FusedModel rejects
-            values = {k.attr: k.read(e, bundle) for k in FUSED_RECORDS.get(kind, ()) if k.attr}
+            values = {k.attr: k.read(i, e, bundle) for k in FUSED_RECORDS.get(kind, ()) if k.attr}
             if kind == "param":
                 entries.append(FusedEntry(kind, layer=FusedLayerParams(**values, beta_rounding=beta_rounding)))
             else:

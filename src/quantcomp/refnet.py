@@ -8,11 +8,12 @@ little-endian ``.bin`` blob per tensor.  In memory it is a :class:`ModelBundle`
 from __future__ import annotations
 
 import json
+import shutil
+import uuid
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 FORMAT_VERSION = 1
 
@@ -154,27 +155,40 @@ def gelu_grad(x):
     return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * c * (1.0 + 3 * 0.044715 * x**2)
 
 
-def im2col(x, kernel, stride, pad, pad_value=0.0):
-    """(N, C, H, W) -> (N, P, C*k*k) patch matrix, P = H_out*W_out.
-
-    The matrix is C-contiguous and has the input's dtype, so the integer path
-    extracts patches on its u8/u16 codes.  ``pad_value`` lets it pad with the
-    zero-point code.
-    """
-    n, c, h, w = x.shape
+def window_positions(h, w, kernel, stride, pad):
+    """(H_out, W_out) of a kernel sliding over an H x W map; ``ShapeError`` if it has no position."""
     h_out = (h + 2 * pad - kernel) // stride + 1
     w_out = (w + 2 * pad - kernel) // stride + 1
     if h_out < 1 or w_out < 1:
-        raise ShapeError(f"conv geometry leaves no output positions for input {x.shape}")
-    if pad:
-        xp = np.full((n, c, h + 2 * pad, w + 2 * pad), pad_value, dtype=x.dtype)
-        xp[:, :, pad : pad + h, pad : pad + w] = x
-    else:
-        xp = x
-    # (N, C, H_out, W_out, k, k) view -> one C-ordered copy as (N, H_out, W_out, C, k, k)
-    windows = sliding_window_view(xp, (kernel, kernel), axis=(2, 3))[:, :, ::stride, ::stride]
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).copy().reshape(n, h_out * w_out, c * kernel * kernel)
-    return cols, h_out, w_out
+        raise ShapeError(f"conv geometry leaves no output positions on a {h}x{w} input")
+    return h_out, w_out
+
+
+def im2col(x, kernel, stride, pad, pad_value=0.0, channels_last=False):
+    """4-D input -> (N, P, C*k*k) patch matrix, P = H_out*W_out; returns (cols, H_out, W_out).
+
+    By default ``x`` is (N, C, H, W) and each row orders its columns (C, k, k),
+    as a (C_out, C, k, k) weight reshapes: the float path's layout.  With
+    ``channels_last`` ``x`` is (N, H, W, C) and the columns are (k, k, C), the
+    integer engine's layout.  Both fill the matrix the same way: the input
+    is padded into a channels-last copy, then one strided slice copy per
+    kernel offset moves C values for every output position.  The matrix is
+    C-contiguous and has the input's dtype, so the integer path extracts
+    patches on its u8/u16 codes; ``pad_value`` lets it pad with the
+    zero-point code.
+    """
+    x_hwc = x if channels_last else x.transpose(0, 2, 3, 1)
+    n, h, w, c = x_hwc.shape
+    h_out, w_out = window_positions(h, w, kernel, stride, pad)
+    xp = np.full((n, h + 2 * pad, w + 2 * pad, c), pad_value, dtype=x.dtype)
+    xp[:, pad : pad + h, pad : pad + w] = x_hwc
+    cols = np.empty((n, h_out, w_out) + ((kernel, kernel, c) if channels_last else (c, kernel, kernel)), x.dtype)
+    dst = cols if channels_last else cols.transpose(0, 1, 2, 4, 5, 3)  # (N, H_out, W_out, k, k, C) either way
+    h_span, w_span = stride * (h_out - 1) + 1, stride * (w_out - 1) + 1
+    for di in range(kernel):
+        for dj in range(kernel):
+            dst[:, :, :, di, dj] = xp[:, di : di + h_span : stride, dj : dj + w_span : stride]
+    return cols.reshape(n, h_out * w_out, c * kernel * kernel), h_out, w_out
 
 
 def layer_forward(layer: LayerSpec, x, index=None):
@@ -315,10 +329,10 @@ def validate_bundle(bundle: ModelBundle):
             if len(shape) != 3 or (op == "conv2d" and shape[0] != layer.in_channels):
                 raise BundleError(f"layer {i}: {op} input does not chain from {shape}")
             p = layer.pad if op == "conv2d" else 0  # the avgpool kernel never pads
-            h = (shape[1] + 2 * p - layer.kernel) // layer.stride + 1
-            w = (shape[2] + 2 * p - layer.kernel) // layer.stride + 1
-            if h < 1 or w < 1:
-                raise BundleError(f"layer {i}: {op} geometry leaves no output")
+            try:
+                h, w = window_positions(shape[1], shape[2], layer.kernel, layer.stride, p)
+            except ShapeError:
+                raise BundleError(f"layer {i}: {op} geometry leaves no output") from None
             shape = (layer.out_channels if op == "conv2d" else shape[0], h, w)
         elif op == "flatten":
             shape = (int(np.prod(shape)),)
@@ -330,19 +344,42 @@ def _blob_filename(name):
 
 
 def save_bundle(bundle: ModelBundle, path, force=False):
-    """Write manifest.json + raw little-endian blobs into a directory."""
+    """Write manifest.json + raw little-endian blobs into a directory.
+
+    The files are written into a new sibling directory, which then takes the
+    place of ``path``.  A bundle already there (``force``) is renamed aside
+    and removed only after the swap, so no stale blob of it survives, and a
+    write that fails midway leaves it as it was.  ``force`` replaces only a
+    directory that holds a bundle (a ``manifest.json``) or nothing.
+    """
     path = Path(path)
-    if path.exists() and any(path.iterdir()) and not force:
-        raise BundleError(f"output directory {path} exists and is not empty (use force)")
-    path.mkdir(parents=True, exist_ok=True)
-    manifest = json.loads(json.dumps(bundle.manifest))  # detach
-    for name, entry in manifest["tensors"].items():
-        entry["file"] = _blob_filename(name)
-        arr = bundle.blobs[name]
-        data = np.ascontiguousarray(arr.astype(arr.dtype.newbyteorder("<"), copy=False))
-        (path / entry["file"]).write_bytes(data.tobytes())
-    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    (path / "manifest.json").write_text(text)
+    if path.exists() and any(path.iterdir()):
+        if not force:
+            raise BundleError(f"output directory {path} exists and is not empty (use force)")
+        if not (path / "manifest.json").is_file():
+            raise BundleError(f"output directory {path} holds files but no bundle; force replaces only a bundle")
+    target = path.resolve()
+    target.parent.mkdir(parents=True, exist_ok=True)
+    staging = target.with_name(f".{target.name}.{uuid.uuid4().hex[:12]}.tmp")
+    staging.mkdir()
+    try:
+        manifest = json.loads(json.dumps(bundle.manifest))  # detach
+        for name, entry in manifest["tensors"].items():
+            entry["file"] = _blob_filename(name)
+            arr = bundle.blobs[name]
+            data = np.ascontiguousarray(arr.astype(arr.dtype.newbyteorder("<"), copy=False))
+            (staging / entry["file"]).write_bytes(data.tobytes())
+        (staging / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    except BaseException:
+        shutil.rmtree(staging, ignore_errors=True)
+        raise
+    if target.exists():
+        old = staging.with_suffix(".old")
+        target.rename(old)
+        staging.rename(target)
+        shutil.rmtree(old)
+    else:
+        staging.rename(target)
     return path
 
 

@@ -23,6 +23,7 @@ from quantcomp.intengine import (
     integer_accumulate,
     requantize,
     round_half_away,
+    run_int_model,
 )
 from quantcomp.quant import QuantParams, code_dtype, quantize_uniform, quantize_weights_per_channel, tensor_params
 from quantcomp.refnet import gelu
@@ -560,6 +561,40 @@ class TestFusionSectionOwner:
         with pytest.raises(EngineError, match="layer 0: multiplier"):
             FusedModel(grid, [pool], grid)
 
+    @pytest.mark.parametrize(
+        "entry, key, delta",
+        [(0, "z_x", 0.9), (0, "m0", 0.9), (0, "w_zero_points", 0.5), (1, "z", 0.25), (2, "out_bits", 0.5)],
+    )
+    def test_non_integral_number_in_integer_key_fails_at_load(self, entry, key, delta):
+        from quantcomp.intengine import fused_runtime
+        from quantcomp.refnet import ModelBundle
+
+        # before, int() truncated these: z_x 8.9 loaded as 8 and ran unchanged logits
+        fused = self._fused()
+        manifest = json.loads(json.dumps(fused.manifest))
+        record = manifest["fusion"]["entries"][entry]
+        if isinstance(record[key], list):
+            record[key][0] += delta
+        else:
+            record[key] += delta
+        with pytest.raises(EngineError, match=f"layer {entry}: {key} must hold integers"):
+            fused_runtime(ModelBundle(manifest, fused.blobs))
+
+    def test_integral_floats_in_integer_keys_load(self):
+        from quantcomp.intengine import fused_runtime
+        from quantcomp.refnet import ModelBundle
+
+        fused = self._fused()
+        manifest = json.loads(json.dumps(fused.manifest))
+        for record in manifest["fusion"]["entries"]:
+            for key in ("z_x", "m0", "shift", "z"):
+                if key in record:
+                    record[key] = np.asarray(record[key], dtype=np.float64).tolist()
+        got, want = fused_runtime(ModelBundle(manifest, fused.blobs)), fused_runtime(fused)
+        x = np.random.default_rng(2).standard_normal((16, 4)).astype(np.float32)
+        assert got.entries[0].layer.m0.dtype == np.int64 and got.entries[1].z == want.entries[1].z
+        assert run_int_model(got, x)[0].tobytes() == run_int_model(want, x)[0].tobytes()
+
     @pytest.mark.parametrize("blob", ["layer0.wq", "layer0.bias_acc"])
     def test_float_blob_fails_at_load(self, blob):
         from quantcomp.intengine import fused_runtime
@@ -653,3 +688,113 @@ class TestFusionSectionOwner:
         p = IntActivationParams(0.5, 3, 8)
         assert p.quant_params is p.quant_params
         assert p.quant_params.scalar() == (0.5, 3) and p.quant_params.bitwidth == 8
+
+
+def _nchw_reference(model, x):
+    """The integer forward on NCHW codes with (C, k, k) patches and int64 GEMMs, the engine's old layout."""
+    from quantcomp.refnet import im2col
+
+    x_q = quantize_uniform(np.asarray(x, dtype=np.float32), model.input_params.quant_params)
+    for e in model.entries:
+        if e.kind == "param":
+            layer = e.layer
+            w = layer.w_q.reshape(layer.out_channels, -1).astype(np.int64) - layer.z_w[:, None]
+            if layer.op_kind == "linear":
+                rows = x_q
+            else:
+                cols, h_out, w_out = im2col(x_q, layer.kernel, layer.stride, layer.pad, pad_value=layer.z_x)
+                rows = cols.reshape(-1, cols.shape[2])
+            r = requantize(rows.astype(np.int64) @ w.T + layer.const_acc + layer.bias_acc, layer)
+            if layer.op_kind == "conv2d":
+                r = np.moveaxis(r.reshape(x_q.shape[0], h_out, w_out, -1), 3, 1)
+            x_q = r
+        elif e.kind == "relu":
+            x_q = np.maximum(x_q, e.z).astype(x_q.dtype)
+        elif e.kind == "gelu":
+            x_q = e.lut[x_q]
+        elif e.kind == "avgpool":
+            cols, h_out, w_out = im2col(x_q, e.kernel, e.stride, 0)
+            n, c = x_q.shape[:2]
+            sums = cols.reshape(n, h_out * w_out, c, e.kernel**2).sum(axis=3, dtype=np.int64)
+            pooled = fixed_point_multiply(sums, e.pool_m0, e.pool_shift).astype(x_q.dtype)
+            x_q = np.moveaxis(pooled.reshape(n, h_out, w_out, c), 3, 1)
+        elif e.kind == "flatten":
+            x_q = x_q.reshape(x_q.shape[0], -1)
+    p = model.output_params
+    return ((x_q.astype(np.float64) - p.z) * p.s).astype(np.float32)
+
+
+@st.composite
+def _conv_graphs(draw):
+    """(layers, input shape, weight bits, activation bits, seed) of a small float conv net:
+    1-2 conv2d, each maybe followed by relu or gelu, maybe an avgpool, then nothing,
+    a flatten, or flatten + linear; bits in 2..8."""
+    from quantcomp.refnet import LayerSpec
+
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    c, h, w = draw(st.integers(1, 3)), draw(st.integers(3, 6)), draw(st.integers(3, 6))
+    shape, layers = (c, h, w), []
+    for _ in range(draw(st.integers(1, 2))):
+        k = draw(st.integers(1, min(3, h, w)))
+        s, p, c_out = draw(st.integers(1, 3)), draw(st.integers(0, 2)), draw(st.integers(1, 4))
+        weight = (rng.standard_normal((c_out, c, k, k)) * 0.5).astype(np.float32)
+        bias = (rng.standard_normal(c_out) * 0.1).astype(np.float32)
+        layers.append(LayerSpec("conv2d", c, c_out, weight=weight, bias=bias, kernel=k, stride=s, pad=p))
+        c, h, w = c_out, (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
+        act = draw(st.sampled_from([None, "relu", "gelu"]))
+        if act:
+            layers.append(LayerSpec(act))
+    if draw(st.booleans()):
+        k, s = draw(st.integers(1, min(2, h, w))), draw(st.integers(1, 2))
+        layers.append(LayerSpec("avgpool", kernel=k, stride=s))
+        h, w = (h - k) // s + 1, (w - k) // s + 1
+    tail = draw(st.sampled_from(["none", "flatten", "linear"]))
+    if tail != "none":
+        layers.append(LayerSpec("flatten"))
+    if tail == "linear":
+        c_out = draw(st.integers(1, 4))
+        weight = (rng.standard_normal((c_out, c * h * w)) * 0.3).astype(np.float32)
+        layers.append(LayerSpec("linear", c * h * w, c_out, weight=weight, bias=np.zeros(c_out, np.float32)))
+    return layers, shape, draw(st.integers(2, 8)), draw(st.integers(2, 8)), seed
+
+
+class TestChannelsLastEngine:
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(_conv_graphs())
+    def test_matches_nchw_oracles(self, graph):
+        from quantcomp import intengine
+        from quantcomp.calibrate import CalibrationConfig, calibrate_model, compensation_params, fuse_model, sim_forward
+        from quantcomp.intengine import fused_runtime
+        from quantcomp.refnet import build_from_layers, im2col, validate_bundle
+
+        layers, shape, w_bits, a_bits, seed = graph
+        rng = np.random.default_rng([seed, 1])
+        model_f = build_from_layers(layers, shape)
+        out_shape = validate_bundle(model_f)
+        calib = rng.standard_normal((24,) + shape).astype(np.float32)
+        comp = calibrate_model(model_f, CalibrationConfig(sample_count=16, weight_bits=w_bits, act_bits=a_bits), calib)
+        x = rng.standard_normal((5,) + shape).astype(np.float32)
+        convs = [i for i, spec in enumerate(layers) if spec.op_kind == "conv2d"]
+        for rounding in (True, False):
+            model = fused_runtime(fuse_model(comp, beta_rounding=rounding))
+            seen = []
+
+            def tap(i, x_q, acc, layer):
+                if layer.op_kind == "conv2d":
+                    # x_q is NHWC; the oracle builds (C, k, k) patches from its NCHW view
+                    assert x_q.ndim == 4 and x_q.shape[3] == layer.w_q.shape[1]
+                    cols, _, _ = im2col(x_q.transpose(0, 3, 1, 2), layer.kernel, layer.stride, layer.pad, layer.z_x)
+                    w = layer.w_q.reshape(layer.out_channels, -1).astype(np.int64) - layer.z_w[:, None]
+                    want = cols.reshape(-1, cols.shape[2]).astype(np.int64) @ w.T + layer.const_acc + layer.bias_acc
+                    assert acc.dtype == np.int32 and np.array_equal(acc, want)
+                    seen.append(i)
+                return layer
+
+            got = intengine._interpret(model, x, InferenceTrace(), tap=tap)
+            assert seen == convs
+            assert got.shape == (5,) + out_shape  # NCHW when no flatten follows the last conv or avgpool
+            assert got.tobytes() == _nchw_reference(model, x).tobytes()
+            if not rounding:
+                sim, _, _ = sim_forward(comp, x, compensation_params(comp))
+                assert sim.tobytes() == got.tobytes()

@@ -97,8 +97,13 @@ def conv2d_direct(x, w, b, stride, pad):
     return out
 
 
-def _im2col_loop(x, kernel, stride, pad, pad_value=0.0):
-    """The per-position loop im2col replaced, kept as its reference."""
+def _im2col_loop(x, kernel, stride, pad, pad_value=0.0, channels_last=False):
+    """The per-position loop im2col replaced, kept as its reference.
+
+    An (N, C, H, W) input gives (C, k, k) columns; with ``channels_last`` an
+    (N, H, W, C) input gives (k, k, C) columns.
+    """
+    x = np.moveaxis(x, 3, 1) if channels_last else x
     n, c, h, w = x.shape
     h_out = (h + 2 * pad - kernel) // stride + 1
     w_out = (w + 2 * pad - kernel) // stride + 1
@@ -109,16 +114,16 @@ def _im2col_loop(x, kernel, stride, pad, pad_value=0.0):
     for i in range(h_out):
         for j in range(w_out):
             patch = xp[:, :, i * stride : i * stride + kernel, j * stride : j * stride + kernel]
-            cols[:, idx, :] = patch.reshape(n, -1)
+            cols[:, idx, :] = (patch.transpose(0, 2, 3, 1) if channels_last else patch).reshape(n, -1)
             idx += 1
     return cols, h_out, w_out
 
 
 class TestIm2col:
     @pytest.mark.parametrize("dtype", [np.float32, np.uint8, np.uint16])
-    @pytest.mark.parametrize("stride", [1, 2])
-    @pytest.mark.parametrize("pad", [0, 1])
-    @pytest.mark.parametrize("kernel", [1, 2, 3])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("pad", [0, 1, 2])
+    @pytest.mark.parametrize("kernel", [1, 2, 3, 5])
     def test_byte_equal_to_position_loop(self, dtype, stride, pad, kernel):
         rng = np.random.default_rng([kernel, stride, pad])
         x = (rng.random((2, 3, 7, 6)) * 250).astype(dtype)
@@ -129,12 +134,43 @@ class TestIm2col:
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("pad", [0, 1, 2])
+    @pytest.mark.parametrize("kernel", [1, 2, 3, 5])
+    def test_channels_last_byte_equal_to_position_loop(self, stride, pad, kernel):
+        rng = np.random.default_rng([kernel, stride, pad, 1])
+        for dtype in (np.float32, np.uint8, np.uint16):
+            x = (rng.random((2, 7, 6, 3)) * 250).astype(dtype)
+            got, h_out, w_out = im2col(x, kernel, stride, pad, pad_value=7, channels_last=True)
+            want, h_want, w_want = _im2col_loop(x, kernel, stride, pad, pad_value=7, channels_last=True)
+            assert (h_out, w_out) == (h_want, w_want)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+
     def test_non_contiguous_input_and_fresh_output(self):
-        # the engine feeds im2col the moveaxis view a conv leaves behind
+        # the engine feeds im2col views: the transposed input codes, or a relu of them
         x = np.moveaxis(np.arange(2 * 4 * 4 * 3, dtype=np.uint8).reshape(2, 4, 4, 3), 3, 1)
         got, _, _ = im2col(x, 1, 1, 0)
         assert got.flags.c_contiguous and not np.shares_memory(got, x)
         assert got.tobytes() == _im2col_loop(x, 1, 1, 0)[0].tobytes()
+        y = np.arange(2 * 3 * 4 * 4, dtype=np.uint8).reshape(2, 3, 4, 4)
+        for view in (y.transpose(0, 2, 3, 1), y[:, :, ::2].transpose(0, 2, 3, 1)):
+            assert not view.flags.c_contiguous
+            got, _, _ = im2col(view, 2, 1, 1, pad_value=3, channels_last=True)
+            assert got.flags.c_contiguous and not np.shares_memory(got, y)
+            assert got.tobytes() == _im2col_loop(view, 2, 1, 1, pad_value=3, channels_last=True)[0].tobytes()
+
+    def test_layouts_hold_the_same_patches(self):
+        # the channels-last matrix is the NCHW one with each row's (C, k, k) columns permuted to (k, k, C)
+        x = np.random.default_rng(5).integers(0, 256, (2, 4, 5, 6)).astype(np.uint8)
+        nchw, h_out, w_out = im2col(x, 3, 2, 1, pad_value=9)
+        nhwc, _, _ = im2col(np.ascontiguousarray(x.transpose(0, 2, 3, 1)), 3, 2, 1, pad_value=9, channels_last=True)
+        permuted = nchw.reshape(2, h_out * w_out, 4, 3, 3).transpose(0, 1, 3, 4, 2).reshape(nhwc.shape)
+        assert np.array_equal(nhwc, permuted)
+
+    def test_no_output_position_is_shape_error(self):
+        with pytest.raises(ShapeError, match="no output positions"):
+            im2col(np.zeros((1, 2, 2, 3), np.uint8), 3, 1, 0, channels_last=True)
 
 
 class TestConvOracle:
@@ -176,6 +212,38 @@ class TestBundleIO:
         with pytest.raises(BundleError, match="force"):
             save_bundle(m, tmp_path / "m")
         save_bundle(m, tmp_path / "m", force=True)
+
+    def test_force_over_larger_bundle_leaves_no_stale_blob(self, tmp_path):
+        save_bundle(build_mlp((2, 5, 5, 3)), tmp_path / "m")
+        small = build_mlp((2, 3))
+        path = save_bundle(small, tmp_path / "m", force=True)
+        files = {p.name for p in path.iterdir()}
+        assert files == {"manifest.json", "layer0.weight.bin", "layer0.bias.bin"}
+        assert bundles_equal(load_bundle(path), small)
+        assert [p.name for p in tmp_path.iterdir()] == ["m"]
+
+    def test_force_replaces_only_a_bundle_directory(self, tmp_path):
+        (tmp_path / "notes.txt").write_text("keep")
+        with pytest.raises(BundleError, match="no bundle"):
+            save_bundle(build_mlp((2, 3)), tmp_path, force=True)
+        assert [p.name for p in tmp_path.iterdir()] == ["notes.txt"]
+
+    def test_write_failing_midway_keeps_old_bundle(self, tmp_path, monkeypatch):
+        import pathlib
+
+        old = build_mlp((2, 3), rng=np.random.default_rng(1))
+        path = save_bundle(old, tmp_path / "m")
+
+        def crash(self, text):
+            raise OSError("disk full")
+
+        # every blob of the new bundle is written, then the manifest write fails
+        monkeypatch.setattr(pathlib.Path, "write_text", crash)
+        with pytest.raises(OSError, match="disk full"):
+            save_bundle(build_mlp((2, 3), rng=np.random.default_rng(2)), path, force=True)
+        monkeypatch.undo()
+        assert bundles_equal(load_bundle(path), old)
+        assert [p.name for p in tmp_path.iterdir()] == ["m"]
 
     def test_corrupted_blob_length(self, tmp_path):
         m = build_mlp((2, 3))
