@@ -179,7 +179,7 @@ def _eval_bundle(bundle, x, y):
         logits, trace = run_int_model(fused_runtime(bundle), x, trace=InferenceTrace())
         rows["acc_fused"] = accuracy(logits, y)
         rows["float_mul_count"] = trace.float_mul_count
-        rows["f64_gemm_macs"] = trace.f64_gemm_macs  # exact integer GEMMs on the host's f64 BLAS
+        rows["gemm_macs"] = trace.gemm_macs  # exact integer GEMMs on the host's float BLAS, f32 or f64 per layer
     elif bundle.stage == "quantized":
         rows["acc_quant"] = accuracy(sim_forward(bundle, x)[0], y)
         comp = compensation_params(bundle)

@@ -16,15 +16,21 @@ this engine; quantization elsewhere rounds half-to-even).
 The host computes the first two terms as one GEMM on zero-point-centred
 weights (Jacob et al. 2018, arXiv 1712.05877): ``acc = x_q @ (W_q - Z_W)^T +
 (const_acc + bias_acc)``, with the last three terms folded into ``const_acc``
-and ``bias_acc`` at fuse time.  The GEMM runs in f64 on BLAS, and its result
-is the exact integer: every partial sum is bounded by
-``(2^in_bits - 1) * sum_j |W_q - Z_W|``, which is at most twice the reach
-that ``fuse_layer`` caps at INT32_MAX (the reach multiplies the same sum by
-``max(Z_x, qmax - Z_x) >= qmax / 2``), so below 2^32 <= 2^53, and no
-summation order can round.  A hand-assembled layer over 2^53 raises
-``EngineError``.  The trace counts these MACs in ``f64_gemm_macs`` apart
-from ``float_mul_count``: they are exact integer arithmetic on the host, not
-a claim about what deployment hardware runs.
+and ``bias_acc`` at fuse time.  The GEMM runs on the host's float BLAS, and
+its result is the exact integer: every product and every partial sum is an
+integer of magnitude at most the layer's GEMM reach ``(2^in_bits - 1) *
+max_c sum_j |W_q - Z_W|``.  f32 holds every integer of magnitude up to 2^24
+and f64 every one up to 2^53, so within those bounds no summation order, and
+no FMA, can round.  Like the gemmlowp line of integer engines, which pick the
+narrowest accumulator the value range allows, each layer picks its GEMM width
+once, from its reach (``FusedLayerParams.w_centred``): f32 when the reach is
+at most 2^24, f64 otherwise.  A fused layer's GEMM reach is at most twice the
+reach that ``fuse_layer`` caps at INT32_MAX (that one multiplies the same sum
+by ``max(Z_x, qmax - Z_x) >= qmax / 2``), so below 2^32 <= 2^53; a
+hand-assembled layer at 2^53 or more raises ``EngineError``.  The trace
+counts these MACs in ``gemm_macs`` apart from ``float_mul_count``: they are
+exact integer arithmetic on the host, not a claim about what deployment
+hardware runs.
 
 Codes with spatial extent travel channels-last (NHWC), the layout integer
 engines use so that a patch copy moves contiguous channel runs.  The
@@ -143,13 +149,16 @@ def fixed_point_multiply(v, m0, shift):
     """round(v * M0 * 2^-shift) in pure i64 arithmetic, ties away from zero.
 
     ``m0``/``shift`` may be scalars or per-channel arrays broadcasting against
-    the last axis of ``v``.  Branch-free: for p < 0, -((|p| + h) >> s) equals
-    (p + h - 1) >> s with h = 2^(s-1), so negative products take one extra -1
-    before the shared nudge-and-shift.
+    the last axis of ``v``.  ``v`` must hold integers; i32 accumulators are
+    multiplied straight into i64, and floats raise ``EngineError``.
+    Branch-free: for p < 0, -((|p| + h) >> s) equals (p + h - 1) >> s with
+    h = 2^(s-1), so negative products take one extra -1 before the shared
+    nudge-and-shift.
     """
-    v = np.asarray(v, dtype=np.int64)
-    shift = np.asarray(shift, dtype=np.int64)
-    p = v * np.asarray(m0, dtype=np.int64)
+    v = np.asarray(v)
+    if v.dtype.kind not in "iu":
+        raise EngineError(f"fixed-point multiply fed {v.dtype} values, not integers")
+    p = np.multiply(v, m0, dtype=np.int64)  # an i32 accumulator times M0 < 2^31 stays below 2^62
     p -= p < 0
     p += np.int64(1) << (shift - 1)
     p >>= shift
@@ -192,20 +201,28 @@ class FusedLayerParams:
 
     @cached_property
     def w_centred(self):
-        """(W_q - Z_W) as f64 (C_out, C_eff), built on first use; EngineError if f64 GEMMs could round.
+        """(W_q - Z_W) as (C_out, C_eff) f32 or f64, the narrowest float that keeps the GEMM exact; built on first use.
 
-        A conv2d weight is permuted to (C_out, k, k, C_in) first, the column
-        order of the engine's channels-last patches.
+        Every product and partial sum of ``x_q @ w.T`` is an integer of
+        magnitude at most the reach ``qmax_in * max_c sum_j |w[c, j]|``.  f32
+        represents every integer up to 2^24, so a layer whose reach is at most
+        2^24 gets f32; f64 takes the rest up to 2^53, and a reach of 2^53 or
+        more raises ``EngineError``.  A conv2d weight is permuted to (C_out,
+        k, k, C_in) first, the column order of the engine's channels-last
+        patches.
         """
         w_q = self.w_q.transpose(0, 2, 3, 1) if self.op_kind == "conv2d" else self.w_q
         w = w_q.reshape(self.out_channels, -1).astype(np.int64) - self.z_w[:, None]
         w = w.astype(np.float64)
-        # every partial sum of x_q @ w.T is bounded by qmax_in * max_c sum_j |w[c, j]|;
-        # integers up to 2^53 are exact in f64, so no summation order can round
         reach = np.abs(w).sum(axis=1).max(initial=0.0) * (2.0**self.in_bits - 1)
         if reach >= 2.0**53:
             raise EngineError(f"{self.op_kind}: accumulator reach {reach:.3g} >= 2^53, f64 GEMM would not be exact")
-        return w
+        return w.astype(np.float32) if reach <= 2.0**24 else w
+
+    @cached_property
+    def acc_offset(self):
+        """``const_acc + bias_acc`` as one (1, C_out) i64 row, built on first use."""
+        return (self.const_acc + self.bias_acc)[None, :]
 
 
 @dataclass
@@ -214,14 +231,14 @@ class InferenceTrace:
 
     ``float_mul_count`` counts the float multiplies of unrounded layers,
     which requantize their real-valued offset in f64; it stays 0 on a model
-    fused with ``beta_rounding=True``.  ``f64_gemm_macs`` counts the
-    multiply-accumulates ``integer_accumulate`` ran through the f64 GEMM:
-    exact integer arithmetic on the host's BLAS, not float multiplies of the
-    model.
+    fused with ``beta_rounding=True``.  ``gemm_macs`` counts the
+    multiply-accumulates ``integer_accumulate`` ran through the host's float
+    GEMM, in f32 or f64 as each layer's reach allows: exact integer
+    arithmetic on the host's BLAS, not float multiplies of the model.
     """
 
     float_mul_count: int = 0
-    f64_gemm_macs: int = 0
+    gemm_macs: int = 0
 
 
 def integer_accumulate(x_q, layer: FusedLayerParams, trace: InferenceTrace | None = None):
@@ -229,9 +246,11 @@ def integer_accumulate(x_q, layer: FusedLayerParams, trace: InferenceTrace | Non
 
     ``acc = x_q @ (W_q - Z_W)^T + (const_acc + bias_acc)``, where
     ``const_acc`` holds the input-independent terms (-Z_x * sum W_q +
-    C_eff * Z_x * Z_W).  The product runs as an f64 GEMM whose every partial
-    sum is an integer below 2^53 (see ``FusedLayerParams.w_centred``), so it
-    is exact whatever order BLAS sums in.
+    C_eff * Z_x * Z_W).  The product runs as a float GEMM in the width of
+    ``FusedLayerParams.w_centred``: f32 when every partial sum is an integer
+    of magnitude at most 2^24, else f64 (below 2^53), so it is exact whatever
+    order BLAS sums in.  The i64 row ``FusedLayerParams.acc_offset`` adds the
+    constant terms.
     """
     x_q = np.asarray(x_q)
     if x_q.dtype.kind not in "iu":
@@ -240,9 +259,10 @@ def integer_accumulate(x_q, layer: FusedLayerParams, trace: InferenceTrace | Non
     if x_q.ndim != 2 or x_q.shape[1] != w.shape[1]:
         raise EngineError(f"{layer.op_kind}: accumulate expects (N, {w.shape[1]}), got {x_q.shape}")
     if trace is not None:
-        trace.f64_gemm_macs += x_q.shape[0] * w.shape[0] * w.shape[1]
-    acc = (x_q.astype(np.float64) @ w.T).astype(np.int64)
-    acc += layer.const_acc + layer.bias_acc
+        trace.gemm_macs += x_q.shape[0] * w.shape[0] * w.shape[1]
+    # np.dot, not @: the same BLAS GEMM with less per-call overhead on batch-1 rows
+    acc = np.dot(x_q.astype(w.dtype), w.T).astype(np.int64)
+    acc += layer.acc_offset
     if acc.max(initial=0) > INT32_MAX or acc.min(initial=0) < INT32_MIN:
         raise EngineError(f"{layer.op_kind}: accumulator overflows i32")
     return acc.astype(np.int32)
@@ -256,9 +276,11 @@ def requantize(acc, layer: FusedLayerParams, trace: InferenceTrace | None = None
     fused with ``beta_rounding=False`` requantizes the real value
     ``S_x S_W acc alpha + beta`` in f64; that reference form, the
     fitting-time simulation, is not integer-only and shows up in the trace's
-    float counter.
+    float counter.  Accumulators that are not integers raise ``EngineError``.
     """
-    acc = np.asarray(acc, dtype=np.int64)
+    acc = np.asarray(acc)
+    if acc.dtype.kind not in "iu":
+        raise EngineError(f"{layer.op_kind}: requantize fed {acc.dtype} accumulators, not integers")
     qmax = 2**layer.bitwidth - 1
     if not layer.beta_rounding:
         if trace is not None:
@@ -616,7 +638,7 @@ def _interpret(model: FusedModel, x, trace: InferenceTrace, tap=None):
         elif entry.kind == "relu":
             x_q = np.maximum(x_q, np.asarray(entry.z, dtype=x_q.dtype))
         elif entry.kind == "gelu":
-            x_q = entry.lut[x_q]
+            x_q = np.take(entry.lut, x_q)
         elif entry.kind == "avgpool":
             x_q = _avgpool_codes(entry, x_q)
         elif entry.kind == "flatten":

@@ -456,7 +456,7 @@ class TestTraceGemmCounter:
         x = pool[:5]
         _, trace = run_int_model(fused_runtime(fuse_model(comp)), x, trace=InferenceTrace())
         # conv(2->4) and conv(4->4) over 6x6 positions, then linear 36 -> 3
-        assert trace.f64_gemm_macs == 5 * 36 * 4 * 2 * 9 + 5 * 36 * 4 * 4 * 9 + 5 * 3 * 36
+        assert trace.gemm_macs == 5 * 36 * 4 * 2 * 9 + 5 * 36 * 4 * 4 * 9 + 5 * 3 * 36
         assert trace.float_mul_count == 0
 
 

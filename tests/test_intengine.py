@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from quantcomp.compensate import ChannelAffineParams, identity_compensation
@@ -201,6 +201,16 @@ class TestRequantize:
         layer = simple_layer(np.zeros((1, 1), dtype=np.int64), z_w=0, z_x=0, z_r=42, m=0.37)
         assert requantize(np.array([[0]]), layer)[0, 0] == 42
 
+    @pytest.mark.parametrize("beta", [None, np.zeros(1)])
+    def test_float_accumulators_raise_instead_of_truncating(self, beta):
+        # 1.7 used to be cast to the accumulator 1 without a word, on both requantize paths
+        layer = simple_layer(np.zeros((1, 1), dtype=np.int64), z_w=0, z_x=0, z_r=0, m=1.0, beta=beta)
+        with pytest.raises(EngineError, match="float64 accumulators"):
+            requantize(np.array([[1.7]]), layer)
+        with pytest.raises(EngineError, match="float64 values"):
+            fixed_point_multiply(np.array([1.7]), layer.m0, layer.shift)
+        assert requantize(np.array([[1]], dtype=np.int32), layer)[0, 0] == 1
+
 
 class TestFuseLayer:
     def _parts(self, rng, c_in=6, c_out=4, bits=8):
@@ -389,7 +399,7 @@ class TestFixedPointMultiplyBranchFree:
 
 
 def _reference_accumulate(x_q, layer):
-    """The i64 decomposition the f64 GEMM replaced: x @ W^T - Z_W * sum(x) + const + bias."""
+    """The i64 decomposition the float GEMM replaced: x @ W^T - Z_W * sum(x) + const + bias."""
     x = np.asarray(x_q, dtype=np.int64)
     w = layer.w_q.reshape(layer.out_channels, -1).astype(np.int64)
     return x @ w.T - x.sum(axis=1, keepdims=True) * layer.z_w[None, :] + layer.const_acc + layer.bias_acc
@@ -409,9 +419,9 @@ def _fused(w_q, z_w, z_x, in_bits, w_bits, bias_acc=0):
 
 
 class TestExactAccumulate:
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=200, deadline=None, derandomize=True)
     @given(
-        in_bits=st.integers(2, 8),
+        in_bits=st.integers(2, 16),
         w_bits=st.integers(2, 8),
         fan_in=st.integers(1, 300),
         c_out=st.integers(1, 8),
@@ -425,7 +435,13 @@ class TestExactAccumulate:
         w_q = rng.integers(0, qw + 1, (c_out, fan_in)).astype(code_dtype(w_bits))
         z_w = rng.integers(0, qw + 1, c_out)
         z_x = int(rng.integers(0, qx + 1))
+        w_sum = int(np.abs(w_q.astype(np.int64) - z_w[:, None]).sum(axis=1).max())
+        assume(w_sum * max(z_x, qx - z_x) + 1000 <= 2**31 - 1)  # else fuse_layer rejects the layer
         layer = _fused(w_q, z_w, z_x, in_bits, w_bits, bias_acc=int(rng.integers(-1000, 1001)))
+        # the GEMM width follows the reach, and both sides of 2^24 are drawn
+        f32 = w_sum * qx <= 2**24
+        event("f32 GEMM" if f32 else "f64 GEMM")
+        assert layer.w_centred.dtype == (np.float32 if f32 else np.float64)
         if fill == "random":
             x = rng.integers(0, qx + 1, (n, fan_in))
         else:
@@ -435,7 +451,7 @@ class TestExactAccumulate:
         got = integer_accumulate(x, layer, trace=trace)
         assert got.dtype == np.int32
         assert np.array_equal(got, _reference_accumulate(x, layer))
-        assert trace.float_mul_count == 0 and trace.f64_gemm_macs == n * c_out * fan_in
+        assert trace.float_mul_count == 0 and trace.gemm_macs == n * c_out * fan_in
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_layer_at_the_reach_limit(self, sign):
@@ -453,6 +469,18 @@ class TestExactAccumulate:
         assert got[0, 0] == sign * (2**31 - 1)
         with pytest.raises(EngineError, match="overflow i32"):
             _fused(np.concatenate([w_q, w_q[:, :1]], axis=1), z_w, 0, 8, 8)
+
+    def test_gemm_width_switches_to_f64_just_past_2_24(self):
+        # 1-bit inputs: the reach is sum_j |W_q - Z_W| itself
+        x = np.ones((1, 2), dtype=np.uint8)
+        at = simple_layer(np.array([[2**23, 2**23]], dtype=np.int64), z_w=0, z_x=0, z_r=0, m=1.0, bits=1)
+        assert at.w_centred.dtype == np.float32
+        assert integer_accumulate(x, at)[0, 0] == 2**24
+        past = simple_layer(np.array([[2**23, 2**23 + 1]], dtype=np.int64), z_w=0, z_x=0, z_r=0, m=1.0, bits=1)
+        assert past.w_centred.dtype == np.float64
+        assert integer_accumulate(x, past)[0, 0] == 2**24 + 1
+        # 2^24 + 1 is no f32 value: an f32 GEMM on this layer would round to 2^24
+        assert (x.astype(np.float32) @ past.w_centred.astype(np.float32).T)[0, 0] == 2**24
 
     def test_hand_built_layer_past_2_53_raises(self):
         # 1-bit inputs: the bound is sum_j |W_q - Z_W| itself
@@ -691,7 +719,7 @@ class TestFusionSectionOwner:
 
 
 def _nchw_reference(model, x):
-    """The integer forward on NCHW codes with (C, k, k) patches and int64 GEMMs, the engine's old layout."""
+    """The integer forward on NCHW codes with (C, k, k) patches and exact i64 GEMMs, the engine's old layout."""
     from quantcomp.refnet import im2col
 
     x_q = quantize_uniform(np.asarray(x, dtype=np.float32), model.input_params.quant_params)
