@@ -50,7 +50,6 @@ from .intengine import (
 from .calibrate import (
     CalibrationConfig,
     calibrate_model,
-    collect_pairs,
     fuse_model,
     quantize_model,
     sim_forward,

@@ -2,7 +2,9 @@
 
 Calibration runs the float model once over its sample set (once over each
 of the two sets with ``range_split``); the per-layer outputs set the
-activation grids and are the fit targets.  The fit then makes one quantized
+activation grids and are the fit targets.  A quantized bundle keeps the float
+layers it was quantized from, so it is its own fit target: every step after
+quantization takes that one bundle.  The fit then makes one quantized
 pass front to back: at each compensated layer
 it captures the layer's output, fits α/β on it in closed form and, when
 fitting sequentially, applies the fit before the pass moves on, so every
@@ -94,20 +96,16 @@ def _rows(y):
     return np.moveaxis(y, 1, -1).reshape(-1, y.shape[1])
 
 
-def float_forward_capture(bundle: ModelBundle, x, capture_inputs=False):
-    """Forward pass recording each linear/conv pre-activation output (row form)."""
+def float_forward_capture(bundle: ModelBundle, x):
+    """Float forward returning (logits, outputs): outputs[i] is linear/conv layer i's output in row form.
+    On a quantized bundle these are its fit targets, from the float layers it carries."""
     x = np.asarray(x, dtype=np.float32)
-    outputs, inputs = {}, {}
+    outputs = {}
     for i, layer in enumerate(bundle.layers):
+        x = layer_forward(layer, x, index=i)
         if layer.op_kind in refnet.PARAM_OPS:
-            if capture_inputs and layer.op_kind == "linear":
-                inputs[i] = x.copy()
-            y = layer_forward(layer, x, index=i)
-            outputs[i] = _rows(y)
-            x = y
-        else:
-            x = layer_forward(layer, x, index=i)
-    return x, outputs, inputs
+            outputs[i] = _rows(x)
+    return x, outputs
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +125,7 @@ def quantize_model(
     Returns a new bundle carrying a ``quantization`` manifest section plus
     weight-code blobs (float tensors are retained for reference paths).
     """
-    _, outputs, _ = float_forward_capture(model_f, calib_x)
+    _, outputs = float_forward_capture(model_f, calib_x)
     return _quantize_from(model_f, calib_x, outputs, weight_bits, act_bits, estimator)
 
 
@@ -248,7 +246,6 @@ def sim_forward(
     bundle: ModelBundle,
     x,
     compensation: dict[int, ChannelAffineParams] | None = None,
-    capture: set | None = None,
     capture_inputs=False,
     *,
     _on_capture=None,
@@ -258,13 +255,15 @@ def sim_forward(
     This is the engine's interpreter over ``build_fused_model(bundle,
     compensation)``, whose layers requantize the real-valued compensated
     accumulator, so it equals the engine fused with ``beta_rounding=False``.
-    Returns (logits_f32, captures, input_captures) where captures[i] holds the
-    layer's dequantized accumulator outputs (the values compensation acts on)
-    in row form, before compensation.
+    Returns (logits_f32, captures, input_captures): ``captures[i]`` holds
+    linear/conv layer i's dequantized accumulator outputs (the values
+    compensation acts on) in row form, before compensation; with
+    ``capture_inputs``, ``input_captures[i]`` holds linear layer i's
+    dequantized input codes.
 
     ``_on_capture(i, y)``, the fitting hook of ``fit_compensation``, receives
-    each captured output instead of ``captures``; params it returns replace
-    layer i's compensation in this pass.
+    each layer's output instead of ``captures``; params it returns replace
+    layer i's compensation in this pass, and ``None`` leaves the layer as built.
     """
     model = build_fused_model(bundle, compensation)
     want = tuple(bundle.manifest["input_shape"])
@@ -275,8 +274,6 @@ def sim_forward(
     def tap(i, x_q, acc, layer):
         if capture_inputs and layer.op_kind == "linear":
             input_caps[i] = ((x_q.astype(np.float64) - layer.z_x) * layer.s_x).astype(np.float32)
-        if capture is not None and i not in capture:
-            return layer
         y = (accumulator_scale(layer.s_x, layer.s_w)[None, :] * acc).astype(np.float32)
         if _on_capture is None:
             captures[i] = y
@@ -293,27 +290,7 @@ def sim_forward(
 
 
 # ---------------------------------------------------------------------------
-# pair collection and fitting
-
-
-def collect_pairs(model_f: ModelBundle, model_q: ModelBundle, calib_x, compensation=None, capture_inputs=False):
-    """Per-layer ActivationPairs: float outputs vs (possibly compensated) quant outputs.
-
-    When ``model_q`` carries no quantization section it is run as a plain
-    float model, so identical models yield y_full == y_quant pairs.
-    """
-    f_idx = model_f.param_layer_indices()
-    if model_q.param_layer_indices() != f_idx or len(model_q.manifest["layers"]) != len(model_f.manifest["layers"]):
-        raise CalibrationError("models do not share an architecture skeleton")
-    _, y_full, _ = float_forward_capture(model_f, calib_x)
-    if model_q.manifest.get("quantization") is None:
-        _, y_quant, x_in = float_forward_capture(model_q, calib_x, capture_inputs=capture_inputs)
-    else:
-        _, y_quant, x_in = sim_forward(model_q, calib_x, compensation, capture_inputs=capture_inputs)
-    pairs = {}
-    for i in f_idx:
-        pairs[i] = ActivationPair(y_full[i], y_quant[i], x_in.get(i))
-    return pairs
+# fitting
 
 
 def compensation_positions(bundle: ModelBundle, position: str):
@@ -323,9 +300,9 @@ def compensation_positions(bundle: ModelBundle, position: str):
     return idx if position == "all" else idx[-1:]
 
 
-def calibration_pool(model_f: ModelBundle, config: CalibrationConfig):
+def calibration_pool(bundle: ModelBundle, config: CalibrationConfig):
     """Deterministic calibration samples derived from the bundle's task metadata."""
-    x_train = task_dataset(model_f)[0]
+    x_train = task_dataset(bundle)[0]
     order = np.random.default_rng([config.seed, 0xCA11B]).permutation(len(x_train))
     return x_train[order]
 
@@ -343,12 +320,13 @@ def calibration_sets(config: CalibrationConfig, pool):
     return pool[:n], pool[n : 2 * n]
 
 
-def fit_compensation(model_f: ModelBundle, qbundle: ModelBundle, config: CalibrationConfig, fit_x) -> ModelBundle:
+def fit_compensation(qbundle: ModelBundle, config: CalibrationConfig, fit_x) -> ModelBundle:
     """Fit channel-affine compensation onto an already-quantized bundle.
 
-    One quantized pass over ``fit_x`` fits every compensated layer as it
-    reaches it.  By default the fit is applied at once, so layer L is fitted
-    with layers < L already compensated, matching what each correction will
+    The targets are the outputs of the float layers ``qbundle`` carries.  One
+    quantized pass over ``fit_x`` fits every compensated layer as it reaches
+    it.  By default the fit is applied at once, so layer L is fitted with
+    layers < L already compensated, matching what each correction will
     see at deployment.  ``config.sequential=False`` leaves the pass
     uncompensated, so every layer is fitted on the frozen quantized model.
     ``config``'s bit-widths must be the ones ``qbundle`` was quantized to.
@@ -359,24 +337,26 @@ def fit_compensation(model_f: ModelBundle, qbundle: ModelBundle, config: Calibra
             f"config bits w{config.weight_bits}/a{config.act_bits} do not match the quantized bundle "
             f"w{qsec['weight_bits']}/a{qsec['act_bits']}"
         )
-    _, y_full, _ = float_forward_capture(model_f, fit_x)
-    return _fit_from(model_f, qbundle, config, fit_x, y_full)
+    _, y_full = float_forward_capture(qbundle, fit_x)
+    return _fit_from(qbundle, config, fit_x, y_full)
 
 
-def _fit_from(model_f: ModelBundle, qbundle: ModelBundle, config: CalibrationConfig, fit_x, y_full) -> ModelBundle:
+def _fit_from(qbundle: ModelBundle, config: CalibrationConfig, fit_x, y_full) -> ModelBundle:
     """``fit_compensation`` given the float forward's per-layer outputs ``y_full`` on ``fit_x``."""
     comp: dict[int, ChannelAffineParams] = {}
     stats = []
+    positions = set(compensation_positions(qbundle, config.position))
 
     def fit(i, y_quant):
+        if i not in positions:
+            return None
         # the capture is dropped once fitted: only the params and stats outlive this call
         pair = ActivationPair(y_full[i], y_quant)
         comp[i] = fit_channel_affine(pair)
         stats.append(_fit_stat(i, pair, comp[i]))
         return comp[i] if config.sequential else None
 
-    positions = compensation_positions(model_f, config.position)
-    sim_forward(qbundle, fit_x, capture=set(positions), _on_capture=fit)
+    sim_forward(qbundle, fit_x, _on_capture=fit)
     section = {
         "config": config.to_manifest(),
         "layers": {
@@ -400,11 +380,11 @@ def calibrate_model(model_f: ModelBundle, config: CalibrationConfig, calib_x=Non
     fit_x, range_x = calibration_sets(config, calib_x)
     if config.range_split:
         qbundle = quantize_model(model_f, range_x, config.weight_bits, config.act_bits, config.estimator)
-        return fit_compensation(model_f, qbundle, config, fit_x)
+        return fit_compensation(qbundle, config, fit_x)
     # ranges and fit share one sample set, so one float forward serves both
-    _, y_full, _ = float_forward_capture(model_f, fit_x)
+    _, y_full = float_forward_capture(model_f, fit_x)
     qbundle = _quantize_from(model_f, fit_x, y_full, config.weight_bits, config.act_bits, config.estimator)
-    return _fit_from(model_f, qbundle, config, fit_x, y_full)
+    return _fit_from(qbundle, config, fit_x, y_full)
 
 
 def _fit_stat(i, pair: ActivationPair, params: ChannelAffineParams):

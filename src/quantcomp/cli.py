@@ -154,9 +154,9 @@ def cmd_quantize(args):
 
 def cmd_compensate(args):
     cfg = _config(args)
-    model_f = load_bundle(args.bundle_f)
-    fit_x, _ = calibration_sets(cfg, calibration_pool(model_f, cfg))
-    comp_bundle = fit_compensation(model_f, load_bundle(args.bundle_q), cfg, fit_x)
+    qbundle = load_bundle(args.bundle)
+    fit_x, _ = calibration_sets(cfg, calibration_pool(qbundle, cfg))
+    comp_bundle = fit_compensation(qbundle, cfg, fit_x)
     path = _save(comp_bundle, args)
     rows = write_fit_csv(comp_bundle, Path(path) / "fit_stats.csv")
     print(f"fitted compensation at {rows} positions -> {path}")
@@ -302,9 +302,9 @@ def build_parser():
     q.add_argument("--force", action="store_true")
     q.set_defaults(func=cmd_quantize)
 
-    c = sub.add_parser("compensate", help="fit channel-affine compensation")
-    c.add_argument("bundle_f")
-    c.add_argument("bundle_q")
+    what = "fit channel-affine compensation onto a quantized bundle; the float model it was quantized from is the target"
+    c = sub.add_parser("compensate", help=what, description=what)
+    c.add_argument("bundle", help="a bundle written by quantize")
     _add_config_flags(c)
     c.add_argument("--out", required=True)
     c.add_argument("--force", action="store_true")

@@ -18,10 +18,10 @@ from .calibrate import (
     calibrate_model,
     calibration_pool,
     calibration_sets,
-    collect_pairs,
     compensation_params,
     fit_compensation,
     fit_stats,
+    float_forward_capture,
     fuse_model,
     model_size_report,
     quantize_model,
@@ -208,7 +208,7 @@ def ablate_calibration_size(sizes, base: CalibrationConfig, task: TaskSpec, seed
         fit_sets = [calibration_sets(cfg, pool)[0] for cfg in configs]
         qbundle = quantize_model(model_f, base_x, base.weight_bits, base.act_bits, base.estimator)
         for cfg, fit_x in zip(configs, fit_sets):
-            comp_bundle = fit_compensation(model_f, qbundle, cfg, fit_x)
+            comp_bundle = fit_compensation(qbundle, cfg, fit_x)
             report.append(run_cell(task, seed, cfg, model_f=model_f, comp_bundle=comp_bundle))
     return report
 
@@ -240,17 +240,21 @@ def figure1b_report(model_f: ModelBundle, bitwidth: int, sample_count=512, seed=
 
     For every square linear layer, fit the residual against the layer's quant
     input (the whole-matrix baseline) and against the layer's own quant output,
-    and report the fraction of absolute mass each W puts on its diagonal.
+    and report the fraction of absolute mass each W puts on its diagonal.  The
+    quantized bundle supplies both sides: its float layers the targets, one
+    uncompensated ``sim_forward`` the quant outputs and inputs.
     """
     estimator = estimator or RangeEstimator()
     cfg = CalibrationConfig(sample_count=sample_count, weight_bits=bitwidth, act_bits=bitwidth, seed=seed, estimator=estimator)
     fit_x = calibration_sets(cfg, calibration_pool(model_f, cfg))[0]
     qbundle = quantize_model(model_f, fit_x, bitwidth, bitwidth, estimator)
-    pairs = collect_pairs(model_f, qbundle, fit_x, capture_inputs=True)
+    _, y_full = float_forward_capture(qbundle, fit_x)
+    _, y_quant, x_quant = sim_forward(qbundle, fit_x, capture_inputs=True)
     rows = []
-    for i, pair in pairs.items():
-        if pair.x_quant is None or pair.x_quant.shape[1] != pair.channels:
+    for i, x_q in x_quant.items():
+        if x_q.shape[1] != y_full[i].shape[1]:
             continue
+        pair = ActivationPair(y_full[i], y_quant[i], x_q)
         pre = fit_full_matrix(pair)
         post = fit_full_matrix(ActivationPair(pair.y_full, pair.y_quant, x_quant=pair.y_quant))
         rows.append(

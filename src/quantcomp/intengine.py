@@ -195,10 +195,6 @@ class FusedLayerParams:
     def out_channels(self):
         return self.w_q.shape[0]
 
-    @property
-    def fan_in(self):
-        return int(np.prod(self.w_q.shape[1:]))
-
     @cached_property
     def w_centred(self):
         """(W_q - Z_W) as (C_out, C_eff) f32 or f64, the narrowest float that keeps the GEMM exact; built on first use.
@@ -458,8 +454,8 @@ class RecordKey:
             return name
         return self.dtype(value) if self.form == "scalar" else np.asarray(value, dtype=self.dtype).tolist()
 
-    def read(self, i, record, bundle):
-        """The attribute value that entry ``i``'s ``record`` stores under this key.
+    def read(self, where, record, bundle):
+        """The attribute value that ``record`` stores under this key; ``where`` names the record in errors.
 
         An integer key rejects a number with a fractional part instead of
         truncating it; an integral float such as ``8.0`` reads as ``8``.
@@ -470,7 +466,7 @@ class RecordKey:
             return blob.astype(np.int64, casting="safe") if self.form == "acc" else blob
         value = self.dtype(raw) if self.form == "scalar" else np.array(raw, dtype=self.dtype)
         if self.dtype in (int, np.int64) and (value.tolist() if self.form == "channels" else value) != raw:
-            raise EngineError(f"layer {i}: {self.key} must hold integers, got {raw!r}")
+            raise EngineError(f"{where}: {self.key} must hold integers, got {raw!r}")
         return value
 
     def show(self, i, holder):
@@ -519,6 +515,12 @@ FUSED_RECORDS = {
     "flatten": (),
 }
 _PER_CHANNEL_KEYS = tuple(k for k in FUSED_RECORDS["param"] if k.form in ("channels", "acc"))
+# the input and output grids, keyed by IntActivationParams attribute
+_GRID_KEYS = (
+    RecordKey("scale", "s", "scalar", float),
+    RecordKey("zero_point", "z", "scalar", int),
+    RecordKey("bitwidth", "bitwidth", "scalar", int),
+)
 
 
 def _holder(entry: FusedEntry):
@@ -548,7 +550,12 @@ class FusedModel:
     output_params: IntActivationParams
 
     def __post_init__(self):
-        """EngineError unless every entry is a known kind on a sound window, fed integer codes of the right length."""
+        """EngineError unless every entry is a known kind on a sound window, fed integer codes of the right length.
+
+        The code width is carried along the chain: each param entry's
+        ``in_bits`` must be the width of the codes it receives, and the output
+        grid must have the width of the codes the last entry writes.
+        """
         bits = self.input_params.bitwidth
         for i, entry in enumerate(self.entries):
             if entry.kind not in FUSED_RECORDS:
@@ -557,6 +564,8 @@ class FusedModel:
                 layer = entry.layer
                 if layer.op_kind not in PARAM_OPS:
                     raise EngineError(f"layer {i}: param op_kind must be one of {PARAM_OPS}, got {layer.op_kind!r}")
+                if layer.in_bits != bits:
+                    raise EngineError(f"layer {i}: in_bits is {layer.in_bits}, but the layer receives {bits}-bit codes")
                 if layer.op_kind == "conv2d":
                     _check_window(i, "conv2d", layer.kernel, layer.stride, layer.pad)
                 if layer.w_q.dtype.kind not in "iu":
@@ -575,6 +584,8 @@ class FusedModel:
                 lut = entry.lut
                 if lut.dtype.kind not in "iu" or lut.shape != (2**bits,) or not 0 <= lut.min() <= lut.max() < 2**bits:
                     raise EngineError(f"layer {i}: gelu table must map all {2**bits} codes to {bits}-bit codes")
+        if self.output_params.bitwidth != bits:
+            raise EngineError(f"output grid is {self.output_params.bitwidth}-bit, but the last layer writes {bits}-bit codes")
 
     @property
     def beta_rounding(self):
@@ -669,11 +680,11 @@ def run_int_model(model: FusedModel, x, trace: InferenceTrace | None = None):
 
 
 def _grid_manifest(p: IntActivationParams):
-    return {"scale": float(p.s), "zero_point": int(p.z), "bitwidth": p.bitwidth}
+    return {k.key: k.write(None, p, None) for k in _GRID_KEYS}
 
 
-def _read_grid(g) -> IntActivationParams:
-    return IntActivationParams(float(g["scale"]), int(g["zero_point"]), int(g["bitwidth"]))
+def _read_grid(name, g) -> IntActivationParams:
+    return IntActivationParams(**{k.attr: k.read(f"{name} grid", g, None) for k in _GRID_KEYS})
 
 
 def _fused_bundle(bundle: ModelBundle, model: FusedModel, beta_rounding: bool) -> ModelBundle:
@@ -698,17 +709,19 @@ def fused_runtime(bundle) -> FusedModel:
     if fusion is None:
         raise EngineError("bundle has no fusion section; run fuse first")
     try:
-        beta_rounding = bool(fusion["beta_rounding"])
+        beta_rounding = fusion["beta_rounding"]
+        if not isinstance(beta_rounding, bool):
+            raise EngineError(f"fusion beta_rounding must be true or false, got {beta_rounding!r}")
         entries = []
         for i, e in enumerate(fusion["entries"]):
             kind = e["kind"]
             # a kind the table does not list reads as a bare entry, which FusedModel rejects
-            values = {k.attr: k.read(i, e, bundle) for k in FUSED_RECORDS.get(kind, ()) if k.attr}
+            values = {k.attr: k.read(f"layer {i}", e, bundle) for k in FUSED_RECORDS.get(kind, ()) if k.attr}
             if kind == "param":
                 entries.append(FusedEntry(kind, layer=FusedLayerParams(**values, beta_rounding=beta_rounding)))
             else:
                 entries.append(FusedEntry(kind, **values))
-        return FusedModel(_read_grid(fusion["input"]), entries, _read_grid(fusion["output"]))
+        return FusedModel(_read_grid("input", fusion["input"]), entries, _read_grid("output", fusion["output"]))
     except (KeyError, TypeError, ValueError) as e:  # a key missing or a value of the wrong type
         raise EngineError(f"malformed fusion section: {type(e).__name__} {e}") from e
 

@@ -3,6 +3,9 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_intengine import _conv_graphs
 
 from quantcomp import calibrate, intengine
 from quantcomp.calibrate import (
@@ -10,10 +13,10 @@ from quantcomp.calibrate import (
     CalibrationError,
     calibrate_model,
     calibration_pool,
-    collect_pairs,
     compensation_params,
     compensation_positions,
     fit_compensation,
+    fit_stats,
     float_forward_capture,
     fuse_model,
     quantize_model,
@@ -49,35 +52,35 @@ def calib(model_f):
 
 
 class TestCollectPairs:
-    def test_identical_models_give_equal_pairs(self, model_f, calib):
-        pairs = collect_pairs(model_f, model_f, calib[:32])
-        assert len(pairs) == 3
-        for pair in pairs.values():
-            assert np.array_equal(pair.y_full, pair.y_quant)
+    """Fit pairs: float targets and quantized captures, both read from one quantized bundle."""
 
     def test_pair_shapes(self, model_f, calib):
         q = quantize_model(model_f, calib[:64], 8, 8)
-        pairs = collect_pairs(model_f, q, calib[:64])
-        assert pairs[0].y_full.shape == (64, 12)
-        assert pairs[4].y_full.shape == (64, 5)
+        _, y_full = float_forward_capture(q, calib[:64])
+        _, y_quant, _ = sim_forward(q, calib[:64])
+        assert list(y_full) == list(y_quant) == [0, 2, 4]
+        assert y_full[0].shape == y_quant[0].shape == (64, 12)
+        assert y_full[4].shape == y_quant[4].shape == (64, 5)
+
+    def test_quantized_bundle_targets_are_the_float_models(self, model_f, calib):
+        logits, y_full = float_forward_capture(model_f, calib[:64])
+        q_logits, q_full = float_forward_capture(quantize_model(model_f, calib[:64], 4, 4), calib[:64])
+        assert logits.tobytes() == q_logits.tobytes() and list(y_full) == list(q_full)
+        assert all(y_full[i].tobytes() == q_full[i].tobytes() for i in y_full)
 
     def test_sequential_changes_downstream_capture(self, model_f, calib):
         q = quantize_model(model_f, calib[:128], 4, 4)
-        frozen = collect_pairs(model_f, q, calib[:128])
-        first = fit_channel_affine(frozen[0])
-        seq = collect_pairs(model_f, q, calib[:128], compensation={0: first})
-        assert np.array_equal(frozen[0].y_quant, seq[0].y_quant)
-        assert not np.array_equal(frozen[2].y_quant, seq[2].y_quant)
+        _, y_full = float_forward_capture(q, calib[:128])
+        _, frozen, _ = sim_forward(q, calib[:128])
+        first = fit_channel_affine(ActivationPair(y_full[0], frozen[0]))
+        _, seq, _ = sim_forward(q, calib[:128], {0: first})
+        assert np.array_equal(frozen[0], seq[0])
+        assert not np.array_equal(frozen[2], seq[2])
 
     def test_sim_rejects_input_of_the_wrong_shape(self, model_f, calib):
         q = quantize_model(model_f, calib[:64], 8, 8)
         with pytest.raises(CalibrationError, match="input shape"):
             sim_forward(q, np.zeros((4, 7), dtype=np.float32))
-
-    def test_architecture_mismatch(self, model_f, calib):
-        other = build_mlp((6, 9, 5))
-        with pytest.raises(CalibrationError, match="skeleton"):
-            collect_pairs(model_f, other, calib[:16])
 
 
 class TestCalibrateModel:
@@ -99,8 +102,9 @@ class TestCalibrateModel:
             assert s["post_mse"] <= s["pre_mse"] + 1e-12
 
     def test_idempotence_on_unquantized_pairs(self, model_f, calib):
-        pairs = collect_pairs(model_f, model_f, calib[:64])
-        for pair in pairs.values():
+        _, y_full = float_forward_capture(model_f, calib[:64])
+        for y in y_full.values():
+            pair = ActivationPair(y, y)
             p = fit_channel_affine(pair)
             scale = np.abs(pair.y_full).mean()
             assert np.all(np.abs(p.alpha - 1.0) <= 1e-6)
@@ -328,10 +332,10 @@ def _reference_calibrate(model_f, config, calib_x):
     fit_x = calib_x[:n]
     range_x = calib_x[n : 2 * n] if config.range_split else fit_x
     q = quantize_model(model_f, range_x, config.weight_bits, config.act_bits, config.estimator)
-    _, y_full, _ = float_forward_capture(model_f, fit_x)
+    _, y_full = float_forward_capture(model_f, fit_x)
     comp, stats = {}, []
     for i in compensation_positions(model_f, config.position):
-        _, caps, _ = sim_forward(q, fit_x, comp if config.sequential else None, capture={i})
+        _, caps, _ = sim_forward(q, fit_x, comp if config.sequential else None)
         pair = ActivationPair(y_full[i], caps[i])
         p = comp[i] = fit_channel_affine(pair)
         post = channel_mse(pair.y_full, pair.y_quant * p.alpha.astype(np.float64) + p.beta.astype(np.float64))
@@ -466,11 +470,11 @@ class TestOwnerChecks:
         for w, a in ((8, 4), (4, 8)):
             cfg = CalibrationConfig(sample_count=64, weight_bits=w, act_bits=a)
             with pytest.raises(CalibrationError, match="do not match the quantized bundle w4/a4"):
-                fit_compensation(model_f, qbundle, cfg, calib[:64])
+                fit_compensation(qbundle, cfg, calib[:64])
 
     def test_fit_compensation_rejects_unquantized(self, model_f, calib):
         with pytest.raises(CalibrationError, match="no quantization section"):
-            fit_compensation(model_f, model_f, CalibrationConfig(sample_count=64), calib[:64])
+            fit_compensation(model_f, CalibrationConfig(sample_count=64), calib[:64])
 
     def test_pool_size_rule(self, calib):
         from quantcomp.calibrate import calibration_sets
@@ -490,6 +494,41 @@ class TestOwnerChecks:
         with pytest.raises(CalibrationError, match="2 \\* sample_count"):
             calibrate_model(model_f, cfg, calib[:127])
         calibrate_model(model_f, cfg, calib[:128])
+
+
+@st.composite
+def _mlp_graphs(draw):
+    """(layers, input shape, weight bits, activation bits, seed) of a small float MLP:
+    1-3 linear layers, each maybe followed by relu or gelu; bits in 2..8."""
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    c = draw(st.integers(1, 6))
+    shape, layers = (c,), []
+    for _ in range(draw(st.integers(1, 3))):
+        c_out = draw(st.integers(1, 6))
+        weight = (rng.standard_normal((c_out, c)) * 0.7).astype(np.float32)
+        bias = (rng.standard_normal(c_out) * 0.1).astype(np.float32)
+        layers.append(LayerSpec("linear", c, c_out, weight=weight, bias=bias))
+        act = draw(st.sampled_from([None, "relu", "gelu"]))
+        if act:
+            layers.append(LayerSpec(act))
+        c = c_out
+    return layers, shape, draw(st.integers(2, 8)), draw(st.integers(2, 8)), seed
+
+
+class TestCompensationNeverRaisesMse:
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(st.one_of(_mlp_graphs(), _conv_graphs()), st.booleans())
+    def test_post_mse_at_most_pre_mse(self, graph, sequential):
+        # (1, 0) is among the closed-form fit's candidates, so no layer's fit can do worse than none
+        layers, shape, w_bits, a_bits, seed = graph
+        model_f = build_from_layers(layers, shape)
+        x = np.random.default_rng([seed, 2]).standard_normal((32,) + shape).astype(np.float32)
+        cfg = CalibrationConfig(sample_count=32, weight_bits=w_bits, act_bits=a_bits, sequential=sequential)
+        stats = fit_stats(fit_compensation(quantize_model(model_f, x, w_bits, a_bits), cfg, x))
+        assert [s["layer"] for s in stats] == model_f.param_layer_indices()
+        for s in stats:
+            assert s["post_mse"] <= s["pre_mse"] + 1e-12, s
 
 
 # the record keys of each fused entry kind, as the ``fusion`` section stores them

@@ -57,7 +57,6 @@ def workspace(tmp_path_factory):
     assert (
         run(
             "compensate",
-            root / "float",
             root / "quant",
             "--weight-bits",
             "4",
@@ -127,7 +126,6 @@ class TestCompensate:
     def test_bits_mismatch_rejected(self, workspace, tmp_path):
         code = run(
             "compensate",
-            workspace / "float",
             workspace / "quant",
             "--weight-bits",
             "8",
@@ -144,7 +142,6 @@ class TestCompensate:
         assert (
             run(
                 "compensate",
-                workspace / "float",
                 workspace / "quant",
                 "--weight-bits",
                 "4",
@@ -298,6 +295,10 @@ def _dense_first_param(mf):
     next(e for e in mf["fusion"]["entries"] if e["kind"] == "param")["op_kind"] = "dense"
 
 
+def _narrow_first_in_bits(mf):
+    next(e for e in mf["fusion"]["entries"] if e["kind"] == "param")["in_bits"] = 2
+
+
 def _f32_weight_codes(src, dst):
     from quantcomp.refnet import ModelBundle, save_bundle
 
@@ -341,6 +342,7 @@ class TestNamedErrors:
             "fused_short_m0",
             "fused_f32_weight_codes",
             "fused_unknown_op_kind",
+            "fused_in_bits_2",
             "avgpool_kernel_0",
             "transposed_weight",
             "truncated_manifest",
@@ -360,6 +362,8 @@ class TestNamedErrors:
             argv, want = ["eval", _f32_weight_codes(workspace / "fused", tmp_path / "b")], "weight codes are float32"
         elif case == "fused_unknown_op_kind":
             argv, want = ["eval", edit_manifest(workspace / "fused", tmp_path / "b", _dense_first_param)], "op_kind"
+        elif case == "fused_in_bits_2":
+            argv, want = ["eval", edit_manifest(workspace / "fused", tmp_path / "b", _narrow_first_in_bits)], "layer 0: in_bits"
         elif case == "avgpool_kernel_0":
             edit_manifest(_avgpool_bundle(tmp_path / "pool"), tmp_path / "b", _avgpool_kernel_zero)
             argv, want = ["quantize", tmp_path / "b", "--out", tmp_path / "o"], "avgpool"
@@ -377,7 +381,6 @@ class TestNamedErrors:
     def test_sample_count_beyond_pool(self, workspace, tmp_path, capsys):
         code = run(
             "compensate",
-            workspace / "float",
             workspace / "quant",
             "--weight-bits",
             "4",
@@ -407,9 +410,17 @@ class TestNamedErrors:
         assert f"invalid int_list value: '{value}'" in capsys.readouterr().err
 
     def test_fit_on_unquantized_bundle(self, workspace, tmp_path, capsys):
-        code = run("compensate", workspace / "float", workspace / "float", "--out", tmp_path / "x")
+        code = run("compensate", workspace / "float", "--out", tmp_path / "x")
         assert code == 2
         assert "no quantization section" in capsys.readouterr().err
+
+    def test_compensate_takes_one_bundle(self, workspace, tmp_path, capsys):
+        # the float model is inside the quantized bundle; a second one is a usage error
+        with pytest.raises(SystemExit) as exc:
+            main(["compensate", str(workspace / "float"), str(workspace / "quant"), "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
 
 class TestFuseFollowsLibrary:
@@ -418,7 +429,7 @@ class TestFuseFollowsLibrary:
         from quantcomp.refnet import bundles_equal
 
         q = ["--weight-bits", "4", "--act-bits", "4", "--sample-count", "128"]
-        assert run("compensate", workspace / "float", workspace / "quant", *q, "--no-beta-rounding", "--out", tmp_path / "comp") == 0
+        assert run("compensate", workspace / "quant", *q, "--no-beta-rounding", "--out", tmp_path / "comp") == 0
         assert run("fuse", tmp_path / "comp", "--out", tmp_path / "fused") == 0
         fused = load_bundle(tmp_path / "fused")
         assert fused.manifest["fusion"]["beta_rounding"] is False
@@ -449,7 +460,15 @@ class TestFuseFollowsLibrary:
 
         q = ["--weight-bits", "4", "--act-bits", "4", "--sample-count", "128", "--range-split"]
         assert run("quantize", workspace / "float", *q, "--out", tmp_path / "quant") == 0
-        assert run("compensate", workspace / "float", tmp_path / "quant", *q, "--out", tmp_path / "comp") == 0
+        assert run("compensate", tmp_path / "quant", *q, "--out", tmp_path / "comp") == 0
         model_f = load_bundle(workspace / "float")
         cfg = CalibrationConfig(sample_count=128, weight_bits=4, act_bits=4, range_split=True)
         assert bundles_equal(load_bundle(tmp_path / "comp"), calibrate_model(model_f, cfg, calibration_pool(model_f, cfg)))
+
+    def test_pipeline_matches_calibrate_model(self, workspace):
+        from quantcomp.calibrate import CalibrationConfig, calibrate_model, calibration_pool
+        from quantcomp.refnet import bundles_equal
+
+        model_f = load_bundle(workspace / "float")
+        cfg = CalibrationConfig(sample_count=128, weight_bits=4, act_bits=4)
+        assert bundles_equal(load_bundle(workspace / "comp"), calibrate_model(model_f, cfg, calibration_pool(model_f, cfg)))

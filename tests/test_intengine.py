@@ -618,10 +618,43 @@ class TestFusionSectionOwner:
             for key in ("z_x", "m0", "shift", "z"):
                 if key in record:
                     record[key] = np.asarray(record[key], dtype=np.float64).tolist()
+        for grid in (manifest["fusion"]["input"], manifest["fusion"]["output"]):
+            grid["zero_point"], grid["bitwidth"] = float(grid["zero_point"]), float(grid["bitwidth"])
         got, want = fused_runtime(ModelBundle(manifest, fused.blobs)), fused_runtime(fused)
         x = np.random.default_rng(2).standard_normal((16, 4)).astype(np.float32)
         assert got.entries[0].layer.m0.dtype == np.int64 and got.entries[1].z == want.entries[1].z
         assert run_int_model(got, x)[0].tobytes() == run_int_model(want, x)[0].tobytes()
+
+    @pytest.mark.parametrize(
+        "grid, key, value, want",
+        [
+            ("input", "zero_point", 8.9, "input grid: zero_point must hold integers, got 8.9"),
+            ("output", "bitwidth", 4.5, "output grid: bitwidth must hold integers, got 4.5"),
+            ("input", "bitwidth", 8, "layer 0: in_bits is 4, but the layer receives 8-bit codes"),
+        ],
+    )
+    def test_bad_grid_fails_at_load(self, grid, key, value, want):
+        from quantcomp.intengine import fused_runtime
+        from quantcomp.refnet import ModelBundle
+
+        # before, int() read zero_point 8.9 as 8 and bitwidth 4.5 as 4
+        fused = self._fused()
+        manifest = json.loads(json.dumps(fused.manifest))
+        manifest["fusion"][grid][key] = value
+        with pytest.raises(EngineError, match=want):
+            fused_runtime(ModelBundle(manifest, fused.blobs))
+
+    @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None])
+    def test_beta_rounding_must_be_a_json_bool(self, flag):
+        from quantcomp.intengine import fused_runtime
+        from quantcomp.refnet import ModelBundle
+
+        # before, bool("false") loaded as True
+        fused = self._fused()
+        manifest = json.loads(json.dumps(fused.manifest))
+        manifest["fusion"]["beta_rounding"] = flag
+        with pytest.raises(EngineError, match=f"fusion beta_rounding must be true or false, got {flag!r}"):
+            fused_runtime(ModelBundle(manifest, fused.blobs))
 
     @pytest.mark.parametrize("blob", ["layer0.wq", "layer0.bias_acc"])
     def test_float_blob_fails_at_load(self, blob):
@@ -688,6 +721,10 @@ class TestFusionSectionOwner:
             (1, "stride", 0, "layer 1: avgpool needs kernel >= 1, stride >= 1, pad >= 0; got 2, 0, 0"),
             (1, "kernel", 0, "layer 1: avgpool needs"),
             (1, "kind", "maxpool", "layer 1: unknown fused entry kind 'maxpool'"),
+            # a narrower in_bits lets w_centred pick f32 on a reach it understates
+            (0, "in_bits", 2, "layer 0: in_bits is 2, but the layer receives 8-bit codes"),
+            (0, "out_bits", 4, "layer 3: in_bits is 8, but the layer receives 4-bit codes"),
+            (3, "out_bits", 4, "output grid is 8-bit, but the last layer writes 4-bit codes"),
         ],
     )
     def test_bad_record_fails_at_load(self, entry, field, value, want):
