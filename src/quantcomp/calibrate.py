@@ -175,6 +175,29 @@ def _quantization(bundle: ModelBundle) -> dict:
     return qsec
 
 
+def _whole(where, key, raw):
+    """``raw`` (a number, or a list of them) as int or i64 array; CalibrationError unless every value is a whole number.
+
+    An integral float such as ``8.0`` reads as ``8``; ``8.9`` or ``"8"`` fails
+    instead of being truncated or parsed, as ``intengine.RecordKey.read``
+    does for the fusion section.
+    """
+    try:
+        value = np.array(raw, dtype=np.int64)
+        whole = value.tolist() == raw
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole:
+        raise CalibrationError(f"{where}: {key} must be whole numbers, got {raw!r}")
+    return value if isinstance(raw, list) else int(value)
+
+
+def _grid(where, record, bits, prefix=""):
+    """The activation grid a quantization record stores under ``{prefix}scale`` and ``{prefix}zero_point``."""
+    key = prefix + "zero_point"
+    return IntActivationParams(float(record[prefix + "scale"]), _whole(where, key, record[key]), bits)
+
+
 def build_fused_model(
     bundle: ModelBundle,
     compensation: dict[int, ChannelAffineParams] | None = None,
@@ -190,8 +213,7 @@ def build_fused_model(
     qsec = _quantization(bundle)
     compensation = compensation or {}
     ab = qsec["act_bits"]
-    grid = IntActivationParams(float(qsec["input"]["scale"]), int(qsec["input"]["zero_point"]), ab)
-    input_params = grid
+    grid = input_params = _grid("input grid", qsec["input"], ab)
     entries = []
     for i, spec in enumerate(bundle.layers):
         op = spec.op_kind
@@ -201,9 +223,9 @@ def build_fused_model(
                 qsec["weight_bits"],
                 "per_channel",
                 np.array(q["weight_scales"], dtype=np.float32),
-                np.array(q["weight_zero_points"], dtype=np.int64),
+                _whole(f"layer {i}", "weight_zero_points", q["weight_zero_points"]),
             )
-            out = IntActivationParams(float(q["out_scale"]), int(q["out_zero_point"]), ab)
+            out = _grid(f"layer {i}", q, ab, prefix="out_")
             layer = fuse_layer(
                 bundle.tensor(q["weight_codes"]),
                 spec.bias,
@@ -225,7 +247,7 @@ def build_fused_model(
             a = qsec.get("activations", {}).get(str(i))
             if a is None:
                 raise CalibrationError(f"layer {i}: gelu must directly follow a quantized linear/conv layer")
-            out_grid = IntActivationParams(float(a["scale"]), int(a["zero_point"]), ab)
+            out_grid = _grid(f"layer {i}", a, ab)
             entries.append(FusedEntry("gelu", lut=build_gelu_table(grid.s, grid.z, ab, out_grid.s, out_grid.z)))
             grid = out_grid
         elif op == "avgpool":
@@ -477,8 +499,8 @@ def fuse_model(comp_bundle: ModelBundle, beta_rounding: bool | None = None) -> M
     the reference (non-integer-only) mode.
     """
     if beta_rounding is None:
-        beta_rounding = bool(
-            comp_bundle.manifest.get("compensation", {}).get("config", {}).get("beta_rounding", True)
-        )
+        beta_rounding = comp_bundle.manifest.get("compensation", {}).get("config", {}).get("beta_rounding", True)
+        if not isinstance(beta_rounding, bool):
+            raise CalibrationError(f"compensation config beta_rounding must be true or false, got {beta_rounding!r}")
     model = build_fused_model(comp_bundle, compensation_params(comp_bundle), beta_rounding)
     return intengine._fused_bundle(comp_bundle, model, beta_rounding)

@@ -44,6 +44,22 @@ so does the interpreter for a 4-D result, so linear weights, the fused record
 and the bundle on disk keep the float model's NCHW layout.  The GEMM is exact
 in any summation order, so the layout moves no bit.
 
+The interpreter runs a plan (``FusedModel.plan``), built on a model's first
+run and kept: one step per entry, a closure over what the entry needs.
+``_interpret`` quantizes the input with ``quantize_uniform``, runs the steps
+in order and dequantizes the result.  A param step calls ``integer_accumulate``
+(patches first, through ``im2col``, for a conv2d) and ``requantize``, which
+calls ``fixed_point_multiply``; the layer keeps its GEMM operand, its
+accumulator offset row and its (M0, shift, nudge) rows once built.  The
+nudge row ``(1 << (shift - 1)) + (Z_r << shift)`` folds the output
+zero-point into the rounding shift, exactly, because ``Z_r << shift`` is a
+multiple of 2^shift.  A relu right after a param entry is no step of its own:
+``max(z, clip(r, 0, q)) == clip(r, z, q)`` for a code z, so z becomes the
+lower bound of that requantize's clip.  relu (after any other entry), gelu,
+avgpool (which calls ``fixed_point_multiply``) and flatten are one step each.
+The steps find the kernels by their module-global names at each call, so a
+tracer that rebinds them sees every call.
+
 A layer fused with ``beta_rounding=False`` keeps the offset real and
 requantizes as ``Z_r + round((S_x S_W[c] acc_c alpha_c + beta_c) / S_r)``.
 That real-valued form is also the float-assisted simulation that calibration
@@ -55,7 +71,8 @@ The no-float-in-kernels contract is static, so it is checked once, when a
 ``FusedModel`` is built: every entry is a kind the engine runs, conv2d and
 avgpool windows are sound, weight codes are integers, every per-channel array
 has one entry per output channel, every (M0, shift) lies in the encoding's
-range, and every gelu table maps each code of its input grid to a code.
+range, every relu zero-point is a code of the grid it acts on, and every
+gelu table maps each code of its input grid to a code.
 The input is quantized to codes and every step maps codes to codes, so no
 kernel of a checked model sees a float.
 
@@ -145,22 +162,24 @@ def decode_multiplier(m0: int, shift: int) -> float:
     return m0 * 2.0**-shift
 
 
-def fixed_point_multiply(v, m0, shift):
+def fixed_point_multiply(v, m0, shift, nudge=None):
     """round(v * M0 * 2^-shift) in pure i64 arithmetic, ties away from zero.
 
     ``m0``/``shift`` may be scalars or per-channel arrays broadcasting against
-    the last axis of ``v``.  ``v`` must hold integers; i32 accumulators are
+    the last axis of ``v``.  ``v`` must hold integers of i32 range; they are
     multiplied straight into i64, and floats raise ``EngineError``.
     Branch-free: for p < 0, -((|p| + h) >> s) equals (p + h - 1) >> s with
     h = 2^(s-1), so negative products take one extra -1 before the shared
-    nudge-and-shift.
+    nudge-and-shift.  ``nudge``, when given, replaces h; a nudge of
+    h + (z << s) returns the result plus z exactly, as long as it stays below
+    2^62 (``FusedLayerParams.requant_rows`` folds the output zero-point so).
     """
     v = np.asarray(v)
     if v.dtype.kind not in "iu":
         raise EngineError(f"fixed-point multiply fed {v.dtype} values, not integers")
     p = np.multiply(v, m0, dtype=np.int64)  # an i32 accumulator times M0 < 2^31 stays below 2^62
     p -= p < 0
-    p += np.int64(1) << (shift - 1)
+    p += (np.int64(1) << (shift - 1)) if nudge is None else nudge
     p >>= shift
     return p
 
@@ -220,6 +239,28 @@ class FusedLayerParams:
         """``const_acc + bias_acc`` as one (1, C_out) i64 row, built on first use."""
         return (self.const_acc + self.bias_acc)[None, :]
 
+    @cached_property
+    def requant_rows(self):
+        """(m0, shift, nudge) as (1, C_out) i64 rows, plus the zero-point left to add after the shift; built on first use.
+
+        ``nudge`` is the rounding half 2^(shift-1) plus Z_r << shift.  Z_r << shift
+        is a multiple of 2^shift, so the shift returns the result plus Z_r
+        exactly; this holds while the nudge stays below 2^62, because the
+        product of an i32 accumulator and M0 < 2^31 is below 2^62 and their
+        sum must fit i64.  A layer whose nudge might not (shift plus the bit
+        length of Z_r above 62: a multiplier below about 2^-24 for an 8-bit
+        Z_r) keeps Z_r apart and adds it after the shift.
+        """
+        shift = self.shift[None, :]
+        fold = self.z_r == 0 or int(shift.max(initial=0)) + int(self.z_r).bit_length() <= 62
+        nudge = (np.int64(1) << (shift - 1)) + ((np.int64(self.z_r) << shift) if fold else 0)
+        return self.m0[None, :], shift, nudge, 0 if fold else self.z_r
+
+    @cached_property
+    def out_dtype(self):
+        """The dtype of this layer's output codes."""
+        return code_dtype(self.bitwidth)
+
 
 @dataclass
 class InferenceTrace:
@@ -238,7 +279,7 @@ class InferenceTrace:
 
 
 def integer_accumulate(x_q, layer: FusedLayerParams, trace: InferenceTrace | None = None):
-    """i32 accumulators for a (N, C_eff) code matrix; exact integer results.
+    """Accumulators of i32 range, held in i64, for a (N, C_eff) code matrix; exact integer results.
 
     ``acc = x_q @ (W_q - Z_W)^T + (const_acc + bias_acc)``, where
     ``const_acc`` holds the input-independent terms (-Z_x * sum W_q +
@@ -246,7 +287,9 @@ def integer_accumulate(x_q, layer: FusedLayerParams, trace: InferenceTrace | Non
     ``FusedLayerParams.w_centred``: f32 when every partial sum is an integer
     of magnitude at most 2^24, else f64 (below 2^53), so it is exact whatever
     order BLAS sums in.  The i64 row ``FusedLayerParams.acc_offset`` adds the
-    constant terms.
+    constant terms.  Every accumulator is checked to lie in i32 range; the
+    checked i64 rows are returned as they are, which ``requantize`` multiplies
+    into i64 anyway.
     """
     x_q = np.asarray(x_q)
     if x_q.dtype.kind not in "iu":
@@ -261,35 +304,45 @@ def integer_accumulate(x_q, layer: FusedLayerParams, trace: InferenceTrace | Non
     acc += layer.acc_offset
     if acc.max(initial=0) > INT32_MAX or acc.min(initial=0) < INT32_MIN:
         raise EngineError(f"{layer.op_kind}: accumulator overflows i32")
-    return acc.astype(np.int32)
+    return acc
 
 
-def requantize(acc, layer: FusedLayerParams, trace: InferenceTrace | None = None):
-    """i32 accumulators -> b-bit output codes.
+def requantize(acc, layer: FusedLayerParams, trace: InferenceTrace | None = None, lo=0):
+    """Accumulators of i32 range -> b-bit output codes, clipped to [lo, 2^b - 1].
 
     A layer fused with ``beta_rounding=True`` multiplies by its fixed-point
-    M' = (M0, shift) in i64 arithmetic, the deployable integer path.  One
-    fused with ``beta_rounding=False`` requantizes the real value
-    ``S_x S_W acc alpha + beta`` in f64; that reference form, the
-    fitting-time simulation, is not integer-only and shows up in the trace's
-    float counter.  Accumulators that are not integers raise ``EngineError``.
+    M' = (M0, shift) in i64 arithmetic, the deployable integer path, with the
+    output zero-point folded into the rounding nudge
+    (``FusedLayerParams.requant_rows``).  One fused with
+    ``beta_rounding=False`` requantizes the real value ``S_x S_W acc alpha +
+    beta`` in f64; that reference form, the fitting-time simulation, is not
+    integer-only and shows up in the trace's float counter.  Accumulators that
+    are not integers raise ``EngineError``.  A ``lo`` above 0 is a relu with
+    that zero-point folded into the clip: max(lo, clip(r, 0, q)) equals
+    clip(r, lo, q) for 0 <= lo <= q.
     """
     acc = np.asarray(acc)
     if acc.dtype.kind not in "iu":
         raise EngineError(f"{layer.op_kind}: requantize fed {acc.dtype} accumulators, not integers")
-    qmax = 2**layer.bitwidth - 1
     if not layer.beta_rounding:
         if trace is not None:
             trace.float_mul_count += acc.size + layer.out_channels
+        # in place on one f64 array (the same operations in the same order),
+        # so the i64 accumulators raise no memory peak over an i32 copy
         y = accumulator_scale(layer.s_x, layer.s_w)[None, :] * acc
-        y = y * layer.alpha.astype(np.float64)[None, :] + layer.beta_real[None, :]
-        r = layer.z_r + round_half_away(y / np.float64(layer.s_r))
-    else:
-        r = fixed_point_multiply(acc, layer.m0[None, :], layer.shift[None, :])
+        y *= layer.alpha.astype(np.float64)[None, :]
+        y += layer.beta_real[None, :]
+        y /= np.float64(layer.s_r)
+        r = round_half_away(y)
         r += layer.z_r
-    np.maximum(r, 0, out=r)  # the clip as two ufuncs: np.clip adds per-call overhead
-    np.minimum(r, qmax, out=r)
-    return r.astype(code_dtype(layer.bitwidth))
+    else:
+        m0, shift, nudge, z_after = layer.requant_rows
+        r = fixed_point_multiply(acc, m0, shift, nudge)
+        if z_after:
+            r += z_after
+    np.maximum(r, lo, out=r)  # the clip as two ufuncs: np.clip adds per-call overhead
+    np.minimum(r, 2**layer.bitwidth - 1, out=r)
+    return r.astype(layer.out_dtype)
 
 
 def _check_i32(name, values):
@@ -577,6 +630,9 @@ class FusedModel:
                         raise EngineError(f"layer {i}: {k.key} has shape {shape}, layer has {n} output channels")
                 _check_encoding(i, layer.m0, layer.shift)
                 bits = layer.bitwidth
+            elif entry.kind == "relu":
+                if not 0 <= entry.z < 2**bits:
+                    raise EngineError(f"layer {i}: relu zero-point {entry.z} is not a {bits}-bit code")
             elif entry.kind == "avgpool":
                 _check_window(i, "avgpool", entry.kernel, entry.stride)
                 _check_encoding(i, entry.pool_m0, entry.pool_shift)
@@ -592,35 +648,82 @@ class FusedModel:
         """True when every fused layer folds its offset into the integer bias (integer-only)."""
         return all(e.layer.beta_rounding for e in self.entries if e.kind == "param")
 
+    @cached_property
+    def plan(self):
+        """The steps ``_interpret`` runs, built on the first run and kept: one ``step(x_q, trace, tap)`` per entry.
 
-def _run_param_entry(i, layer, x_q, trace, tap):
+        A relu right after a param entry is no step of its own but the lower
+        bound of that entry's requantize clip.  The plan follows ``entries``
+        as they were when it was built.
+        """
+        plan = []
+        for i, entry in enumerate(self.entries):
+            if entry.kind == "relu" and i and self.entries[i - 1].kind == "param":
+                plan[-1] = _param_step(i - 1, self.entries[i - 1], lo=entry.z)
+            else:
+                plan.append(_STEPS[entry.kind](i, entry))
+        return plan
+
+
+# ---------------------------------------------------------------------------
+# the plan's steps: ``step(x_q, trace, tap) -> codes``, one builder per entry kind
+
+
+def _param_step(i, entry, lo=0):
+    """linear/conv2d: ``integer_accumulate``, ``tap`` if given, then ``requantize`` clipped below at ``lo``."""
+    layer = entry.layer
     if layer.op_kind == "linear":
-        rows = x_q
-    else:
-        # conv2d on NHWC codes: (k, k, C) patches on the code dtype, padded with the
+
+        def linear(x_q, trace, tap):
+            acc = integer_accumulate(x_q, layer, trace)
+            return requantize(acc, layer if tap is None else tap(i, x_q, acc, layer), trace, lo)
+
+        return linear
+    k, stride, pad, z_x, c_out = layer.kernel, layer.stride, layer.pad, layer.z_x, layer.out_channels
+
+    def conv2d(x_q, trace, tap):
+        # (k, k, C) patches of the NHWC codes on their own dtype, padded with the
         # input zero-point; the GEMM's (N*H_out*W_out, C_out) result is already NHWC
-        cols, h_out, w_out = im2col(x_q, layer.kernel, layer.stride, layer.pad, pad_value=layer.z_x, channels_last=True)
-        rows = cols.reshape(x_q.shape[0] * h_out * w_out, -1)
-    acc = integer_accumulate(rows, layer, trace=trace)
-    if tap is not None:
-        layer = tap(i, x_q, acc, layer)
-    r = requantize(acc, layer, trace=trace)
-    if layer.op_kind == "linear":
-        return r
-    return r.reshape(x_q.shape[0], h_out, w_out, layer.out_channels)
+        cols, h_out, w_out = im2col(x_q, k, stride, pad, pad_value=z_x, channels_last=True)
+        acc = integer_accumulate(cols.reshape(x_q.shape[0] * h_out * w_out, -1), layer, trace)
+        r = requantize(acc, layer if tap is None else tap(i, x_q, acc, layer), trace, lo)
+        return r.reshape(x_q.shape[0], h_out, w_out, c_out)
+
+    return conv2d
 
 
-def _avgpool_codes(entry, x_q):
+def _relu_step(i, entry):
+    z = entry.z
+    return lambda x_q, trace, tap: np.maximum(x_q, np.asarray(z, dtype=x_q.dtype))
+
+
+def _gelu_step(i, entry):
+    lut = entry.lut
+    return lambda x_q, trace, tap: np.take(lut, x_q)
+
+
+def _avgpool_step(i, entry):
     """Average pooling of NHWC codes: k*k strided slices summed in i64, then the fixed-point 1/k^2."""
-    k, s = entry.kernel, entry.stride
-    n, h, w, c = x_q.shape
-    h_out, w_out = window_positions(h, w, k, s, 0)
-    h_span, w_span = s * (h_out - 1) + 1, s * (w_out - 1) + 1
-    sums = np.zeros((n, h_out, w_out, c), dtype=np.int64)
-    for di in range(k):
-        for dj in range(k):
-            sums += x_q[:, di : di + h_span : s, dj : dj + w_span : s]
-    return fixed_point_multiply(sums, entry.pool_m0, entry.pool_shift).astype(x_q.dtype)
+    k, s, m0, shift = entry.kernel, entry.stride, entry.pool_m0, entry.pool_shift
+
+    def avgpool(x_q, trace, tap):
+        n, h, w, c = x_q.shape
+        h_out, w_out = window_positions(h, w, k, s, 0)
+        h_span, w_span = s * (h_out - 1) + 1, s * (w_out - 1) + 1
+        sums = np.zeros((n, h_out, w_out, c), dtype=np.int64)
+        for di in range(k):
+            for dj in range(k):
+                sums += x_q[:, di : di + h_span : s, dj : dj + w_span : s]
+        return fixed_point_multiply(sums, m0, shift).astype(x_q.dtype)
+
+    return avgpool
+
+
+def _flatten_step(i, entry):
+    return lambda x_q, trace, tap: _nchw(x_q).reshape(x_q.shape[0], -1)
+
+
+_STEPS = {"param": _param_step, "relu": _relu_step, "gelu": _gelu_step, "avgpool": _avgpool_step, "flatten": _flatten_step}
 
 
 def _nchw(x_q):
@@ -629,31 +732,23 @@ def _nchw(x_q):
 
 
 def _interpret(model: FusedModel, x, trace: InferenceTrace, tap=None):
-    """The one forward over a FusedModel: quantize, run every entry on codes, dequantize.
+    """The one forward over a FusedModel: quantize the input, run ``model.plan`` on codes, dequantize.
 
+    ``quantize_uniform`` turns the input into codes on the input grid; each
+    step of the plan then maps codes to codes (see ``FusedModel.plan``).
     ``tap(i, x_q, acc, layer)``, when given, sees each param entry's input
-    codes and i32 accumulators and returns the layer to requantize them with;
-    the fitting-time simulation captures and overrides compensation through it.
-    A linear entry's ``x_q`` is its (N, C_in) matrix; a conv2d entry's is
-    (N, H, W, C_in), NHWC, and its ``acc`` rows run over (n, h_out, w_out).
-    4-D codes stay NHWC from the input to the last entry or a flatten; the
-    result is NCHW.
+    codes and accumulators (i64 rows of i32 range) and returns the layer to
+    requantize them with; the fitting-time simulation captures and overrides
+    compensation through it.  A linear entry's ``x_q`` is its (N, C_in)
+    matrix; a conv2d entry's is (N, H, W, C_in), NHWC, and its ``acc`` rows
+    run over (n, h_out, w_out).  4-D codes stay NHWC from the input to the
+    last entry or a flatten; the result is NCHW.
     """
-    x = np.asarray(x, dtype=np.float32)
-    x_q = quantize_uniform(x, model.input_params.quant_params)
+    x_q = quantize_uniform(np.asarray(x, dtype=np.float32), model.input_params.quant_params)
     if x_q.ndim == 4:
         x_q = x_q.transpose(0, 2, 3, 1)  # 4-D codes travel NHWC between entries
-    for i, entry in enumerate(model.entries):
-        if entry.kind == "param":
-            x_q = _run_param_entry(i, entry.layer, x_q, trace, tap)
-        elif entry.kind == "relu":
-            x_q = np.maximum(x_q, np.asarray(entry.z, dtype=x_q.dtype))
-        elif entry.kind == "gelu":
-            x_q = np.take(entry.lut, x_q)
-        elif entry.kind == "avgpool":
-            x_q = _avgpool_codes(entry, x_q)
-        elif entry.kind == "flatten":
-            x_q = _nchw(x_q).reshape(x_q.shape[0], -1)
+    for step in model.plan:
+        x_q = step(x_q, trace, tap)
     x_q = _nchw(x_q)
     p = model.output_params
     return ((x_q.astype(np.float64) - p.z) * p.s).astype(np.float32)
@@ -664,7 +759,8 @@ def run_int_model(model: FusedModel, x, trace: InferenceTrace | None = None):
 
     Returns (logits_f32, trace).  The input quantization and final dequantization
     are the only floating-point steps and sit outside the kernels; a non-finite
-    input raises ``QuantError``.
+    input raises ``QuantError``.  The first call on a model builds its plan
+    (``FusedModel.plan``); every later call only runs it.
     """
     if trace is None:
         trace = InferenceTrace()

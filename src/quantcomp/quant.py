@@ -123,7 +123,7 @@ def tensor_params(x, bitwidth, estimator=RangeEstimator()) -> QuantParams:
 def _broadcast_params(params: QuantParams, x):
     """Scales/zero-points broadcast against x's leading channel axis."""
     if params.scheme == "per_tensor":
-        return params.scales[0].astype(np.float64), np.int64(params.zero_points[0])
+        return params.scales[0], params.zero_points[0]  # np.float64 and np.int64, as __post_init__ stores them
     if x.shape[0] != len(params.scales):
         raise QuantError(f"per_channel params (C={len(params.scales)}) do not match leading dim of {x.shape}")
     extra = (1,) * (x.ndim - 1)
@@ -139,8 +139,15 @@ def quantize_uniform(x, params: QuantParams):
     if not np.isfinite(x).all():
         raise QuantError("non-finite input")
     s, z = _broadcast_params(params, x)
-    q = np.round(x / s) + z
-    return np.clip(q, 0, params.qmax).astype(code_dtype(params.bitwidth))
+    # np.rint is np.round at 0 decimals; rint, the offset and the clip all run
+    # in place, and the clip as two ufuncs (np.clip's per-call overhead is
+    # larger at batch 1) gives the same values, as no NaN got this far
+    q = np.divide(x, s, out=np.empty_like(x))  # an array even for a 0-d x
+    np.rint(q, out=q)
+    q += z
+    np.maximum(q, 0, out=q)
+    np.minimum(q, params.qmax, out=q)
+    return q.astype(code_dtype(params.bitwidth))
 
 
 def dequantize(codes, params: QuantParams):

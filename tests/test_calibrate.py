@@ -495,6 +495,51 @@ class TestOwnerChecks:
             calibrate_model(model_f, cfg, calib[:127])
         calibrate_model(model_f, cfg, calib[:128])
 
+    @pytest.fixture(scope="class")
+    def gelu_qbundle(self):
+        rng = np.random.default_rng(5)
+        layers = [
+            LayerSpec("linear", 4, 6, weight=rng.standard_normal((6, 4)).astype(np.float32), bias=np.zeros(6, np.float32)),
+            LayerSpec("gelu"),
+            LayerSpec("linear", 6, 3, weight=rng.standard_normal((3, 6)).astype(np.float32), bias=np.zeros(3, np.float32)),
+        ]
+        return quantize_model(build_from_layers(layers, (4,)), rng.standard_normal((32, 4)).astype(np.float32), 8, 8)
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            ("input", "zero_point"),
+            ("layers", "0", "out_zero_point"),
+            ("activations", "1", "zero_point"),
+            ("layers", "2", "weight_zero_points", 1),
+        ],
+    )
+    def test_fractional_zero_point_is_rejected(self, gelu_qbundle, path):
+        # int() used to read 8.9 as 8 without a word
+        from quantcomp.calibrate import build_fused_model
+
+        manifest = copy.deepcopy(gelu_qbundle.manifest)
+        holder = manifest["quantization"]
+        for key in path[:-1]:
+            holder = holder[key]
+        z = holder[path[-1]]
+        holder[path[-1]] = z + 0.5 if z < 255 else z - 0.5
+        with pytest.raises(CalibrationError, match="zero_point.* must be whole numbers"):
+            build_fused_model(ModelBundle(manifest, gelu_qbundle.blobs))
+        holder[path[-1]] = float(z)  # an integral float still reads as its integer
+        x = np.random.default_rng(0).standard_normal((4, 4)).astype(np.float32)
+        assert sim_forward(ModelBundle(manifest, gelu_qbundle.blobs), x)[0].tobytes() == sim_forward(gelu_qbundle, x)[0].tobytes()
+
+    @pytest.mark.parametrize("value", ["false", 0, None])
+    def test_fuse_needs_a_bool_beta_rounding(self, model_f, calib, value):
+        # bool("false") used to fuse the bundle as rounded
+        comp = calibrate_model(model_f, CalibrationConfig(sample_count=64, weight_bits=4, act_bits=4), calib)
+        manifest = copy.deepcopy(comp.manifest)
+        manifest["compensation"]["config"]["beta_rounding"] = value
+        with pytest.raises(CalibrationError, match="beta_rounding must be true or false"):
+            fuse_model(ModelBundle(manifest, comp.blobs))
+        assert fuse_model(ModelBundle(manifest, comp.blobs), beta_rounding=False).manifest["fusion"]["beta_rounding"] is False
+
 
 @st.composite
 def _mlp_graphs(draw):

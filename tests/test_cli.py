@@ -435,6 +435,16 @@ class TestFuseFollowsLibrary:
         assert fused.manifest["fusion"]["beta_rounding"] is False
         assert bundles_equal(fused, fuse_model(load_bundle(tmp_path / "comp")))
 
+    def test_fuse_rejects_a_string_beta_rounding(self, workspace, tmp_path, capsys):
+        from quantcomp.refnet import save_bundle
+
+        comp = load_bundle(workspace / "comp")
+        comp.manifest["compensation"]["config"]["beta_rounding"] = "false"
+        save_bundle(comp, tmp_path / "comp")
+        assert run("fuse", tmp_path / "comp", "--out", tmp_path / "fused") == 2
+        assert "beta_rounding must be true or false, got 'false'" in capsys.readouterr().err
+        assert not (tmp_path / "fused").exists()
+
     def test_fuse_flag_still_overrides(self, workspace, tmp_path):
         assert run("fuse", workspace / "comp", "--beta-rounding", "--out", tmp_path / "fused") == 0
         assert load_bundle(tmp_path / "fused").manifest["fusion"]["beta_rounding"] is True

@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, event, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from quantcomp.compensate import ChannelAffineParams, identity_compensation
 from quantcomp.intengine import (
+    INT32_MAX,
+    INT32_MIN,
     EngineError,
     InferenceTrace,
     IntActivationParams,
@@ -211,6 +213,32 @@ class TestRequantize:
             fixed_point_multiply(np.array([1.7]), layer.m0, layer.shift)
         assert requantize(np.array([[1]], dtype=np.int32), layer)[0, 0] == 1
 
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        bits=st.integers(2, 16),
+        log2_m=st.floats(-33, 8),
+        z_frac=st.floats(0, 1),
+        lo_frac=st.floats(0, 1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(bits=16, log2_m=-33.0, z_frac=1.0, lo_frac=0.0, seed=0)  # shift 63: Z_r stays apart
+    @example(bits=8, log2_m=-10.0, z_frac=0.5, lo_frac=0.7, seed=0)
+    def test_folded_zero_point_and_floor_match_the_plain_form(self, bits, log2_m, z_frac, lo_frac, seed):
+        # Z_r rides in the rounding nudge where that fits i64 and is added after the
+        # shift where it does not; a relu floor lo is the clip's lower bound
+        qmax = 2**bits - 1
+        z_r, lo = round(z_frac * qmax), round(lo_frac * qmax)
+        m = 2.0**log2_m * np.array([1.0, 1.3, 1.7])
+        layer = simple_layer(np.zeros((3, 1), dtype=np.int64), z_w=0, z_x=0, z_r=z_r, m=m, bits=bits)
+        event("Z_r folded" if layer.requant_rows[3] == 0 else "Z_r added after the shift")
+        rng = np.random.default_rng(seed)
+        acc = rng.integers(INT32_MIN, INT32_MAX, (16, 3), endpoint=True)
+        acc = np.concatenate([acc, np.full((1, 3), INT32_MIN), np.full((1, 3), INT32_MAX), np.zeros((1, 3), np.int64)])
+        plain = fixed_point_multiply(acc, layer.m0[None, :], layer.shift[None, :]) + z_r
+        want = np.maximum(np.clip(plain, 0, qmax), lo)
+        got = requantize(acc, layer, lo=lo)
+        assert got.dtype == code_dtype(bits) and np.array_equal(got, want)
+
 
 class TestFuseLayer:
     def _parts(self, rng, c_in=6, c_out=4, bits=8):
@@ -405,6 +433,11 @@ def _reference_accumulate(x_q, layer):
     return x @ w.T - x.sum(axis=1, keepdims=True) * layer.z_w[None, :] + layer.const_acc + layer.bias_acc
 
 
+def _in_i32(acc):
+    """True when ``acc`` holds integers that all lie in i32 range, the contract of integer_accumulate's result."""
+    return acc.dtype.kind == "i" and (acc.size == 0 or (acc.min() >= -(2**31) and acc.max() <= 2**31 - 1))
+
+
 def _fused(w_q, z_w, z_x, in_bits, w_bits, bias_acc=0):
     """fuse_layer with unit scales, so the quantized bias is ``bias_acc`` itself."""
     c_out = w_q.shape[0]
@@ -449,7 +482,7 @@ class TestExactAccumulate:
         x = x.astype(code_dtype(in_bits))
         trace = InferenceTrace()
         got = integer_accumulate(x, layer, trace=trace)
-        assert got.dtype == np.int32
+        assert _in_i32(got)
         assert np.array_equal(got, _reference_accumulate(x, layer))
         assert trace.float_mul_count == 0 and trace.gemm_macs == n * c_out * fan_in
 
@@ -852,7 +885,7 @@ class TestChannelsLastEngine:
                     cols, _, _ = im2col(x_q.transpose(0, 3, 1, 2), layer.kernel, layer.stride, layer.pad, layer.z_x)
                     w = layer.w_q.reshape(layer.out_channels, -1).astype(np.int64) - layer.z_w[:, None]
                     want = cols.reshape(-1, cols.shape[2]).astype(np.int64) @ w.T + layer.const_acc + layer.bias_acc
-                    assert acc.dtype == np.int32 and np.array_equal(acc, want)
+                    assert _in_i32(acc) and np.array_equal(acc, want)
                     seen.append(i)
                 return layer
 
@@ -863,3 +896,86 @@ class TestChannelsLastEngine:
             if not rounding:
                 sim, _, _ = sim_forward(comp, x, compensation_params(comp))
                 assert sim.tobytes() == got.tobytes()
+
+
+@st.composite
+def _relu_mlp_graphs(draw):
+    """(layers, input shape, weight bits, activation bits, seed) of a small float MLP:
+    1-3 linear layers, each followed by a relu; bits in 2..8."""
+    from quantcomp.refnet import LayerSpec
+
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    c = draw(st.integers(1, 6))
+    shape, layers = (c,), []
+    for _ in range(draw(st.integers(1, 3))):
+        c_out = draw(st.integers(1, 6))
+        weight = (rng.standard_normal((c_out, c)) * 0.7).astype(np.float32)
+        bias = (rng.standard_normal(c_out) * 0.1).astype(np.float32)
+        layers += [LayerSpec("linear", c, c_out, weight=weight, bias=bias), LayerSpec("relu")]
+        c = c_out
+    return layers, shape, draw(st.integers(2, 8)), draw(st.integers(2, 8)), seed
+
+
+def _folded_relus(model):
+    return sum(e.kind == "relu" and i > 0 and model.entries[i - 1].kind == "param" for i, e in enumerate(model.entries))
+
+
+class TestPlan:
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(st.one_of(_conv_graphs(), _relu_mlp_graphs()))
+    def test_plan_matches_reference_interpreter(self, graph):
+        from quantcomp.calibrate import CalibrationConfig, calibrate_model, fuse_model
+        from quantcomp.intengine import fused_runtime
+        from quantcomp.refnet import build_from_layers
+
+        layers, shape, w_bits, a_bits, seed = graph
+        rng = np.random.default_rng([seed, 3])
+        model_f = build_from_layers(layers, shape)
+        calib = rng.standard_normal((24,) + shape).astype(np.float32)
+        comp = calibrate_model(model_f, CalibrationConfig(sample_count=16, weight_bits=w_bits, act_bits=a_bits), calib)
+        x = rng.standard_normal((5,) + shape).astype(np.float32)
+        for rounding in (True, False):
+            model = fused_runtime(fuse_model(comp, beta_rounding=rounding))
+            for batch in (x[:1], x):
+                got, _ = run_int_model(model, batch)
+                assert got.tobytes() == _nchw_reference(model, batch).tobytes()
+            # one step per entry, less one for each relu folded into the param step before it
+            assert len(model.plan) == len(model.entries) - _folded_relus(model)
+
+    def test_relu_above_zero_is_the_clip_floor(self):
+        from dataclasses import replace
+
+        from quantcomp.calibrate import CalibrationConfig, calibrate_model, fuse_model
+        from quantcomp.intengine import FusedModel, fused_runtime
+        from quantcomp.refnet import build_mlp
+
+        model_f = build_mlp((4, 8, 8, 3), rng=np.random.default_rng(2))
+        calib = np.random.default_rng(3).standard_normal((64, 4)).astype(np.float32)
+        fused = fused_runtime(fuse_model(calibrate_model(model_f, CalibrationConfig(sample_count=64), calib)))
+        assert [e.z for e in fused.entries if e.kind == "relu"] == [0, 0]
+        # a relu zero-point of 40 floors every code of the layer before it at 40
+        entries = [replace(e, z=40) if e.kind == "relu" else e for e in fused.entries]
+        model = FusedModel(fused.input_params, entries, fused.output_params)
+        assert len(model.plan) == 3 and _folded_relus(model) == 2
+        x = np.random.default_rng(4).standard_normal((16, 4)).astype(np.float32)
+        codes = model.plan[0](quantize_uniform(x, model.input_params.quant_params), InferenceTrace(), None)
+        assert codes.min() == 40
+        got, _ = run_int_model(model, x)
+        assert got.tobytes() == _nchw_reference(model, x).tobytes()
+        assert got.tobytes() != run_int_model(fused, x)[0].tobytes()
+
+    @pytest.mark.parametrize("z", [-1, 256])
+    def test_relu_zero_point_outside_the_codes_fails_at_build(self, z):
+        from dataclasses import replace
+
+        from quantcomp.calibrate import fuse_model, quantize_model
+        from quantcomp.intengine import FusedModel, fused_runtime
+        from quantcomp.refnet import build_mlp
+
+        model_f = build_mlp((4, 6, 3), rng=np.random.default_rng(0))
+        q = quantize_model(model_f, np.random.default_rng(1).standard_normal((32, 4)).astype(np.float32), 8, 8)
+        m = fused_runtime(fuse_model(q))
+        entries = [replace(e, z=z) if e.kind == "relu" else e for e in m.entries]
+        with pytest.raises(EngineError, match=f"layer 1: relu zero-point {z} is not a 8-bit code"):
+            FusedModel(m.input_params, entries, m.output_params)
