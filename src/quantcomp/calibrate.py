@@ -23,12 +23,18 @@ Activation grids chain: the network input gets one per-tensor grid, every
 linear/conv output gets its own, and relu/gelu/avgpool/flatten preserve the
 grid they receive.  Ranges are estimated from the float model's activations
 on the calibration set.
+
+This module owns the ``quantization`` and ``compensation`` manifest sections.
+Each of their records is declared once, as a table of ``refnet.RecordKey``
+that every writer and reader goes through, so a malformed field fails as a
+``CalibrationError`` that names it.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, asdict, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -50,7 +56,7 @@ from .intengine import (
     fuse_layer,
 )
 from .quant import QuantParams, RangeEstimator, quantize_weights_per_channel
-from .refnet import ModelBundle, layer_forward, task_dataset
+from .refnet import GRID_KEYS, ModelBundle, RecordKey, layer_forward, read_record, reading_section, task_dataset, write_record
 
 
 class CalibrationError(Exception):
@@ -79,10 +85,43 @@ class CalibrationConfig:
         if self.weight_bits < 2 or self.act_bits < 2:
             raise CalibrationError("bitwidths must be >= 2")
 
-    def to_manifest(self):
-        d = asdict(self)
-        d["estimator"] = {"kind": self.estimator.kind, "percentile": self.estimator.percentile}
-        return d
+
+# ---------------------------------------------------------------------------
+# the records of the quantization and compensation sections
+
+# the quantization section's head; its ``input`` grid is a GRID_KEYS record
+QUANT_HEAD = (
+    RecordKey("weight_bits", "weight_bits", "scalar", int),
+    RecordKey("act_bits", "act_bits", "scalar", int),
+)
+# quantization ``layers[i]``: linear/conv layer i's weights and output grid
+QUANT_LAYER = (
+    RecordKey("weight_codes", "codes", "blob", blob="layer{i}.wq"),
+    RecordKey("weight_scales", "scales", "channels", np.float64),
+    RecordKey("weight_zero_points", "zero_points", "channels", np.int64),
+    RecordKey("out_scale", "out_s", "scalar", float),
+    RecordKey("out_zero_point", "out_z", "scalar", int),
+)
+# quantization ``activations[i]``: the output grid of the gelu at layer i, of act_bits
+GELU_GRID = GRID_KEYS[:2]
+# compensation ``layers[i]``, keyed by ChannelAffineParams attribute
+COMP_LAYER = (
+    RecordKey("alpha", "alpha", "channels", np.float32),
+    RecordKey("beta", "beta", "channels", np.float32),
+    RecordKey("fallback_mask", "fallback_mask", "channels", bool),
+    RecordKey("negative_clamped", "negative_clamped", "scalar", int, default=0),
+)
+# compensation ``stats``: one row per compensated layer, and the columns of write_fit_csv
+FIT_STATS = (
+    RecordKey("layer", "layer", "scalar", int),
+    RecordKey("channels", "channels", "scalar", int),
+    RecordKey("pre_mse", "pre_mse", "scalar", float),
+    RecordKey("post_mse", "post_mse", "scalar", float),
+    RecordKey("fallback_count", "fallback_count", "scalar", int),
+    RecordKey("negative_clamped", "negative_clamped", "scalar", int),
+)
+# the one key of the compensation ``config`` read back: the rounding fuse_model applies by default
+CONFIG_BETA_ROUNDING = RecordKey("beta_rounding", "beta_rounding", "scalar", bool, default=True)
 
 
 # ---------------------------------------------------------------------------
@@ -136,68 +175,40 @@ def _quantize_from(model_f: ModelBundle, calib_x, outputs, weight_bits, act_bits
     blobs = {}
     s_in, z_in = quant.compute_affine_params(calib_x, act_bits, estimator)
     qsec = {
-        "weight_bits": weight_bits,
-        "act_bits": act_bits,
-        "estimator": {"kind": estimator.kind, "percentile": estimator.percentile},
-        "input": {"scale": float(s_in), "zero_point": int(z_in), "bitwidth": act_bits},
+        **write_record(QUANT_HEAD, None, SimpleNamespace(weight_bits=weight_bits, act_bits=act_bits)),
+        "estimator": asdict(estimator),
+        "input": write_record(GRID_KEYS, None, IntActivationParams(s_in, z_in, act_bits)),
         "layers": {},
         "activations": {},
     }
     layers = model_f.layers
     for i in model_f.param_layer_indices():
         codes, wp = quantize_weights_per_channel(layers[i].weight, weight_bits)
-        blob = f"layer{i}.wq"
-        blobs[blob] = codes
         # a relu directly after the layer folds into the requantization bounds:
         # the output grid spends all codes on the post-relu range and its
         # zero-point lands at 0, so the clip itself realizes the relu
         next_op = layers[i + 1].op_kind if i + 1 < len(layers) else None
         grid_src = np.maximum(outputs[i], 0.0) if next_op == "relu" else outputs[i]
         s_r, z_r = quant.compute_affine_params(grid_src, act_bits, estimator)
-        qsec["layers"][str(i)] = {
-            "weight_codes": blob,
-            "weight_scales": [float(v) for v in wp.scales],
-            "weight_zero_points": [int(v) for v in wp.zero_points],
-            "out_scale": float(s_r),
-            "out_zero_point": int(z_r),
-        }
+        record = SimpleNamespace(codes=codes, scales=wp.scales, zero_points=wp.zero_points, out_s=s_r, out_z=z_r)
+        qsec["layers"][str(i)] = write_record(QUANT_LAYER, i, record, blobs)
         if next_op == "gelu":
             # gelu reads pre-activation codes but writes onto its own grid
             s_a, z_a = quant.compute_affine_params(refnet.gelu(outputs[i]), act_bits, estimator)
-            qsec["activations"][str(i + 1)] = {"scale": float(s_a), "zero_point": int(z_a)}
+            qsec["activations"][str(i + 1)] = write_record(GELU_GRID, None, IntActivationParams(s_a, z_a, act_bits))
     return model_f.derive("quantization", qsec, blobs)
 
 
-def _quantization(bundle: ModelBundle) -> dict:
+@reading_section("quantization", CalibrationError)
+def _quantization(bundle: ModelBundle):
+    """A quantized bundle's ``quantization`` section, its weight_bits and its act_bits."""
     qsec = bundle.manifest.get("quantization")
     if qsec is None:
         raise CalibrationError("bundle has no quantization section; run quantize first")
-    return qsec
+    return qsec, *read_record(QUANT_HEAD, "quantization", qsec).values()
 
 
-def _whole(where, key, raw):
-    """``raw`` (a number, or a list of them) as int or i64 array; CalibrationError unless every value is a whole number.
-
-    An integral float such as ``8.0`` reads as ``8``; ``8.9`` or ``"8"`` fails
-    instead of being truncated or parsed, as ``intengine.RecordKey.read``
-    does for the fusion section.
-    """
-    try:
-        value = np.array(raw, dtype=np.int64)
-        whole = value.tolist() == raw
-    except (TypeError, ValueError, OverflowError):
-        whole = False
-    if not whole:
-        raise CalibrationError(f"{where}: {key} must be whole numbers, got {raw!r}")
-    return value if isinstance(raw, list) else int(value)
-
-
-def _grid(where, record, bits, prefix=""):
-    """The activation grid a quantization record stores under ``{prefix}scale`` and ``{prefix}zero_point``."""
-    key = prefix + "zero_point"
-    return IntActivationParams(float(record[prefix + "scale"]), _whole(where, key, record[key]), bits)
-
-
+@reading_section("quantization", CalibrationError)
 def build_fused_model(
     bundle: ModelBundle,
     compensation: dict[int, ChannelAffineParams] | None = None,
@@ -210,24 +221,21 @@ def build_fused_model(
     zero-point, gelu table and avgpool multiplier are set up once here.  Built
     with ``beta_rounding=False`` it is the float-assisted simulation.
     """
-    qsec = _quantization(bundle)
+    qsec, wb, ab = _quantization(bundle)
     compensation = compensation or {}
-    ab = qsec["act_bits"]
-    grid = input_params = _grid("input grid", qsec["input"], ab)
+    grid = input_params = IntActivationParams(**read_record(GRID_KEYS, "input grid:", qsec["input"]))
+    if grid.bitwidth != ab:
+        raise CalibrationError(f"input grid: bitwidth {grid.bitwidth} differs from act_bits {ab}")
     entries = []
     for i, spec in enumerate(bundle.layers):
         op = spec.op_kind
         if op in refnet.PARAM_OPS:
-            q = qsec["layers"][str(i)]
-            wp = QuantParams(
-                qsec["weight_bits"],
-                "per_channel",
-                np.array(q["weight_scales"], dtype=np.float32),
-                _whole(f"layer {i}", "weight_zero_points", q["weight_zero_points"]),
-            )
-            out = _grid(f"layer {i}", q, ab, prefix="out_")
+            q = read_record(QUANT_LAYER, f"layer {i}:", qsec["layers"][str(i)], bundle)
+            # written in f64 but used in f32, until weight scales get one precision (an open item of ROADMAP.md)
+            wp = QuantParams(wb, "per_channel", q["scales"].astype(np.float32), q["zero_points"])
+            out = IntActivationParams(q["out_s"], q["out_z"], ab)
             layer = fuse_layer(
-                bundle.tensor(q["weight_codes"]),
+                q["codes"],
                 spec.bias,
                 grid,
                 wp,
@@ -247,7 +255,7 @@ def build_fused_model(
             a = qsec.get("activations", {}).get(str(i))
             if a is None:
                 raise CalibrationError(f"layer {i}: gelu must directly follow a quantized linear/conv layer")
-            out_grid = _grid(f"layer {i}", a, ab)
+            out_grid = IntActivationParams(**read_record(GELU_GRID, f"layer {i}:", a), bitwidth=ab)
             entries.append(FusedEntry("gelu", lut=build_gelu_table(grid.s, grid.z, ab, out_grid.s, out_grid.z)))
             grid = out_grid
         elif op == "avgpool":
@@ -353,11 +361,10 @@ def fit_compensation(qbundle: ModelBundle, config: CalibrationConfig, fit_x) -> 
     uncompensated, so every layer is fitted on the frozen quantized model.
     ``config``'s bit-widths must be the ones ``qbundle`` was quantized to.
     """
-    qsec = _quantization(qbundle)
-    if (config.weight_bits, config.act_bits) != (qsec["weight_bits"], qsec["act_bits"]):
+    _, wb, ab = _quantization(qbundle)
+    if (config.weight_bits, config.act_bits) != (wb, ab):
         raise CalibrationError(
-            f"config bits w{config.weight_bits}/a{config.act_bits} do not match the quantized bundle "
-            f"w{qsec['weight_bits']}/a{qsec['act_bits']}"
+            f"config bits w{config.weight_bits}/a{config.act_bits} do not match the quantized bundle w{wb}/a{ab}"
         )
     _, y_full = float_forward_capture(qbundle, fit_x)
     return _fit_from(qbundle, config, fit_x, y_full)
@@ -380,16 +387,8 @@ def _fit_from(qbundle: ModelBundle, config: CalibrationConfig, fit_x, y_full) ->
 
     sim_forward(qbundle, fit_x, _on_capture=fit)
     section = {
-        "config": config.to_manifest(),
-        "layers": {
-            str(i): {
-                "alpha": [float(v) for v in p.alpha],
-                "beta": [float(v) for v in p.beta],
-                "fallback_mask": [bool(v) for v in p.fallback_mask],
-                "negative_clamped": p.negative_clamped,
-            }
-            for i, p in comp.items()
-        },
+        "config": asdict(config),
+        "layers": {str(i): write_record(COMP_LAYER, i, p) for i, p in comp.items()},
         "stats": stats,
     }
     return qbundle.derive("compensation", section, {})
@@ -412,44 +411,43 @@ def calibrate_model(model_f: ModelBundle, config: CalibrationConfig, calib_x=Non
 def _fit_stat(i, pair: ActivationPair, params: ChannelAffineParams):
     pre = channel_mse(pair.y_full, pair.y_quant)
     post = channel_mse(pair.y_full, pair.y_quant * params.alpha.astype(np.float64) + params.beta.astype(np.float64))
-    return {
-        "layer": i,
-        "channels": params.channels,
-        "pre_mse": float(pre.mean()),
-        "post_mse": float(post.mean()),
-        "fallback_count": int(params.fallback_mask.sum()),
-        "negative_clamped": params.negative_clamped,
-    }
+    row = SimpleNamespace(
+        layer=i,
+        channels=params.channels,
+        pre_mse=pre.mean(),
+        post_mse=post.mean(),
+        fallback_count=params.fallback_mask.sum(),
+        negative_clamped=params.negative_clamped,
+    )
+    return write_record(FIT_STATS, None, row)
 
 
+@reading_section("compensation", CalibrationError)
 def compensation_params(bundle: ModelBundle) -> dict[int, ChannelAffineParams]:
     """The fitted α/β per compensated layer index; empty for an uncompensated bundle."""
+    param_keys = {str(i): i for i in bundle.param_layer_indices()}
     out = {}
-    for key, e in bundle.manifest.get("compensation", {}).get("layers", {}).items():
-        out[int(key)] = ChannelAffineParams(
-            np.array(e["alpha"], dtype=np.float32),
-            np.array(e["beta"], dtype=np.float32),
-            np.array(e["fallback_mask"], dtype=bool),
-            e.get("negative_clamped", 0),
-        )
+    for key, record in bundle.manifest.get("compensation", {}).get("layers", {}).items():
+        if key not in param_keys:
+            raise CalibrationError(f"compensation layer {key!r} is not a linear/conv layer")
+        out[param_keys[key]] = ChannelAffineParams(**read_record(COMP_LAYER, f"layer {key}:", record))
     return out
 
 
+@reading_section("compensation", CalibrationError)
 def fit_stats(bundle: ModelBundle) -> list[dict]:
-    """The fit's statistics, one dict per compensated layer; empty for an uncompensated bundle."""
-    return bundle.manifest.get("compensation", {}).get("stats", [])
+    """The fit's statistics, one dict per compensated layer keyed as ``FIT_STATS``; empty if uncompensated."""
+    rows = bundle.manifest.get("compensation", {}).get("stats", [])
+    return [read_record(FIT_STATS, f"stats row {n}:", row) for n, row in enumerate(rows)]
 
 
 def write_fit_csv(bundle: ModelBundle, path):
-    """Fit-statistics sidecar: one row per compensated layer."""
+    """Fit-statistics sidecar: one row per compensated layer, one column per ``FIT_STATS`` key."""
     stats = fit_stats(bundle)
     with open(path, "w", newline="") as f:
-        w = csv.DictWriter(
-            f, fieldnames=["layer", "channels", "pre_mse", "post_mse", "fallback_count", "negative_clamped"]
-        )
+        w = csv.DictWriter(f, fieldnames=[k.key for k in FIT_STATS])
         w.writeheader()
-        for row in stats:
-            w.writerow(row)
+        w.writerows(stats)
     return len(stats)
 
 
@@ -461,20 +459,16 @@ def model_size_report(bundle: ModelBundle) -> dict:
     fused multiplier and bias accumulator replace arrays a plain quantized
     deployment carries anyway).
     """
-    qsec = bundle.manifest.get("quantization")
+    quantized = "quantization" in bundle.manifest
+    weight_bits = _quantization(bundle)[1] if quantized else 32
     param_scalars = 0
     bits = 0
-    for i, layer in enumerate(bundle.layers):
-        if layer.weight is None:
-            continue
-        w, b = layer.weight, layer.bias
-        if qsec is not None:
-            channels = len(qsec["layers"][str(i)]["weight_scales"])
-            param_scalars += w.size + b.size + 2 * channels
-            bits += w.size * qsec["weight_bits"] + b.size * 32 + channels * 64
-        else:
-            param_scalars += w.size + b.size
-            bits += (w.size + b.size) * 32
+    for layer in bundle.layers:
+        if layer.weight is not None:
+            # a quantized layer also stores a scale and a zero-point per output channel
+            grid_scalars = 2 * layer.out_channels if quantized else 0
+            param_scalars += layer.weight.size + layer.bias.size + grid_scalars
+            bits += layer.weight.size * weight_bits + (layer.bias.size + grid_scalars) * 32
     # fusion folds alpha/beta into arrays a plain quantized deployment carries anyway
     delta_scalars = 0 if bundle.stage == "fused" else sum(2 * p.channels for p in compensation_params(bundle).values())
     delta_bits = delta_scalars * 32
@@ -499,8 +493,8 @@ def fuse_model(comp_bundle: ModelBundle, beta_rounding: bool | None = None) -> M
     the reference (non-integer-only) mode.
     """
     if beta_rounding is None:
-        beta_rounding = comp_bundle.manifest.get("compensation", {}).get("config", {}).get("beta_rounding", True)
-        if not isinstance(beta_rounding, bool):
-            raise CalibrationError(f"compensation config beta_rounding must be true or false, got {beta_rounding!r}")
+        config = comp_bundle.manifest.get("compensation", {}).get("config", {})
+        with reading_section("compensation", CalibrationError):
+            beta_rounding = CONFIG_BETA_ROUNDING.read("compensation config", config, comp_bundle)
     model = build_fused_model(comp_bundle, compensation_params(comp_bundle), beta_rounding)
     return intengine._fused_bundle(comp_bundle, model, beta_rounding)

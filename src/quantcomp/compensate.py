@@ -71,7 +71,7 @@ class ChannelAffineParams:
         self.fallback_mask = np.asarray(self.fallback_mask, dtype=bool)
         if not (len(self.alpha) == len(self.beta) == len(self.fallback_mask)):
             raise ValueError("alpha/beta/fallback_mask length mismatch")
-        if not np.isfinite(self.alpha).all() or np.any(self.alpha == 0):
+        if not np.isfinite(self.alpha).all() or (self.alpha == 0).any():
             raise ValueError("alpha must be finite and nonzero")
         if not np.isfinite(self.beta).all():
             raise ValueError("beta must be finite")

@@ -70,9 +70,10 @@ code path.
 The no-float-in-kernels contract is static, so it is checked once, when a
 ``FusedModel`` is built: every entry is a kind the engine runs, conv2d and
 avgpool windows are sound, weight codes are integers, every per-channel array
-has one entry per output channel, every (M0, shift) lies in the encoding's
-range, every relu zero-point is a code of the grid it acts on, and every
-gelu table maps each code of its input grid to a code.
+has one entry per output channel, every scale and gain is positive, every
+(M0, shift) lies in the encoding's range, every relu zero-point is a code of
+the grid it acts on, and every gelu table maps each code of its input grid to
+a code.
 The input is quantized to codes and every step maps codes to codes, so no
 kernel of a checked model sees a float.
 
@@ -91,7 +92,9 @@ import numpy as np
 
 from .compensate import ChannelAffineParams, identity_compensation
 from .quant import QuantParams, code_dtype, quantize_uniform
-from .refnet import PARAM_OPS, ModelBundle, gelu, im2col, window_positions
+from .refnet import (
+    GRID_KEYS, PARAM_OPS, ModelBundle, RecordKey, gelu, im2col, read_record, reading_section, window_positions, write_record
+)
 
 INT32_MIN = -(2**31)
 INT32_MAX = 2**31 - 1
@@ -379,7 +382,7 @@ def fuse_layer(
         raise EngineError(f"compensation has {comp.channels} channels, layer has {c_out}")
     alpha = comp.alpha.astype(np.float64)
     beta = comp.beta.astype(np.float64)
-    if np.any(alpha <= 0):
+    if (alpha <= 0).any():
         raise EngineError("fuse_layer needs positive per-channel gains (clamp negatives at fit time)")
     s_w = w_params.scales.astype(np.float64)
     z_w = w_params.zero_points.astype(np.int64)
@@ -401,7 +404,7 @@ def fuse_layer(
     )
     # worst-case accumulator magnitude over any admissible input
     reach = np.abs(w_mat - z_w[:, None]).sum(axis=1) * max(act_in.z, 2**act_in.bitwidth - 1 - act_in.z)
-    if np.any(reach + np.abs(bias_acc) > INT32_MAX):
+    if (reach + np.abs(bias_acc) > INT32_MAX).any():
         raise EngineError("worst-case accumulator would overflow i32; reduce fan-in or bitwidth")
     return FusedLayerParams(
         op_kind=op_kind,
@@ -476,60 +479,6 @@ class FusedEntry:
     pool_shift: int = 0
 
 
-@dataclass(frozen=True)
-class RecordKey:
-    """One key of a fused record, the attribute that holds it, and how the ``fusion`` section stores it.
-
-    ``form`` is ``scalar`` (inline, converted with ``dtype``), ``channels`` (an
-    inline per-channel list, read back as a ``dtype`` array), ``acc`` (a
-    per-channel blob written as i32 and read back to i64 through a safe cast,
-    so a blob of floats fails instead of truncating), ``blob`` (an array blob
-    kept as built) or ``index`` (the entry's position, held by no attribute).
-    A blob is named ``blob.format(i=entry index)``.  Only a key with a
-    ``default`` may be missing from a record.
-    """
-
-    key: str
-    attr: str | None  # of FusedLayerParams in a param record, else of FusedEntry
-    form: str
-    dtype: type | None = None
-    blob: str = ""
-    default: int | None = None
-
-    def write(self, i, holder, blobs):
-        """This key's manifest value for entry ``i``; a blob it names goes into ``blobs``."""
-        if self.form == "index":
-            return i
-        value = getattr(holder, self.attr)
-        if self.form in ("acc", "blob"):
-            name = self.blob.format(i=i)
-            blobs[name] = value.astype(np.int32) if self.form == "acc" else value
-            return name
-        return self.dtype(value) if self.form == "scalar" else np.asarray(value, dtype=self.dtype).tolist()
-
-    def read(self, where, record, bundle):
-        """The attribute value that ``record`` stores under this key; ``where`` names the record in errors.
-
-        An integer key rejects a number with a fractional part instead of
-        truncating it; an integral float such as ``8.0`` reads as ``8``.
-        """
-        raw = record[self.key] if self.default is None else record.get(self.key, self.default)
-        if self.form in ("acc", "blob"):
-            blob = bundle.tensor(raw)
-            return blob.astype(np.int64, casting="safe") if self.form == "acc" else blob
-        value = self.dtype(raw) if self.form == "scalar" else np.array(raw, dtype=self.dtype)
-        if self.dtype in (int, np.int64) and (value.tolist() if self.form == "channels" else value) != raw:
-            raise EngineError(f"{where}: {self.key} must hold integers, got {raw!r}")
-        return value
-
-    def show(self, i, holder):
-        """This key's value for entry ``i`` as ``dump_fused`` prints it."""
-        value = i if self.form == "index" else getattr(holder, self.attr)
-        if self.form == "blob":
-            return f"shape={list(value.shape)} dtype={value.dtype}"
-        return value.tolist() if isinstance(value, np.ndarray) else value
-
-
 # The one declaration of the fused record: per entry kind, its keys in order.
 # Every kind's record also holds its ``kind``; a param record's layer shares
 # the fusion section's ``beta_rounding``.
@@ -568,12 +517,8 @@ FUSED_RECORDS = {
     "flatten": (),
 }
 _PER_CHANNEL_KEYS = tuple(k for k in FUSED_RECORDS["param"] if k.form in ("channels", "acc"))
-# the input and output grids, keyed by IntActivationParams attribute
-_GRID_KEYS = (
-    RecordKey("scale", "s", "scalar", float),
-    RecordKey("zero_point", "z", "scalar", int),
-    RecordKey("bitwidth", "bitwidth", "scalar", int),
-)
+# the fusion section's own flag: whether every param layer folds its offset into the integer bias
+BETA_ROUNDING = RecordKey("beta_rounding", "beta_rounding", "scalar", bool)
 
 
 def _holder(entry: FusedEntry):
@@ -584,7 +529,7 @@ def _holder(entry: FusedEntry):
 def _check_encoding(i, m0, shift):
     """EngineError unless M0 in [2^30, 2^31) and 1 <= shift <= 63, the inputs ``fixed_point_multiply`` rounds right."""
     m0, shift = np.asarray(m0), np.asarray(shift)
-    if not (np.all((m0 >= 2**30) & (m0 < 2**31)) and np.all((shift >= 1) & (shift <= 63))):
+    if not (((m0 >= 2**30) & (m0 < 2**31)).all() and ((shift >= 1) & (shift <= 63)).all()):
         raise EngineError(f"layer {i}: multiplier (m0, shift) outside the fixed-point encoding")
 
 
@@ -628,6 +573,8 @@ class FusedModel:
                     if np.shape(getattr(layer, k.attr)) != (n,):
                         shape = np.shape(getattr(layer, k.attr))
                         raise EngineError(f"layer {i}: {k.key} has shape {shape}, layer has {n} output channels")
+                if not (layer.s_x > 0 and layer.s_r > 0 and layer.s_w.min(initial=1) > 0 and layer.alpha.min(initial=1) > 0):
+                    raise EngineError(f"layer {i}: scales and gains must be positive")
                 _check_encoding(i, layer.m0, layer.shift)
                 bits = layer.bitwidth
             elif entry.kind == "relu":
@@ -775,51 +722,39 @@ def run_int_model(model: FusedModel, x, trace: InferenceTrace | None = None):
 # of FusedModel, follow FUSED_RECORDS.
 
 
-def _grid_manifest(p: IntActivationParams):
-    return {k.key: k.write(None, p, None) for k in _GRID_KEYS}
-
-
-def _read_grid(name, g) -> IntActivationParams:
-    return IntActivationParams(**{k.attr: k.read(f"{name} grid", g, None) for k in _GRID_KEYS})
-
-
 def _fused_bundle(bundle: ModelBundle, model: FusedModel, beta_rounding: bool) -> ModelBundle:
     """``bundle`` plus a ``fusion`` section serializing ``model`` and the blobs it names."""
     blobs = {}
     entries = [
-        {"kind": e.kind, **{k.key: k.write(i, _holder(e), blobs) for k in FUSED_RECORDS[e.kind]}}
-        for i, e in enumerate(model.entries)
+        {"kind": e.kind, **write_record(FUSED_RECORDS[e.kind], i, _holder(e), blobs)} for i, e in enumerate(model.entries)
     ]
     fusion = {
         "beta_rounding": beta_rounding,
-        "input": _grid_manifest(model.input_params),
-        "output": _grid_manifest(model.output_params),
+        "input": write_record(GRID_KEYS, None, model.input_params),
+        "output": write_record(GRID_KEYS, None, model.output_params),
         "entries": entries,
     }
     return bundle.derive("fusion", fusion, blobs)
 
 
+@reading_section("fusion", EngineError)
 def fused_runtime(bundle) -> FusedModel:
     """The ``FusedModel`` a bundle's ``fusion`` section describes; ``EngineError`` if it is absent or malformed."""
     fusion = bundle.manifest.get("fusion")
     if fusion is None:
         raise EngineError("bundle has no fusion section; run fuse first")
-    try:
-        beta_rounding = fusion["beta_rounding"]
-        if not isinstance(beta_rounding, bool):
-            raise EngineError(f"fusion beta_rounding must be true or false, got {beta_rounding!r}")
-        entries = []
-        for i, e in enumerate(fusion["entries"]):
-            kind = e["kind"]
-            # a kind the table does not list reads as a bare entry, which FusedModel rejects
-            values = {k.attr: k.read(f"layer {i}", e, bundle) for k in FUSED_RECORDS.get(kind, ()) if k.attr}
-            if kind == "param":
-                entries.append(FusedEntry(kind, layer=FusedLayerParams(**values, beta_rounding=beta_rounding)))
-            else:
-                entries.append(FusedEntry(kind, **values))
-        return FusedModel(_read_grid("input", fusion["input"]), entries, _read_grid("output", fusion["output"]))
-    except (KeyError, TypeError, ValueError) as e:  # a key missing or a value of the wrong type
-        raise EngineError(f"malformed fusion section: {type(e).__name__} {e}") from e
+    beta_rounding = BETA_ROUNDING.read("fusion", fusion, bundle)
+    entries = []
+    for i, e in enumerate(fusion["entries"]):
+        kind = e["kind"]
+        # a kind the table does not list reads as a bare entry, which FusedModel rejects
+        values = read_record(FUSED_RECORDS.get(kind, ()), f"layer {i}:", e, bundle, i)
+        if kind == "param":
+            entries.append(FusedEntry(kind, layer=FusedLayerParams(**values, beta_rounding=beta_rounding)))
+        else:
+            entries.append(FusedEntry(kind, **values))
+    grids = [IntActivationParams(**read_record(GRID_KEYS, f"{end} grid:", fusion[end])) for end in ("input", "output")]
+    return FusedModel(grids[0], entries, grids[1])
 
 
 def dump_fused(model: FusedModel, file):
@@ -830,7 +765,7 @@ def dump_fused(model: FusedModel, file):
     """
     print(f"beta_rounding: {model.beta_rounding}", file=file)
     for name, grid in (("input", model.input_params), ("output", model.output_params)):
-        print(f"{name}: " + " ".join(f"{k}={v}" for k, v in _grid_manifest(grid).items()), file=file)
+        print(f"{name}: " + " ".join(f"{k}={v}" for k, v in write_record(GRID_KEYS, None, grid).items()), file=file)
     for i, entry in enumerate(model.entries):
         holder = _holder(entry)
         print(f"[{holder.op_kind if entry.kind == 'param' else entry.kind}] layer {i}", file=file)

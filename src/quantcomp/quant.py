@@ -77,10 +77,10 @@ class QuantParams:
             raise QuantError("per_tensor params must have exactly one scale")
         if len(self.scales) != len(self.zero_points):
             raise QuantError("scales and zero_points length mismatch")
-        if not np.all(self.scales > 0):
+        if not (self.scales > 0).all():
             raise QuantError("scales must be positive")
         qmax = 2**self.bitwidth - 1
-        if np.any(self.zero_points < 0) or np.any(self.zero_points > qmax):
+        if (self.zero_points < 0).any() or (self.zero_points > qmax).any():
             raise QuantError(f"zero_points outside [0, {qmax}]")
 
     @property

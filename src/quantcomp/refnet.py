@@ -3,13 +3,19 @@
 A model lives on disk as a directory with a ``manifest.json`` and one raw
 little-endian ``.bin`` blob per tensor.  In memory it is a :class:`ModelBundle`
 (manifest dict + blob dict); layer views are resolved on demand.
+
+It also owns the record mechanism that the quantization, compensation and
+fusion sections go through: each section's owner declares its records once, as
+tuples of :class:`RecordKey`, which ``write_record`` and ``read_record`` follow.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import shutil
 import uuid
+from contextlib import contextmanager
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -431,6 +437,116 @@ def bundles_equal(a: ModelBundle, b: ModelBundle) -> bool:
         if x.dtype != y.dtype or x.shape != y.shape or x.tobytes() != y.tobytes():
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# manifest records
+
+# what a value read with each dtype must be, as errors say it; a float's must be finite
+_MUST = {None: "be the record's position", int: "hold integers", np.int64: "hold integers", bool: "be true or false"}
+
+
+@dataclass(frozen=True)
+class RecordKey:
+    """One key of a manifest record, the attribute that holds it, and how the manifest stores it.
+
+    ``form`` is ``scalar`` (inline, converted with ``dtype``), ``channels`` (an
+    inline per-channel list, read back as a 1-D ``dtype`` array), ``acc`` (a
+    per-channel blob written as i32 and read back to i64 through a safe cast,
+    so a blob of floats fails instead of truncating), ``blob`` (an array blob
+    kept as built) or ``index`` (the record's position, held by no attribute).
+    A blob is named ``blob.format(i=record position)``.  Only a key with a
+    ``default`` may be missing from a record.  An integer key rejects ``8.9``
+    or ``"8"`` instead of truncating or parsing it (``8.0`` reads as ``8``), a
+    float key NaN and infinities, and a ``bool`` key all but true and false.
+    """
+
+    key: str
+    attr: str | None  # of the object the record describes
+    form: str
+    dtype: type | None = None
+    blob: str = ""
+    default: object = None
+
+    def write(self, i, holder, blobs):
+        """This key's manifest value for record ``i``; a blob it names goes into ``blobs``."""
+        if self.form == "index":
+            return i
+        value = getattr(holder, self.attr)
+        if self.form in ("acc", "blob"):
+            name = self.blob.format(i=i)
+            blobs[name] = value.astype(np.int32) if self.form == "acc" else value
+            return name
+        return self.dtype(value) if self.form == "scalar" else np.asarray(value, dtype=self.dtype).tolist()
+
+    def read(self, where, record, bundle, i=None):
+        """The attribute value that ``record`` stores under this key (for an ``index`` key, ``i``).
+
+        KeyError if the key is missing and has no default; ValueError naming
+        ``where`` (put before the key, as ``"layer 3:"``) and the key if the
+        value is not of the key's kind.
+        """
+        raw = record[self.key] if self.default is None or self.key in record else self.default
+        if self.form in ("acc", "blob"):
+            blob = bundle.tensor(raw)
+            return blob.astype(np.int64, casting="safe") if self.form == "acc" else blob
+        try:
+            value = i if self.form == "index" else self.dtype(raw) if self.form == "scalar" else np.array(raw, self.dtype)
+            holds = self._holds(value, raw)
+        except (TypeError, ValueError, OverflowError):
+            holds = False
+        if not holds:
+            raise ValueError(f"{where} {self.key} must {_MUST.get(self.dtype, 'hold finite numbers')}, got {raw!r}")
+        return value
+
+    def _holds(self, value, raw):
+        """Whether ``value``, converted from ``raw``, is of this key's kind."""
+        if self.form == "channels" and value.ndim != 1:
+            return False
+        if self.dtype in (float, np.float32, np.float64):
+            if self.form == "scalar":
+                return math.isfinite(value)
+            # a finite sum proves every value finite; only one that overflows needs the test value by value
+            return math.isfinite(np.add.reduce(value)) or bool(np.isfinite(value).all())
+        if self.dtype is bool and self.form == "scalar":
+            return isinstance(raw, bool)  # bool() reads "false" and 2 as true
+        return (value.tolist() if self.form == "channels" else value) == raw  # 8.9 or "8" fails for an int
+
+    def show(self, i, holder):
+        """This key's value for record ``i`` as ``intengine.dump_fused`` prints it."""
+        value = i if self.form == "index" else getattr(holder, self.attr)
+        if self.form == "blob":
+            return f"shape={list(value.shape)} dtype={value.dtype}"
+        return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+# an activation grid's record, keyed by the attributes of ``intengine.IntActivationParams``
+GRID_KEYS = (
+    RecordKey("scale", "s", "scalar", float),
+    RecordKey("zero_point", "z", "scalar", int),
+    RecordKey("bitwidth", "bitwidth", "scalar", int),
+)
+
+
+def write_record(keys, i, holder, blobs=None) -> dict:
+    """Record ``i`` of ``keys`` as ``{key: manifest value}``, from ``holder``'s attributes; blobs go into ``blobs``."""
+    return {k.key: k.write(i, holder, blobs) for k in keys}
+
+
+def read_record(keys, where, record, bundle=None, i=None) -> dict:
+    """``{attr: value}`` of ``record`` for ``keys``, by ``RecordKey.read``; an ``index`` key is only checked."""
+    values = {k.attr: k.read(where, record, bundle, i) for k in keys}
+    values.pop(None, None)
+    return values
+
+
+@contextmanager
+def reading_section(name, error):
+    """``error`` for a KeyError, TypeError or ValueError out of the block: section ``name`` is malformed."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as e:
+        raise error(f"malformed {name} section: {type(e).__name__} {e}") from e
 
 
 # ---------------------------------------------------------------------------

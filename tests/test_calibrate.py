@@ -524,11 +524,18 @@ class TestOwnerChecks:
             holder = holder[key]
         z = holder[path[-1]]
         holder[path[-1]] = z + 0.5 if z < 255 else z - 0.5
-        with pytest.raises(CalibrationError, match="zero_point.* must be whole numbers"):
+        with pytest.raises(CalibrationError, match="zero_point.* must hold integers"):
             build_fused_model(ModelBundle(manifest, gelu_qbundle.blobs))
         holder[path[-1]] = float(z)  # an integral float still reads as its integer
         x = np.random.default_rng(0).standard_normal((4, 4)).astype(np.float32)
         assert sim_forward(ModelBundle(manifest, gelu_qbundle.blobs), x)[0].tobytes() == sim_forward(gelu_qbundle, x)[0].tobytes()
+
+    def test_stored_input_bitwidth_must_be_act_bits(self, gelu_qbundle):
+        # build_fused_model used to build the input grid with act_bits and ignore the stored bitwidth
+        manifest = copy.deepcopy(gelu_qbundle.manifest)
+        manifest["quantization"]["input"]["bitwidth"] = 9
+        with pytest.raises(CalibrationError, match="input grid: bitwidth 9 differs from act_bits 8"):
+            calibrate.build_fused_model(ModelBundle(manifest, gelu_qbundle.blobs))
 
     @pytest.mark.parametrize("value", ["false", 0, None])
     def test_fuse_needs_a_bool_beta_rounding(self, model_f, calib, value):
@@ -653,3 +660,92 @@ class TestFusedRecord:
         for i, ((header, keys), record) in enumerate(zip(blocks, records)):
             assert header == f"[{record.get('op_kind', record['kind'])}] layer {i}"
             assert keys == [k for k in record if k != "kind"]
+
+
+def _record_tables():
+    """(name, path to one record in a fused bundle's manifest, its keys, section reader) of every record table.
+
+    ``path`` ends in the record itself; the reader runs on a corrupted bundle
+    and returns what must stay as it was when nothing is raised: the logits
+    the section's model gives on a fixed batch, or the stats rows.
+    """
+    from quantcomp.intengine import BETA_ROUNDING, FUSED_RECORDS
+    from quantcomp.refnet import GRID_KEYS
+
+    x = np.random.default_rng(3).uniform(-1, 1, (3, 2, 6, 6)).astype(np.float32)
+
+    def quantization(b):
+        return run_int_model(calibrate.build_fused_model(b), x)[0].tobytes()
+
+    def compensation(b):
+        return run_int_model(calibrate.build_fused_model(b, compensation_params(b)), x)[0].tobytes()
+
+    def config(b):
+        return run_int_model(fused_runtime(fuse_model(b)), x)[0].tobytes()
+
+    def fusion(b):
+        return run_int_model(fused_runtime(b), x)[0].tobytes()
+
+    # conv -> relu -> conv -> gelu -> avgpool -> flatten -> linear: one record of every kind
+    fused_entries = {"param": 0, "relu": 1, "gelu": 3, "avgpool": 4}
+    return [
+        ("quantization", ("quantization",), calibrate.QUANT_HEAD, quantization),
+        ("quantization-input", ("quantization", "input"), GRID_KEYS, quantization),
+        ("quantization-layer", ("quantization", "layers", "0"), calibrate.QUANT_LAYER, quantization),
+        ("quantization-gelu", ("quantization", "activations", "3"), calibrate.GELU_GRID, quantization),
+        ("compensation-layer", ("compensation", "layers", "2"), calibrate.COMP_LAYER, compensation),
+        ("compensation-config", ("compensation", "config"), (calibrate.CONFIG_BETA_ROUNDING,), config),
+        ("compensation-stats", ("compensation", "stats", 0), calibrate.FIT_STATS, fit_stats),
+        ("fusion", ("fusion",), (BETA_ROUNDING,), fusion),
+        ("fusion-input", ("fusion", "input"), GRID_KEYS, fusion),
+        ("fusion-output", ("fusion", "output"), GRID_KEYS, fusion),
+        *[(f"fusion-{kind}", ("fusion", "entries", i), FUSED_RECORDS[kind], fusion) for kind, i in fused_entries.items()],
+    ]
+
+
+_MISSING = object()
+
+
+def _corruptions(key, value):
+    """What a corrupted bundle may hold under ``key`` instead of ``value``; a list has its first item changed."""
+
+    def first(item):
+        return [item(value[0]), *value[1:]] if isinstance(value, list) else item(value)
+
+    out = [_MISSING, "x", first(lambda v: float("nan")), [value]]
+    if key.dtype in (int, np.int64) or key.form == "index":
+        out.append(first(lambda v: v + 0.5))
+    if key.dtype is bool:
+        out += [0, "false"]
+    return out
+
+
+@pytest.mark.parametrize(
+    "name, path, key, reader",
+    [pytest.param(*t[:2], k, t[3], id=f"{t[0]}:{k.key}") for t in _record_tables() for k in t[2]],
+)
+def test_every_corrupted_record_key_fails_by_name_or_changes_nothing(conv_gelu_comp, name, path, key, reader):
+    # a corrupted value raises an error the CLI reports by name; only a missing key
+    # that declares a default may load, and then it must change nothing
+    from quantcomp.cli import NAMED_ERRORS
+
+    fused = fuse_model(conv_gelu_comp)
+    manifest = copy.deepcopy(fused.manifest)
+    record = manifest
+    for step in path:
+        record = record[step]
+    value = record[key.key]
+    want = reader(ModelBundle(manifest, fused.blobs))
+    for bad in _corruptions(key, value):
+        if bad is _MISSING:
+            del record[key.key]
+        else:
+            record[key.key] = bad
+        try:
+            got = reader(ModelBundle(manifest, fused.blobs))
+        except NAMED_ERRORS:
+            pass
+        else:
+            assert bad is _MISSING and key.default is not None, (name, key.key, bad)
+            assert got == want, (name, key.key)
+        record[key.key] = value

@@ -482,3 +482,55 @@ class TestFuseFollowsLibrary:
         model_f = load_bundle(workspace / "float")
         cfg = CalibrationConfig(sample_count=128, weight_bits=4, act_bits=4)
         assert bundles_equal(load_bundle(workspace / "comp"), calibrate_model(model_f, cfg, calibration_pool(model_f, cfg)))
+
+
+def _put(*path, value):
+    """A manifest edit that sets ``path`` to ``value``, to ``value(old)`` if it is callable, or deletes it if it is None."""
+
+    def edit(mf):
+        holder = mf
+        for key in path[:-1]:
+            holder = holder[key]
+        if value is None:
+            del holder[path[-1]]
+        else:
+            holder[path[-1]] = value(holder[path[-1]]) if callable(value) else value
+
+    return edit
+
+
+QUANT_LAYER0 = ("quantization", "layers", "0")
+COMP_LAYER0 = ("compensation", "layers", "0")
+# case: (command, the edit of the compensated bundle, what the error line names)
+MALFORMED = {
+    "out_scale_abc": ("fuse", _put(*QUANT_LAYER0, "out_scale", value="abc"), "out_scale"),
+    "out_zero_point_missing": ("fuse", _put(*QUANT_LAYER0, "out_zero_point", value=None), "out_zero_point"),
+    "weight_scales_abc": ("fuse", _put(*QUANT_LAYER0, "weight_scales", value="abc"), "weight_scales"),
+    "weight_codes_missing": ("fuse", _put(*QUANT_LAYER0, "weight_codes", value=None), "weight_codes"),
+    "quantization_layers_missing": ("fuse", _put("quantization", "layers", value=None), "layers"),
+    "weight_bits_string": ("fuse", _put("quantization", "weight_bits", value="8"), "weight_bits"),
+    "weight_bits_fractional": ("fuse", _put("quantization", "weight_bits", value=4.5), "weight_bits"),
+    "alpha_nan": ("fuse", _put(*COMP_LAYER0, "alpha", value=lambda a: [float("nan"), *a[1:]]), "alpha"),
+    "alpha_string": ("fuse", _put(*COMP_LAYER0, "alpha", value="x"), "alpha"),
+    "beta_short": ("fuse", _put(*COMP_LAYER0, "beta", value=lambda b: b[:-1]), "beta"),
+    "compensation_key_abc": ("fuse", _put("compensation", "layers", value=lambda c: {"abc": c.pop("0"), **c}), "'abc'"),
+    "fallback_mask_string": ("fuse", _put(*COMP_LAYER0, "fallback_mask", value="x"), "fallback_mask"),
+    "negative_clamped_string": ("fuse", _put(*COMP_LAYER0, "negative_clamped", value="x"), "negative_clamped"),
+    "compensation_on_relu": ("fuse", _put("compensation", "layers", value=lambda c: {**c, "1": c["0"]}), "'1'"),
+    "stats_without_post_mse": ("eval", _put("compensation", "stats", 0, "post_mse", value=None), "post_mse"),
+    "stats_post_mse_string": ("eval", _put("compensation", "stats", 0, "post_mse", value="x"), "post_mse"),
+}
+
+
+class TestMalformedSections:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_field_exits_two_naming_it(self, workspace, tmp_path, capsys, case):
+        # each of these used to end in a traceback, or (weight_bits 4.5, negative_clamped "x",
+        # a relu layer's compensation) to fuse or load without a word
+        command, edit, want = MALFORMED[case]
+        bad = edit_manifest(workspace / "comp", tmp_path / "bad", edit)
+        argv = ["fuse", bad, "--out", tmp_path / "fused"] if command == "fuse" else ["eval", bad, "--check"]
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and want in err and len(err.splitlines()) == 1, err
+        assert not (tmp_path / "fused").exists()

@@ -543,13 +543,37 @@ class TestGeluTable:
 
 
 class TestFusionSectionOwner:
-    def _fused(self):
+    def _fused(self, beta_rounding=True):
         from quantcomp.calibrate import CalibrationConfig, calibrate_model, fuse_model
         from quantcomp.refnet import build_mlp
 
         m = build_mlp((4, 6, 3), rng=np.random.default_rng(0))
         x = np.random.default_rng(1).standard_normal((32, 4)).astype(np.float32)
-        return fuse_model(calibrate_model(m, CalibrationConfig(sample_count=32, weight_bits=4, act_bits=4), x))
+        comp = calibrate_model(m, CalibrationConfig(sample_count=32, weight_bits=4, act_bits=4), x)
+        return fuse_model(comp, beta_rounding=beta_rounding)
+
+    @pytest.mark.parametrize(
+        "beta_rounding, key, value, want",
+        [
+            (False, "beta", float("nan"), "layer 0: beta must hold finite numbers"),
+            (True, "s_x", float("nan"), "layer 0: s_x must hold finite numbers"),
+            (True, "w_scales", -0.5, "layer 0: scales and gains must be positive"),
+        ],
+    )
+    def test_non_finite_or_negative_scale_fails_at_load(self, beta_rounding, key, value, want):
+        from quantcomp.intengine import fused_runtime
+        from quantcomp.refnet import ModelBundle
+
+        # before, each loaded: an unrounded NaN beta ran to wrong logits with only a cast warning
+        fused = self._fused(beta_rounding)
+        manifest = json.loads(json.dumps(fused.manifest))
+        record = manifest["fusion"]["entries"][0]
+        if isinstance(record[key], list):
+            record[key][0] = value
+        else:
+            record[key] = value
+        with pytest.raises(EngineError, match=want):
+            fused_runtime(ModelBundle(manifest, fused.blobs))
 
     @pytest.mark.parametrize("field", ["m0", "bias_acc", "out_bits"])
     def test_missing_field_is_engine_error(self, field):

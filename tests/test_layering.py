@@ -45,6 +45,39 @@ def test_no_fused_field_access(name):
     assert hits == []
 
 
+def _declared_record_keys():
+    """Every key that a record table of refnet, calibrate or intengine declares."""
+    from quantcomp import calibrate, intengine, refnet
+
+    found = set()
+    for module in (refnet, calibrate, intengine):
+        for value in vars(module).values():
+            tables = value.values() if isinstance(value, dict) else [value]
+            for table in tables:
+                keys = table if isinstance(table, tuple) else (table,)
+                found |= {k.key for k in keys if isinstance(k, refnet.RecordKey)}
+    return found
+
+
+@pytest.mark.parametrize("name", ["calibrate.py", "intengine.py"])
+def test_no_hand_read_of_a_declared_key(name):
+    # a record is read through refnet.read_record; ``record["weight_scales"]`` or
+    # ``record.get("negative_clamped", 0)`` beside it is a second reader
+    keys = _declared_record_keys()
+    assert {"weight_scales", "negative_clamped", "weight_bits", "beta_rounding", "z_x"} <= keys
+    hits = []
+    for node in ast.walk(ast.parse((SRC / name).read_text())):
+        if isinstance(node, ast.Subscript):
+            named = node.slice
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "get" and node.args:
+            named = node.args[0]
+        else:
+            continue
+        if isinstance(named, ast.Constant) and named.value in keys:
+            hits.append(f"{name}:{node.lineno}: {ast.unparse(node)}")
+    assert hits == []
+
+
 def _unused_imports(tree):
     bound = {}
     for node in tree.body:
