@@ -97,8 +97,8 @@ QUANT_HEAD = (
 # quantization ``layers[i]``: linear/conv layer i's weights and output grid
 QUANT_LAYER = (
     RecordKey("weight_codes", "codes", "blob", blob="layer{i}.wq"),
-    RecordKey("weight_scales", "scales", "channels", np.float64),
-    RecordKey("weight_zero_points", "zero_points", "channels", np.int64),
+    RecordKey("weight_scales", "scales", "channels", np.float64, blob="layer{i}.weight_scales"),
+    RecordKey("weight_zero_points", "zero_points", "channels", np.int64, blob="layer{i}.weight_zero_points"),
     RecordKey("out_scale", "out_s", "scalar", float),
     RecordKey("out_zero_point", "out_z", "scalar", int),
 )
@@ -106,9 +106,9 @@ QUANT_LAYER = (
 GELU_GRID = GRID_KEYS[:2]
 # compensation ``layers[i]``, keyed by ChannelAffineParams attribute
 COMP_LAYER = (
-    RecordKey("alpha", "alpha", "channels", np.float32),
-    RecordKey("beta", "beta", "channels", np.float32),
-    RecordKey("fallback_mask", "fallback_mask", "channels", bool),
+    RecordKey("alpha", "alpha", "channels", np.float32, blob="layer{i}.alpha"),
+    RecordKey("beta", "beta", "channels", np.float32, blob="layer{i}.beta"),
+    RecordKey("fallback_mask", "fallback_mask", "channels", bool, blob="layer{i}.fallback_mask"),
     RecordKey("negative_clamped", "negative_clamped", "scalar", int, default=0),
 )
 # compensation ``stats``: one row per compensated layer, and the columns of write_fit_csv
@@ -386,12 +386,13 @@ def _fit_from(qbundle: ModelBundle, config: CalibrationConfig, fit_x, y_full) ->
         return comp[i] if config.sequential else None
 
     sim_forward(qbundle, fit_x, _on_capture=fit)
+    blobs = {}
     section = {
         "config": asdict(config),
-        "layers": {str(i): write_record(COMP_LAYER, i, p) for i, p in comp.items()},
+        "layers": {str(i): write_record(COMP_LAYER, i, p, blobs) for i, p in comp.items()},
         "stats": stats,
     }
-    return qbundle.derive("compensation", section, {})
+    return qbundle.derive("compensation", section, blobs)
 
 
 def calibrate_model(model_f: ModelBundle, config: CalibrationConfig, calib_x=None) -> ModelBundle:
@@ -427,10 +428,10 @@ def compensation_params(bundle: ModelBundle) -> dict[int, ChannelAffineParams]:
     """The fitted α/β per compensated layer index; empty for an uncompensated bundle."""
     param_keys = {str(i): i for i in bundle.param_layer_indices()}
     out = {}
-    for key, record in bundle.manifest.get("compensation", {}).get("layers", {}).items():
+    for key, record in bundle.manifest.get("compensation", {"layers": {}})["layers"].items():
         if key not in param_keys:
             raise CalibrationError(f"compensation layer {key!r} is not a linear/conv layer")
-        out[param_keys[key]] = ChannelAffineParams(**read_record(COMP_LAYER, f"layer {key}:", record))
+        out[param_keys[key]] = ChannelAffineParams(**read_record(COMP_LAYER, f"layer {key}:", record, bundle))
     return out
 
 
@@ -497,4 +498,4 @@ def fuse_model(comp_bundle: ModelBundle, beta_rounding: bool | None = None) -> M
         with reading_section("compensation", CalibrationError):
             beta_rounding = CONFIG_BETA_ROUNDING.read("compensation config", config, comp_bundle)
     model = build_fused_model(comp_bundle, compensation_params(comp_bundle), beta_rounding)
-    return intengine._fused_bundle(comp_bundle, model, beta_rounding)
+    return intengine._fused_bundle(comp_bundle, model)

@@ -198,8 +198,8 @@ class FusedLayerParams:
     z_r: int
     m0: np.ndarray  # i64 per channel
     shift: np.ndarray  # i64 per channel
-    bias_acc: np.ndarray  # i64 per channel (quantized bias [+ beta offset])
-    const_acc: np.ndarray  # i64 per channel (-Z_x * sum W_q + C_eff * Z_x * Z_W)
+    bias_acc: np.ndarray  # i32 per channel (quantized bias [+ beta offset])
+    const_acc: np.ndarray  # i32 per channel (-Z_x * sum W_q + C_eff * Z_x * Z_W)
     bitwidth: int  # output codes
     w_bits: int
     in_bits: int
@@ -239,8 +239,8 @@ class FusedLayerParams:
 
     @cached_property
     def acc_offset(self):
-        """``const_acc + bias_acc`` as one (1, C_out) i64 row, built on first use."""
-        return (self.const_acc + self.bias_acc)[None, :]
+        """``const_acc + bias_acc`` as one (1, C_out) i64 row, summed in i64, built on first use."""
+        return (self.const_acc.astype(np.int64) + self.bias_acc)[None, :]
 
     @cached_property
     def requant_rows(self):
@@ -414,8 +414,8 @@ def fuse_layer(
         z_r=out.z,
         m0=m0,
         shift=shift,
-        bias_acc=bias_acc,
-        const_acc=const_acc,
+        bias_acc=bias_acc.astype(np.int32),
+        const_acc=const_acc.astype(np.int32),
         bitwidth=out.bitwidth,
         w_bits=w_params.bitwidth,
         in_bits=act_in.bitwidth,
@@ -488,20 +488,20 @@ FUSED_RECORDS = {
         RecordKey("op_kind", "op_kind", "scalar", str),
         RecordKey("weight_codes", "w_q", "blob", blob="layer{i}.wq"),
         RecordKey("w_bits", "w_bits", "scalar", int),
-        RecordKey("w_scales", "s_w", "channels", np.float64),
-        RecordKey("w_zero_points", "z_w", "channels", np.int64),
+        RecordKey("w_scales", "s_w", "channels", np.float64, blob="entry{i}.w_scales"),
+        RecordKey("w_zero_points", "z_w", "channels", np.int64, blob="entry{i}.w_zero_points"),
         RecordKey("s_x", "s_x", "scalar", float),
         RecordKey("z_x", "z_x", "scalar", int),
         RecordKey("in_bits", "in_bits", "scalar", int),
         RecordKey("s_r", "s_r", "scalar", float),
         RecordKey("z_r", "z_r", "scalar", int),
         RecordKey("out_bits", "bitwidth", "scalar", int),
-        RecordKey("m0", "m0", "channels", np.int64),
-        RecordKey("shift", "shift", "channels", np.int64),
-        RecordKey("bias_acc", "bias_acc", "acc", blob="layer{i}.bias_acc"),
-        RecordKey("const_acc", "const_acc", "acc", blob="layer{i}.const_acc"),
-        RecordKey("alpha", "alpha", "channels", np.float32),
-        RecordKey("beta", "beta_real", "channels", np.float64),
+        RecordKey("m0", "m0", "channels", np.int64, blob="entry{i}.m0"),
+        RecordKey("shift", "shift", "channels", np.int64, blob="entry{i}.shift"),
+        RecordKey("bias_acc", "bias_acc", "channels", np.int32, blob="entry{i}.bias_acc"),
+        RecordKey("const_acc", "const_acc", "channels", np.int32, blob="entry{i}.const_acc"),
+        RecordKey("alpha", "alpha", "channels", np.float32, blob="entry{i}.alpha"),
+        RecordKey("beta", "beta_real", "channels", np.float64, blob="entry{i}.beta"),
         RecordKey("kernel", "kernel", "scalar", int, default=0),
         RecordKey("stride", "stride", "scalar", int, default=1),
         RecordKey("pad", "pad", "scalar", int, default=0),
@@ -516,7 +516,6 @@ FUSED_RECORDS = {
     ),
     "flatten": (),
 }
-_PER_CHANNEL_KEYS = tuple(k for k in FUSED_RECORDS["param"] if k.form in ("channels", "acc"))
 # the fusion section's own flag: whether every param layer folds its offset into the integer bias
 BETA_ROUNDING = RecordKey("beta_rounding", "beta_rounding", "scalar", bool)
 
@@ -569,9 +568,8 @@ class FusedModel:
                 if layer.w_q.dtype.kind not in "iu":
                     raise EngineError(f"layer {i}: weight codes are {layer.w_q.dtype}, not integers")
                 n = layer.out_channels
-                for k in _PER_CHANNEL_KEYS:
-                    if np.shape(getattr(layer, k.attr)) != (n,):
-                        shape = np.shape(getattr(layer, k.attr))
+                for k in FUSED_RECORDS["param"]:
+                    if k.form == "channels" and (shape := np.shape(getattr(layer, k.attr))) != (n,):
                         raise EngineError(f"layer {i}: {k.key} has shape {shape}, layer has {n} output channels")
                 if not (layer.s_x > 0 and layer.s_r > 0 and layer.s_w.min(initial=1) > 0 and layer.alpha.min(initial=1) > 0):
                     raise EngineError(f"layer {i}: scales and gains must be positive")
@@ -722,14 +720,14 @@ def run_int_model(model: FusedModel, x, trace: InferenceTrace | None = None):
 # of FusedModel, follow FUSED_RECORDS.
 
 
-def _fused_bundle(bundle: ModelBundle, model: FusedModel, beta_rounding: bool) -> ModelBundle:
+def _fused_bundle(bundle: ModelBundle, model: FusedModel) -> ModelBundle:
     """``bundle`` plus a ``fusion`` section serializing ``model`` and the blobs it names."""
     blobs = {}
     entries = [
         {"kind": e.kind, **write_record(FUSED_RECORDS[e.kind], i, _holder(e), blobs)} for i, e in enumerate(model.entries)
     ]
     fusion = {
-        "beta_rounding": beta_rounding,
+        "beta_rounding": model.beta_rounding,
         "input": write_record(GRID_KEYS, None, model.input_params),
         "output": write_record(GRID_KEYS, None, model.output_params),
         "entries": entries,
@@ -760,8 +758,8 @@ def fused_runtime(bundle) -> FusedModel:
 def dump_fused(model: FusedModel, file):
     """Print ``model`` to ``file`` as text: its grids, then one block per entry with one line per record key.
 
-    Per-channel arrays print in full and a blob as its shape and dtype; the
-    values are the loaded engine's, whatever spelling the manifest used.
+    Per-channel arrays print in full, as the loaded engine holds them, and
+    any other blob as its shape and dtype.
     """
     print(f"beta_rounding: {model.beta_rounding}", file=file)
     for name, grid in (("input", model.input_params), ("output", model.output_params)):

@@ -2,7 +2,8 @@
 
 Uniform affine quantization maps f32 values to unsigned b-bit codes via
 ``q = clip(round(x/s) + z, 0, 2^b - 1)`` with ``s = (max - min)/(2^b - 1)``
-and ``z = clip(round(-min/s), 0, 2^b - 1)``.  Rounding is half-to-even
+and ``z = round(-min/s)``, over a range widened to hold 0, so that a
+one-signed or constant tensor keeps its values.  Rounding is half-to-even
 everywhere in this module (the integer engine's requantization uses its own
 documented rounding).  Codes are unsigned; symmetric signed weights are the
 special case z = 2^(b-1), not a separate path.
@@ -10,11 +11,12 @@ special case z = 2^(b-1), not a separate path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-# scale floor when a tensor has zero range (max == min)
+# scale of an all-zero tensor, whose widened range is empty
 DEGENERATE_SCALE = 2.0**-20
 
 
@@ -95,13 +97,10 @@ class QuantParams:
 
 
 def _affine_from_bounds(lo, hi, bitwidth):
-    qmax = 2**bitwidth - 1
-    if hi <= lo:
-        s = DEGENERATE_SCALE
-    else:
-        s = (hi - lo) / qmax
-    z = int(np.clip(np.round(-lo / s), 0, qmax))
-    return float(s), z
+    """(scale, zero-point), elementwise, of the b-bit grid over [min(lo, 0), max(hi, 0)]: z lies in [0, 2^b - 1]."""
+    lo, hi = np.minimum(lo, 0.0), np.maximum(hi, 0.0)
+    s = np.where(hi > lo, (hi - lo) / (2**bitwidth - 1), DEGENERATE_SCALE)
+    return s, np.rint(-lo / s).astype(np.int64)
 
 
 def compute_affine_params(x, bitwidth, estimator=RangeEstimator()):
@@ -112,7 +111,10 @@ def compute_affine_params(x, bitwidth, estimator=RangeEstimator()):
     if bitwidth < 2:
         raise QuantError("bitwidth must be >= 2")
     lo, hi = estimator.bounds(x)
-    return _affine_from_bounds(lo, hi, bitwidth)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise QuantError(f"non-finite range [{lo}, {hi}]")
+    s, z = _affine_from_bounds(lo, hi, bitwidth)
+    return float(s), int(z)
 
 
 def tensor_params(x, bitwidth, estimator=RangeEstimator()) -> QuantParams:
@@ -167,11 +169,6 @@ def quantize_weights_per_channel(w, bitwidth):
     if not np.isfinite(w).all():
         raise QuantError("non-finite weights")
     flat = w.reshape(w.shape[0], -1)
-    lo, hi = flat.min(axis=1), flat.max(axis=1)
-    # _affine_from_bounds for every channel at once, in the same f64 operations
-    qmax = 2**bitwidth - 1
-    scales = np.where(hi <= lo, DEGENERATE_SCALE, (hi - lo) / qmax)
-    zps = np.clip(np.round(-lo / scales), 0, qmax).astype(np.int64)
-    params = QuantParams(bitwidth, "per_channel", scales, zps)
+    params = QuantParams(bitwidth, "per_channel", *_affine_from_bounds(flat.min(axis=1), flat.max(axis=1), bitwidth))
     return quantize_uniform(w, params), params
 

@@ -1,7 +1,8 @@
 """Floating-point reference networks: layer kernels, bundle serialization, synthetic training.
 
-A model lives on disk as a directory with a ``manifest.json`` and one raw
-little-endian ``.bin`` blob per tensor.  In memory it is a :class:`ModelBundle`
+A model lives on disk as a directory with a ``manifest.json`` and one blob
+file, ``tensors.bin``, of every array's raw little-endian bytes at the offset
+its ``tensors`` entry gives.  In memory it is a :class:`ModelBundle`
 (manifest dict + blob dict); layer views are resolved on demand.
 
 It also owns the record mechanism that the quantization, compensation and
@@ -21,10 +22,13 @@ from pathlib import Path
 
 import numpy as np
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+BLOB_FILE = "tensors.bin"
 
 KIND_TO_DTYPE = {
+    "bool": np.dtype("?"),
     "f32": np.dtype("<f4"),
+    "f64": np.dtype("<f8"),
     "u8": np.dtype("u1"),
     "u16": np.dtype("<u2"),
     "u32": np.dtype("<u4"),
@@ -306,14 +310,10 @@ def build_mlp(dims, activation="relu", rng=None, weights=None):
 
 
 def validate_bundle(bundle: ModelBundle):
-    """Check blob references, byte lengths, every layer, and channel chaining."""
+    """Check blob references, shapes and kinds, every layer, and channel chaining."""
     m = bundle.manifest
-    if m.get("format_version") != FORMAT_VERSION:
-        raise BundleError(f"unsupported format_version {m.get('format_version')!r}")
     for name, entry in m["tensors"].items():
-        if name not in bundle.blobs:
-            raise BundleError(f"manifest references missing blob {name!r}")
-        arr = bundle.blobs[name]
+        arr = bundle.tensor(name)
         want = tuple(entry["shape"])
         if arr.shape != want:
             raise BundleError(f"blob {name!r} shape {arr.shape} != manifest {want}")
@@ -345,12 +345,8 @@ def validate_bundle(bundle: ModelBundle):
     return shape
 
 
-def _blob_filename(name):
-    return name.replace("/", "_") + ".bin"
-
-
 def save_bundle(bundle: ModelBundle, path, force=False):
-    """Write manifest.json + raw little-endian blobs into a directory.
+    """Write manifest.json and the blob file, every blob as raw little-endian bytes in name order, into a directory.
 
     The files are written into a new sibling directory, which then takes the
     place of ``path``.  A bundle already there (``force``) is renamed aside
@@ -369,12 +365,13 @@ def save_bundle(bundle: ModelBundle, path, force=False):
     staging = target.with_name(f".{target.name}.{uuid.uuid4().hex[:12]}.tmp")
     staging.mkdir()
     try:
-        manifest = json.loads(json.dumps(bundle.manifest))  # detach
-        for name, entry in manifest["tensors"].items():
-            entry["file"] = _blob_filename(name)
-            arr = bundle.blobs[name]
-            data = np.ascontiguousarray(arr.astype(arr.dtype.newbyteorder("<"), copy=False))
-            (staging / entry["file"]).write_bytes(data.tobytes())
+        tensors, offset = {}, 0
+        with open(staging / BLOB_FILE, "wb") as f:
+            for name, entry in sorted(bundle.manifest["tensors"].items()):
+                tensors[name] = {**entry, "offset": offset}
+                arr = bundle.blobs[name]
+                offset += f.write(np.ascontiguousarray(arr, arr.dtype.newbyteorder("<")))
+        manifest = {**bundle.manifest, "tensors": tensors}
         (staging / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     except BaseException:
         shutil.rmtree(staging, ignore_errors=True)
@@ -390,39 +387,39 @@ def save_bundle(bundle: ModelBundle, path, force=False):
 
 
 def load_bundle(path) -> ModelBundle:
-    """Read a bundle directory back; validates references and byte lengths."""
+    """Read a bundle directory back; validates the format version, the blob file's layout and every reference."""
     path = Path(path)
     mf = path / "manifest.json"
     if not mf.is_file():
         raise BundleError(f"no manifest.json under {path}")
     try:
-        bundle = _read_blobs(path, json.loads(mf.read_text()))
+        manifest = json.loads(mf.read_text())
+        if manifest.get("format_version") != FORMAT_VERSION:
+            raise BundleError(f"unsupported format_version {manifest.get('format_version')!r}")
+        bundle = _read_blobs(path / BLOB_FILE, manifest)
         validate_bundle(bundle)
-    except (KeyError, TypeError, ValueError) as e:  # a manifest that is not JSON or lacks a field
+    except (KeyError, TypeError, ValueError, AttributeError) as e:  # a manifest that is not JSON or lacks a field
         raise BundleError(f"malformed bundle under {path}: {type(e).__name__} {e}") from e
     return bundle
 
 
-def _read_blobs(path, manifest) -> ModelBundle:
-    root = path.resolve()
-    blobs = {}
-    for name, entry in manifest.get("tensors", {}).items():
-        fname = entry.get("file", _blob_filename(name))
-        fpath = path / fname
-        if not fpath.resolve().is_relative_to(root):
-            raise BundleError(f"blob {name!r}: file {fname!r} lies outside the bundle directory")
-        if not fpath.is_file():
-            raise BundleError(f"manifest references missing blob file {fname!r}")
+def _read_blobs(blob_file, manifest) -> ModelBundle:
+    """The bundle whose blobs ``manifest``'s tensor entries cut from ``blob_file``; their byte ranges must tile it."""
+    if not blob_file.is_file():
+        raise BundleError(f"no blob file {BLOB_FILE} beside the manifest")
+    data = blob_file.read_bytes()
+    blobs, end = {}, 0
+    for name, entry in sorted(manifest["tensors"].items(), key=lambda item: item[1]["offset"]):
         dtype = KIND_TO_DTYPE.get(entry["kind"])
         if dtype is None:
             raise BundleError(f"blob {name!r}: unknown tensor kind {entry['kind']!r}")
-        shape = tuple(entry["shape"])
-        raw = fpath.read_bytes()
-        want_bytes = int(np.prod(shape)) * dtype.itemsize
-        if len(raw) != want_bytes:
-            raise BundleError(f"blob {name!r}: {len(raw)} bytes on disk, manifest implies {want_bytes}")
-        blobs[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
-        entry.pop("file", None)
+        count, offset = math.prod(entry["shape"]), entry.pop("offset")
+        if offset != end or end + count * dtype.itemsize > len(data):
+            raise BundleError(f"blob {name!r} at offset {offset}: {BLOB_FILE} has a gap, overlap or end at byte {end}")
+        blobs[name] = np.frombuffer(data, dtype, count, end).reshape(entry["shape"]).copy()
+        end += count * dtype.itemsize
+    if end != len(data):
+        raise BundleError(f"{BLOB_FILE} holds {len(data)} bytes, its blobs {end}")
     return ModelBundle(manifest, blobs)
 
 
@@ -443,22 +440,23 @@ def bundles_equal(a: ModelBundle, b: ModelBundle) -> bool:
 # manifest records
 
 # what a value read with each dtype must be, as errors say it; a float's must be finite
-_MUST = {None: "be the record's position", int: "hold integers", np.int64: "hold integers", bool: "be true or false"}
+_MUST = {None: "be the record's position", bool: "be true or false"}
+_MUST.update(dict.fromkeys((int, np.int32, np.int64), "hold integers"))
 
 
 @dataclass(frozen=True)
 class RecordKey:
     """One key of a manifest record, the attribute that holds it, and how the manifest stores it.
 
-    ``form`` is ``scalar`` (inline, converted with ``dtype``), ``channels`` (an
-    inline per-channel list, read back as a 1-D ``dtype`` array), ``acc`` (a
-    per-channel blob written as i32 and read back to i64 through a safe cast,
-    so a blob of floats fails instead of truncating), ``blob`` (an array blob
-    kept as built) or ``index`` (the record's position, held by no attribute).
-    A blob is named ``blob.format(i=record position)``.  Only a key with a
-    ``default`` may be missing from a record.  An integer key rejects ``8.9``
-    or ``"8"`` instead of truncating or parsing it (``8.0`` reads as ``8``), a
-    float key NaN and infinities, and a ``bool`` key all but true and false.
+    ``form`` is ``scalar`` (inline, converted with ``dtype``), ``channels`` (a
+    1-D blob of ``dtype``, read back through a safe cast, so floats in an
+    integer key or i64 in an i32 key fail instead of truncating), ``blob``
+    (an array blob kept as built) or ``index`` (the record's position, held
+    by no attribute).  The record holds a blob's name, ``blob.format(i=record
+    position)``.  Only a key with a ``default`` may be missing.  An integer
+    scalar rejects ``8.9`` or ``"8"`` instead of truncating or parsing it
+    (``8.0`` reads as ``8``), a float key NaN and infinities, and a ``bool``
+    scalar all but true and false.
     """
 
     key: str
@@ -473,11 +471,11 @@ class RecordKey:
         if self.form == "index":
             return i
         value = getattr(holder, self.attr)
-        if self.form in ("acc", "blob"):
-            name = self.blob.format(i=i)
-            blobs[name] = value.astype(np.int32) if self.form == "acc" else value
-            return name
-        return self.dtype(value) if self.form == "scalar" else np.asarray(value, dtype=self.dtype).tolist()
+        if self.form == "scalar":
+            return self.dtype(value)
+        name = self.blob.format(i=i)
+        blobs[name] = value if self.form == "blob" else np.asarray(value, dtype=self.dtype)
+        return name
 
     def read(self, where, record, bundle, i=None):
         """The attribute value that ``record`` stores under this key (for an ``index`` key, ``i``).
@@ -487,30 +485,34 @@ class RecordKey:
         value is not of the key's kind.
         """
         raw = record[self.key] if self.default is None or self.key in record else self.default
-        if self.form in ("acc", "blob"):
-            blob = bundle.tensor(raw)
-            return blob.astype(np.int64, casting="safe") if self.form == "acc" else blob
+        if self.form in ("channels", "blob"):
+            if not isinstance(raw, str) or raw not in bundle.blobs:
+                raise ValueError(f"{where} {self.key} must name a blob, got {raw!r}")
+            if self.form == "blob":
+                return bundle.blobs[raw]
+            raw = bundle.blobs[raw]
         try:
-            value = i if self.form == "index" else self.dtype(raw) if self.form == "scalar" else np.array(raw, self.dtype)
+            if self.form == "channels":
+                value = raw.astype(self.dtype, casting="safe")
+            else:
+                value = i if self.form == "index" else self.dtype(raw)
             holds = self._holds(value, raw)
         except (TypeError, ValueError, OverflowError):
             holds = False
         if not holds:
-            raise ValueError(f"{where} {self.key} must {_MUST.get(self.dtype, 'hold finite numbers')}, got {raw!r}")
+            got = f"a {raw.dtype} blob of shape {raw.shape}" if self.form == "channels" else repr(raw)
+            raise ValueError(f"{where} {self.key} must {_MUST.get(self.dtype, 'hold finite numbers')}, got {got}")
         return value
 
     def _holds(self, value, raw):
         """Whether ``value``, converted from ``raw``, is of this key's kind."""
-        if self.form == "channels" and value.ndim != 1:
-            return False
-        if self.dtype in (float, np.float32, np.float64):
-            if self.form == "scalar":
-                return math.isfinite(value)
-            # a finite sum proves every value finite; only one that overflows needs the test value by value
-            return math.isfinite(np.add.reduce(value)) or bool(np.isfinite(value).all())
-        if self.dtype is bool and self.form == "scalar":
+        if self.form == "channels":  # the safe cast let through only values of the key's kind
+            return value.ndim == 1 and (value.dtype.kind != "f" or bool(np.isfinite(value).all()))
+        if self.dtype is float:
+            return math.isfinite(value)
+        if self.dtype is bool:
             return isinstance(raw, bool)  # bool() reads "false" and 2 as true
-        return (value.tolist() if self.form == "channels" else value) == raw  # 8.9 or "8" fails for an int
+        return value == raw  # 8.9 or "8" fails for an int
 
     def show(self, i, holder):
         """This key's value for record ``i`` as ``intengine.dump_fused`` prints it."""
@@ -542,10 +544,10 @@ def read_record(keys, where, record, bundle=None, i=None) -> dict:
 
 @contextmanager
 def reading_section(name, error):
-    """``error`` for a KeyError, TypeError or ValueError out of the block: section ``name`` is malformed."""
+    """``error`` for a key, type, value or attribute error out of the block: section ``name`` is malformed."""
     try:
         yield
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, AttributeError) as e:
         raise error(f"malformed {name} section: {type(e).__name__} {e}") from e
 
 

@@ -134,16 +134,30 @@ class TestCalibrateModel:
         fro = calibrate_model(
             model_f, CalibrationConfig(sample_count=128, weight_bits=4, act_bits=4, sequential=False), calib
         )
-        a2 = seq.manifest["compensation"]["layers"]["2"]["alpha"]
-        b2 = fro.manifest["compensation"]["layers"]["2"]["alpha"]
-        assert a2 != b2
+        assert not np.array_equal(compensation_params(seq)[2].alpha, compensation_params(fro)[2].alpha)
 
     def test_overhead_is_two_scalars_per_channel(self, model_f, calib):
         cfg = CalibrationConfig(sample_count=64, weight_bits=4, act_bits=4)
         comp = calibrate_model(model_f, cfg, calib)
-        layers = comp.manifest["compensation"]["layers"]
-        total = sum(len(e["alpha"]) + len(e["beta"]) for e in layers.values())
+        total = sum(p.alpha.size + p.beta.size for p in compensation_params(comp).values())
         assert total == 2 * (12 + 12 + 5)
+
+    @pytest.mark.parametrize("bits", [2, 8])
+    def test_one_input_relu_mlp_calibrates(self, bits):
+        # a one-input layer's constant weight channels used to quantize to +-2^-20-scale grids, so the
+        # next multiplier fell below 2^-33 (2 bits) or a quantized bias overflowed i32 (8 bits)
+        rng = np.random.default_rng(512)
+        c, layers = 1, []
+        for c_out in (4, 1, 2):
+            weight = (rng.standard_normal((c_out, c)) * 0.7).astype(np.float32)
+            bias = (rng.standard_normal(c_out) * 0.1).astype(np.float32)
+            layers += [LayerSpec("linear", c, c_out, weight=weight, bias=bias), LayerSpec("relu")]
+            c = c_out
+        model = build_from_layers(layers, (1,))
+        x = np.random.default_rng([512, 3]).standard_normal((24, 1)).astype(np.float32)
+        comp = calibrate_model(model, CalibrationConfig(sample_count=16, weight_bits=bits, act_bits=bits), x)
+        engine = run_int_model(fused_runtime(fuse_model(comp, beta_rounding=False)), x)[0]
+        assert engine.tobytes() == sim_forward(comp, x, compensation_params(comp))[0].tobytes()
 
     def test_fit_csv(self, model_f, calib, tmp_path):
         cfg = CalibrationConfig(sample_count=64, weight_bits=4, act_bits=4)
@@ -511,7 +525,7 @@ class TestOwnerChecks:
             ("input", "zero_point"),
             ("layers", "0", "out_zero_point"),
             ("activations", "1", "zero_point"),
-            ("layers", "2", "weight_zero_points", 1),
+            ("layers", "2", "weight_zero_points"),
         ],
     )
     def test_fractional_zero_point_is_rejected(self, gelu_qbundle, path):
@@ -523,10 +537,16 @@ class TestOwnerChecks:
         for key in path[:-1]:
             holder = holder[key]
         z = holder[path[-1]]
+        if isinstance(z, str):  # the name of a per-channel blob: a float blob fails, integral or not
+            blob = gelu_qbundle.blobs[z].astype(np.float64)
+            for bad in (blob, blob + 0.5):
+                with pytest.raises(CalibrationError, match="zero_points must hold integers, got a float64 blob"):
+                    build_fused_model(ModelBundle(manifest, {**gelu_qbundle.blobs, z: bad}))
+            return
         holder[path[-1]] = z + 0.5 if z < 255 else z - 0.5
         with pytest.raises(CalibrationError, match="zero_point.* must hold integers"):
             build_fused_model(ModelBundle(manifest, gelu_qbundle.blobs))
-        holder[path[-1]] = float(z)  # an integral float still reads as its integer
+        holder[path[-1]] = float(z)  # an integral float scalar still reads as its integer
         x = np.random.default_rng(0).standard_normal((4, 4)).astype(np.float32)
         assert sim_forward(ModelBundle(manifest, gelu_qbundle.blobs), x)[0].tobytes() == sim_forward(gelu_qbundle, x)[0].tobytes()
 
@@ -707,17 +727,39 @@ _MISSING = object()
 
 
 def _corruptions(key, value):
-    """What a corrupted bundle may hold under ``key`` instead of ``value``; a list has its first item changed."""
-
-    def first(item):
-        return [item(value[0]), *value[1:]] if isinstance(value, list) else item(value)
-
-    out = [_MISSING, "x", first(lambda v: float("nan")), [value]]
-    if key.dtype in (int, np.int64) or key.form == "index":
-        out.append(first(lambda v: v + 0.5))
-    if key.dtype is bool:
+    """What a corrupted manifest may hold under ``key`` (a ``RecordKey``, or None for an undeclared key) instead of ``value``."""
+    out = [_MISSING, "x", float("nan"), [value]]
+    if key is not None and (key.dtype is int or key.form == "index"):
+        out.append(value + 0.5)
+    if key is not None and key.dtype is bool:
         out += [0, "false"]
     return out
+
+
+def _blob_corruptions(blob):
+    """What a corrupted blob file may hold instead of ``blob``, the 1-D array of a ``channels`` key."""
+    out = [blob[:-1], blob[None, :]]
+    if blob.dtype.kind == "f":
+        nan = blob.copy()
+        nan[0] = np.nan
+        out.append(nan)
+    else:
+        out.append(blob + 0.5)  # floats where the key holds integers or bools
+    if blob.dtype == np.int32:
+        out.append(blob.astype(np.int64))
+    if blob.dtype == bool:
+        out.append(blob.astype(np.uint8))
+    return out
+
+
+def _read_or_none(reader, bundle):
+    """``reader(bundle)``, or None if it raises an error the CLI reports by name."""
+    from quantcomp.cli import NAMED_ERRORS
+
+    try:
+        return reader(bundle)
+    except NAMED_ERRORS:
+        return None
 
 
 @pytest.mark.parametrize(
@@ -725,10 +767,8 @@ def _corruptions(key, value):
     [pytest.param(*t[:2], k, t[3], id=f"{t[0]}:{k.key}") for t in _record_tables() for k in t[2]],
 )
 def test_every_corrupted_record_key_fails_by_name_or_changes_nothing(conv_gelu_comp, name, path, key, reader):
-    # a corrupted value raises an error the CLI reports by name; only a missing key
-    # that declares a default may load, and then it must change nothing
-    from quantcomp.cli import NAMED_ERRORS
-
+    # a corrupted value, or a corrupted blob that a channels key names, raises an error the CLI
+    # reports by name; only a missing key that declares a default may load, and then it must change nothing
     fused = fuse_model(conv_gelu_comp)
     manifest = copy.deepcopy(fused.manifest)
     record = manifest
@@ -741,11 +781,63 @@ def test_every_corrupted_record_key_fails_by_name_or_changes_nothing(conv_gelu_c
             del record[key.key]
         else:
             record[key.key] = bad
-        try:
-            got = reader(ModelBundle(manifest, fused.blobs))
-        except NAMED_ERRORS:
-            pass
-        else:
-            assert bad is _MISSING and key.default is not None, (name, key.key, bad)
-            assert got == want, (name, key.key)
+        got = _read_or_none(reader, ModelBundle(manifest, fused.blobs))
+        assert got is None or (bad is _MISSING and key.default is not None and got == want), (name, key.key, bad)
         record[key.key] = value
+    for bad in _blob_corruptions(fused.blobs[value]) if key.form == "channels" else ():
+        assert _read_or_none(reader, ModelBundle(manifest, {**fused.blobs, value: bad})) is None, (name, key.key, bad)
+
+
+# keys that no record table declares: the record containers, an entry's kind and the fusion grids
+_UNDECLARED = [
+    (("quantization",), "layers", "quantization"),
+    (("compensation",), "layers", "compensation-layer"),
+    (("fusion",), "entries", "fusion"),
+    (("fusion", "entries", 0), "kind", "fusion"),
+    (("fusion",), "input", "fusion"),
+    (("fusion",), "output", "fusion"),
+]
+
+
+@pytest.mark.parametrize(
+    "path, key, reader",
+    [
+        pytest.param(path, key, {t[0]: t[3] for t in _record_tables()}[table], id=f"{'.'.join(map(str, path))}:{key}")
+        for path, key, table in _UNDECLARED
+    ],
+)
+def test_every_corrupted_undeclared_key_fails_by_name_or_changes_nothing(conv_gelu_comp, path, key, reader):
+    fused = fuse_model(conv_gelu_comp)
+    manifest = copy.deepcopy(fused.manifest)
+    record = manifest
+    for step in path:
+        record = record[step]
+    value = record[key]
+    want = reader(ModelBundle(manifest, fused.blobs))
+    for bad in _corruptions(None, value):
+        if bad is _MISSING:
+            del record[key]
+        else:
+            record[key] = bad
+        assert _read_or_none(reader, ModelBundle(manifest, fused.blobs)) in (None, want), (path, key, bad)
+        record[key] = value
+
+
+@pytest.mark.parametrize("damage", ["truncated", "trailing_byte", "overlapping_offset"])
+def test_damaged_blob_file_fails_naming_it(conv_gelu_comp, tmp_path, damage):
+    import json
+
+    from quantcomp.refnet import BLOB_FILE, BundleError, load_bundle, save_bundle
+
+    path = save_bundle(fuse_model(conv_gelu_comp), tmp_path / "fused")
+    blob_file, manifest_file = path / BLOB_FILE, path / "manifest.json"
+    if damage == "truncated":
+        blob_file.write_bytes(blob_file.read_bytes()[:-1])
+    elif damage == "trailing_byte":
+        blob_file.write_bytes(blob_file.read_bytes() + b"\0")
+    else:
+        manifest = json.loads(manifest_file.read_text())
+        max(manifest["tensors"].values(), key=lambda entry: entry["offset"])["offset"] -= 1
+        manifest_file.write_text(json.dumps(manifest))
+    with pytest.raises(BundleError, match=BLOB_FILE):
+        load_bundle(path)

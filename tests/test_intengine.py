@@ -542,6 +542,34 @@ class TestGeluTable:
         assert np.array_equal(a, b)
 
 
+def _edited(fused, entry, key, edit):
+    """``fused`` with fusion entry ``entry``'s value under ``key`` replaced by ``edit(value)``.
+
+    For a key that names a blob, the value is the blob's first item, and the
+    blob takes the dtype that it and the new value promote to.
+    """
+    from quantcomp.refnet import ModelBundle
+
+    manifest = json.loads(json.dumps(fused.manifest))
+    record = manifest["fusion"]["entries"][entry]
+    name = record[key]
+    if name not in fused.blobs:
+        record[key] = edit(name)
+        return ModelBundle(manifest, fused.blobs)
+    first = edit(fused.blobs[name][0])
+    blob = fused.blobs[name].astype(np.result_type(fused.blobs[name], first))
+    blob[0] = first
+    return ModelBundle(manifest, {**fused.blobs, name: blob})
+
+
+def _blob_replaced(fused, entry, key, edit):
+    """``fused`` with the blob that fusion entry ``entry`` names under ``key`` replaced by ``edit(blob)``."""
+    from quantcomp.refnet import ModelBundle
+
+    name = fused.manifest["fusion"]["entries"][entry][key]
+    return ModelBundle(fused.manifest, {**fused.blobs, name: edit(fused.blobs[name])})
+
+
 class TestFusionSectionOwner:
     def _fused(self, beta_rounding=True):
         from quantcomp.calibrate import CalibrationConfig, calibrate_model, fuse_model
@@ -562,18 +590,10 @@ class TestFusionSectionOwner:
     )
     def test_non_finite_or_negative_scale_fails_at_load(self, beta_rounding, key, value, want):
         from quantcomp.intengine import fused_runtime
-        from quantcomp.refnet import ModelBundle
 
         # before, each loaded: an unrounded NaN beta ran to wrong logits with only a cast warning
-        fused = self._fused(beta_rounding)
-        manifest = json.loads(json.dumps(fused.manifest))
-        record = manifest["fusion"]["entries"][0]
-        if isinstance(record[key], list):
-            record[key][0] = value
-        else:
-            record[key] = value
         with pytest.raises(EngineError, match=want):
-            fused_runtime(ModelBundle(manifest, fused.blobs))
+            fused_runtime(_edited(self._fused(beta_rounding), 0, key, lambda v: value))
 
     @pytest.mark.parametrize("field", ["m0", "bias_acc", "out_bits"])
     def test_missing_field_is_engine_error(self, field):
@@ -610,26 +630,20 @@ class TestFusionSectionOwner:
     @pytest.mark.parametrize("field", ["m0", "shift", "w_scales", "w_zero_points", "alpha", "beta"])
     def test_short_per_channel_list_fails_at_load(self, field):
         from quantcomp.intengine import fused_runtime
-        from quantcomp.refnet import ModelBundle
 
-        fused = self._fused()
-        manifest = json.loads(json.dumps(fused.manifest))
-        entry = manifest["fusion"]["entries"][0]
-        assert len(entry[field]) == 6
-        entry[field] = entry[field][:2]
+        def cut(blob):
+            assert blob.shape == (6,)
+            return blob[:2]
+
         with pytest.raises(EngineError, match=f"layer 0: .* has shape \\(2,\\), layer has 6 output channels"):
-            fused_runtime(ModelBundle(manifest, fused.blobs))
+            fused_runtime(_blob_replaced(self._fused(), 0, field, cut))
 
     @pytest.mark.parametrize("field, value", [("m0", 2**29), ("m0", 2**40), ("shift", 0), ("shift", 70)])
     def test_multiplier_outside_encoding_fails_at_load(self, field, value):
         from quantcomp.intengine import fused_runtime
-        from quantcomp.refnet import ModelBundle
 
-        fused = self._fused()
-        manifest = json.loads(json.dumps(fused.manifest))
-        manifest["fusion"]["entries"][0][field] = [value] * 6
         with pytest.raises(EngineError, match="layer 0: multiplier"):
-            fused_runtime(ModelBundle(manifest, fused.blobs))
+            fused_runtime(_blob_replaced(self._fused(), 0, field, lambda blob: np.full_like(blob, value)))
 
     def test_multiplier_with_shift_zero_fails_at_build(self):
         from quantcomp.intengine import FusedEntry, FusedModel
@@ -652,18 +666,10 @@ class TestFusionSectionOwner:
     )
     def test_non_integral_number_in_integer_key_fails_at_load(self, entry, key, delta):
         from quantcomp.intengine import fused_runtime
-        from quantcomp.refnet import ModelBundle
 
         # before, int() truncated these: z_x 8.9 loaded as 8 and ran unchanged logits
-        fused = self._fused()
-        manifest = json.loads(json.dumps(fused.manifest))
-        record = manifest["fusion"]["entries"][entry]
-        if isinstance(record[key], list):
-            record[key][0] += delta
-        else:
-            record[key] += delta
         with pytest.raises(EngineError, match=f"layer {entry}: {key} must hold integers"):
-            fused_runtime(ModelBundle(manifest, fused.blobs))
+            fused_runtime(_edited(self._fused(), entry, key, lambda v: v + delta))
 
     def test_integral_floats_in_integer_keys_load(self):
         from quantcomp.intengine import fused_runtime
@@ -672,9 +678,9 @@ class TestFusionSectionOwner:
         fused = self._fused()
         manifest = json.loads(json.dumps(fused.manifest))
         for record in manifest["fusion"]["entries"]:
-            for key in ("z_x", "m0", "shift", "z"):
+            for key in ("z_x", "z"):
                 if key in record:
-                    record[key] = np.asarray(record[key], dtype=np.float64).tolist()
+                    record[key] = float(record[key])
         for grid in (manifest["fusion"]["input"], manifest["fusion"]["output"]):
             grid["zero_point"], grid["bitwidth"] = float(grid["zero_point"]), float(grid["bitwidth"])
         got, want = fused_runtime(ModelBundle(manifest, fused.blobs)), fused_runtime(fused)
@@ -713,7 +719,7 @@ class TestFusionSectionOwner:
         with pytest.raises(EngineError, match=f"fusion beta_rounding must be true or false, got {flag!r}"):
             fused_runtime(ModelBundle(manifest, fused.blobs))
 
-    @pytest.mark.parametrize("blob", ["layer0.wq", "layer0.bias_acc"])
+    @pytest.mark.parametrize("blob", ["layer0.wq", "entry0.bias_acc"])
     def test_float_blob_fails_at_load(self, blob):
         from quantcomp.intengine import fused_runtime
         from quantcomp.refnet import ModelBundle

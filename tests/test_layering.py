@@ -4,12 +4,15 @@
 ``quantization``/``compensation`` and ``intengine`` owns ``fusion``; the CLI
 and the ablation harness reach a bundle only through those owners, and name
 no field of the fused layout (``FusedLayerParams``, ``FusedEntry``).  The
+record tables keep the format tabular: every array is a blob of its own
+name, and a section's records hold only scalars and blob names.  The
 package root re-exports only names that the package itself, the benchmark or
 the demos use.
 """
 
 import ast
 import dataclasses
+import json
 import re
 from pathlib import Path
 
@@ -45,18 +48,56 @@ def test_no_fused_field_access(name):
     assert hits == []
 
 
-def _declared_record_keys():
-    """Every key that a record table of refnet, calibrate or intengine declares."""
+def _record_keys():
+    """Every ``RecordKey`` that a record table of refnet, calibrate or intengine declares, each object once."""
     from quantcomp import calibrate, intengine, refnet
 
-    found = set()
+    found = {}
     for module in (refnet, calibrate, intengine):
         for value in vars(module).values():
-            tables = value.values() if isinstance(value, dict) else [value]
-            for table in tables:
+            for table in value.values() if isinstance(value, dict) else [value]:
                 keys = table if isinstance(table, tuple) else (table,)
-                found |= {k.key for k in keys if isinstance(k, refnet.RecordKey)}
-    return found
+                found.update((id(k), k) for k in keys if isinstance(k, refnet.RecordKey))
+    return list(found.values())
+
+
+def _declared_record_keys():
+    """Every key name that a record table of refnet, calibrate or intengine declares."""
+    return {k.key for k in _record_keys()}
+
+
+def test_every_blob_name_belongs_to_one_key():
+    # ModelBundle.derive lets one section's blob replace another's of the same name; only the
+    # weight codes are shared on purpose, by the quantization and the fusion records
+    owners = {"layer{i}.weight": ["weight"], "layer{i}.bias": ["bias"]}  # the float layers' blobs
+    for k in _record_keys():
+        if k.form in ("channels", "blob"):
+            owners.setdefault(k.blob, []).append(k.key)
+    assert "" not in owners
+    assert {name: keys for name, keys in owners.items() if len(keys) > 1} == {"layer{i}.wq": ["weight_codes"] * 2}
+
+
+def _number_lists(node, where):
+    """Where under ``node`` (found at ``where``) a JSON list holds a number."""
+    if isinstance(node, dict):
+        return [hit for key, value in node.items() for hit in _number_lists(value, f"{where}.{key}")]
+    if isinstance(node, list):
+        here = [where] if any(isinstance(v, (int, float)) for v in node) else []
+        return here + [hit for i, value in enumerate(node) for hit in _number_lists(value, f"{where}[{i}]")]
+    return []
+
+
+def test_a_saved_fused_bundle_is_a_manifest_of_scalars_and_one_blob_file(tmp_path):
+    from test_calibrate import _conv_gelu_model
+
+    from quantcomp.calibrate import CalibrationConfig, calibrate_model, fuse_model
+    from quantcomp.refnet import BLOB_FILE, save_bundle
+
+    model, pool = _conv_gelu_model()  # conv -> relu -> conv -> gelu -> avgpool -> flatten -> linear
+    path = save_bundle(fuse_model(calibrate_model(model, CalibrationConfig(sample_count=64), pool)), tmp_path / "b")
+    assert {p.name for p in path.iterdir()} == {"manifest.json", BLOB_FILE}
+    manifest = json.loads((path / "manifest.json").read_text())
+    assert [hit for s in ("quantization", "compensation", "fusion") for hit in _number_lists(manifest[s], s)] == []
 
 
 @pytest.mark.parametrize("name", ["calibrate.py", "intengine.py"])

@@ -28,14 +28,30 @@ class TestAffineParams:
         assert np.isclose(s, 2.0 / 3.0)
         assert z == 2
 
-    def test_constant_tensor_degenerate_floor(self):
-        s, z = compute_affine_params(np.full(10, 3.25), 8)
-        assert s == DEGENERATE_SCALE
-        assert z == 0  # -3.25 / tiny clips at the bottom
+    def test_constant_tensor_dequantizes_exactly(self):
+        # the range widens to [0, 3.25], so the constant is the top code
+        x = np.full(10, 3.25, dtype=np.float32)
+        p = tensor_params(x, 8)
+        assert p.scalar() == (3.25 / 255, 0)
+        assert np.array_equal(dequantize(quantize_uniform(x, p), p), x)
 
     def test_constant_negative(self):
-        s, z = compute_affine_params(np.full(10, -3.25), 4)
-        assert s == DEGENERATE_SCALE and z == 15
+        x = np.full(10, -3.25, dtype=np.float32)
+        p = tensor_params(x, 4)
+        assert p.zero_points[0] == 15
+        assert np.array_equal(dequantize(quantize_uniform(x, p), p), x)
+
+    def test_all_zero_tensor_takes_the_degenerate_scale(self):
+        x = np.zeros(4, dtype=np.float32)
+        p = tensor_params(x, 8)
+        assert p.scalar() == (DEGENERATE_SCALE, 0)
+        assert np.array_equal(dequantize(quantize_uniform(x, p), p), x)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_is_quant_error(self, bad):
+        # NaN used to raise a bare ValueError from int(), and inf gave the grid (inf, 0)
+        with pytest.raises(QuantError, match="non-finite range"):
+            compute_affine_params(np.array([0.5, bad, -1.0]), 8)
 
     def test_empty_and_narrow_errors(self):
         with pytest.raises(QuantError):
@@ -165,12 +181,20 @@ class TestPerChannelWeights:
     def test_matches_scalar_bounds_channel_by_channel(self, bits):
         rng = np.random.default_rng(8)
         w = rng.standard_normal((6, 2, 3, 3)) * rng.uniform(0.01, 4.0, (6, 1, 1, 1))
-        w[3] = 0.7  # a constant channel takes the degenerate scale
-        _, p = quantize_weights_per_channel(w, bits)
+        w[3] = 0.7  # a constant channel
+        codes, p = quantize_weights_per_channel(w, bits)
         for c in range(6):
             s, z = _affine_from_bounds(float(w[c].min()), float(w[c].max()), bits)
             assert p.scales[c] == s and p.zero_points[c] == z
-        assert p.scales[3] == DEGENERATE_SCALE
+        assert np.all(dequantize(codes, p)[3] == np.float32(0.7))  # a constant value dequantizes exactly
+
+    def test_one_signed_and_constant_channels_keep_their_values(self):
+        # the grid used to span only [min, max]: 0.5 came back as 0.400 and the constant 0.24 as 0.000243
+        w = np.array([[0.1, 0.3, 0.5], [0.24, 0.24, 0.24], [-0.6, -0.6, -0.6]])
+        codes, p = quantize_weights_per_channel(w, 8)
+        recon = dequantize(codes, p)
+        assert recon[0, 2] == np.float32(0.5) and np.all(np.abs(recon[0] - w[0]) <= p.scales[0] / 2)
+        assert np.array_equal(recon[1:], w[1:].astype(np.float32))
 
     def test_rejects_non_finite_weights(self):
         w = np.ones((2, 3))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from quantcomp.refnet import (
+    BLOB_FILE,
     BundleError,
     LayerSpec,
     ModelBundle,
@@ -218,7 +219,8 @@ class TestBundleIO:
         small = build_mlp((2, 3))
         path = save_bundle(small, tmp_path / "m", force=True)
         files = {p.name for p in path.iterdir()}
-        assert files == {"manifest.json", "layer0.weight.bin", "layer0.bias.bin"}
+        assert files == {"manifest.json", BLOB_FILE}
+        assert (path / BLOB_FILE).stat().st_size == sum(b.nbytes for b in small.blobs.values())
         assert bundles_equal(load_bundle(path), small)
         assert [p.name for p in tmp_path.iterdir()] == ["m"]
 
@@ -248,16 +250,16 @@ class TestBundleIO:
     def test_corrupted_blob_length(self, tmp_path):
         m = build_mlp((2, 3))
         path = save_bundle(m, tmp_path / "m")
-        blob = path / "layer0.weight.bin"
+        blob = path / BLOB_FILE
         blob.write_bytes(blob.read_bytes()[:-4])
-        with pytest.raises(BundleError, match="bytes"):
+        with pytest.raises(BundleError, match=f"{BLOB_FILE} has a gap, overlap or end at byte"):
             load_bundle(path)
 
     def test_missing_blob(self, tmp_path):
         m = build_mlp((2, 3))
         path = save_bundle(m, tmp_path / "m")
-        (path / "layer0.weight.bin").unlink()
-        with pytest.raises(BundleError, match="missing blob"):
+        (path / BLOB_FILE).unlink()
+        with pytest.raises(BundleError, match=f"no blob file {BLOB_FILE}"):
             load_bundle(path)
 
     def test_version_mismatch(self, tmp_path):
@@ -267,17 +269,6 @@ class TestBundleIO:
         manifest["format_version"] = 99
         (path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(BundleError, match="format_version"):
-            load_bundle(path)
-
-    def test_blob_file_outside_bundle_rejected(self, tmp_path):
-        m = build_mlp((2, 3))
-        path = save_bundle(m, tmp_path / "m")
-        secret = tmp_path / "secret.bin"
-        secret.write_bytes((path / "layer0.weight.bin").read_bytes())
-        manifest = json.loads((path / "manifest.json").read_text())
-        manifest["tensors"]["layer0.weight"]["file"] = "../secret.bin"
-        (path / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(BundleError, match="outside the bundle directory"):
             load_bundle(path)
 
     def test_unknown_tensor_kind_names_blob(self, tmp_path):
