@@ -39,9 +39,11 @@ builds its patch matrix with ``im2col(..., channels_last=True)``, whose rows
 order their columns (k, k, C_in), and consumes its weight in the same
 (C_out, k, k, C_in) order through ``FusedLayerParams.w_centred``; the GEMM's
 (N*H_out*W_out, C_out) result is NHWC as it stands.  avgpool sums its k*k
-strided slices in i64.  flatten restores NCHW order before it reshapes, and
-so does the interpreter for a 4-D result, so linear weights, the fused record
-and the bundle on disk keep the float model's NCHW layout.  The GEMM is exact
+strided slices in i64 with ``refnet.window_sums``, from zero in (di, dj)
+row-major order: the order in which the float reference's avgpool sums its
+f32 slices.  flatten restores NCHW order before it reshapes, and so does the
+interpreter for a 4-D result, so linear weights, the fused record and the
+bundle on disk keep the float model's NCHW layout.  The GEMM is exact
 in any summation order, so the layout moves no bit.
 
 The interpreter runs a plan (``FusedModel.plan``), built on a model's first
@@ -93,7 +95,7 @@ import numpy as np
 from .compensate import ChannelAffineParams, identity_compensation
 from .quant import QuantParams, code_dtype, quantize_uniform
 from .refnet import (
-    GRID_KEYS, PARAM_OPS, ModelBundle, RecordKey, gelu, im2col, read_record, reading_section, window_positions, write_record
+    GRID_KEYS, PARAM_OPS, ModelBundle, RecordKey, gelu, im2col, read_record, reading_section, window_sums, write_record
 )
 
 INT32_MIN = -(2**31)
@@ -648,20 +650,9 @@ def _gelu_step(i, entry):
 
 
 def _avgpool_step(i, entry):
-    """Average pooling of NHWC codes: k*k strided slices summed in i64, then the fixed-point 1/k^2."""
+    """Average pooling of NHWC codes: window sums in i64, then the fixed-point 1/k^2."""
     k, s, m0, shift = entry.kernel, entry.stride, entry.pool_m0, entry.pool_shift
-
-    def avgpool(x_q, trace, tap):
-        n, h, w, c = x_q.shape
-        h_out, w_out = window_positions(h, w, k, s, 0)
-        h_span, w_span = s * (h_out - 1) + 1, s * (w_out - 1) + 1
-        sums = np.zeros((n, h_out, w_out, c), dtype=np.int64)
-        for di in range(k):
-            for dj in range(k):
-                sums += x_q[:, di : di + h_span : s, dj : dj + w_span : s]
-        return fixed_point_multiply(sums, m0, shift).astype(x_q.dtype)
-
-    return avgpool
+    return lambda x_q, trace, tap: fixed_point_multiply(window_sums(x_q, k, s, np.int64), m0, shift).astype(x_q.dtype)
 
 
 def _flatten_step(i, entry):

@@ -40,6 +40,8 @@ DTYPE_TO_KIND = {v: k for k, v in KIND_TO_DTYPE.items()}
 PARAM_OPS = ("linear", "conv2d")
 ACTIVATION_OPS = ("relu", "gelu")
 ALL_OPS = PARAM_OPS + ACTIVATION_OPS + ("avgpool", "flatten")
+# the manifest sections the pipeline adds, in order; each is built from the ones before it
+PIPELINE_SECTIONS = ("quantization", "compensation", "fusion")
 
 
 class BundleError(Exception):
@@ -118,14 +120,26 @@ class ModelBundle:
         return "fused" if "fusion" in self.manifest else "quantized" if "quantization" in self.manifest else "float"
 
     def derive(self, key, section, blobs):
-        """A new bundle: this one plus manifest section ``key`` and the named ``blobs``.
+        """A new bundle: this one with pipeline section ``key`` set to ``section`` and the given ``blobs``.
 
+        Every section after ``key`` in ``PIPELINE_SECTIONS`` was built from
+        what ``key`` replaces, so it is dropped, and so is every blob that a
+        replaced or dropped section named and no remaining section names.
         Only the top-level manifest and its ``tensors`` dict are copied; the
-        untouched sections are shared with this bundle.
+        kept sections are shared with this bundle.
         """
-        tensors = dict(self.manifest["tensors"])
+        later = PIPELINE_SECTIONS[PIPELINE_SECTIONS.index(key) + 1 :]
+        manifest = {k: v for k, v in self.manifest.items() if k not in later}
+        manifest[key] = section
+        manifest["tensors"] = tensors = dict(self.manifest["tensors"])
         tensors.update((name, _tensor_entry(arr)) for name, arr in blobs.items())
-        return ModelBundle({**self.manifest, "tensors": tensors, key: section}, {**self.blobs, **blobs})
+        kept = {**self.blobs, **blobs}
+        stale = _strings([self.manifest.get(k) for k in (key, *later)])
+        if stale:  # a pipeline run replaces nothing, so it skips this walk of the whole manifest
+            for name in stale - _strings([v for k, v in manifest.items() if k != "tensors"]):
+                tensors.pop(name, None)
+                kept.pop(name, None)
+        return ModelBundle(manifest, kept)
 
     def _layer(self, i):
         entry = self.manifest["layers"][i]
@@ -151,18 +165,38 @@ class ModelBundle:
 # forward kernels
 
 
+_GELU_C = np.sqrt(2.0 / np.pi)  # an np.float64, so gelu's tanh and all after it run in f64
+
+
+def _gelu_arg(x):
+    """``x + 0.044715 x^3`` in x's dtype, the cube as two rounded multiplies.
+
+    numpy's f32 ``x**3`` takes a CPU-dependent SIMD ``pow`` that is not
+    correctly rounded everywhere; ``(x * x) * x`` gives the same bits on
+    every IEEE machine, at a fraction of the cost of the general ``pow``.
+    """
+    return x + 0.044715 * ((x * x) * x)
+
+
 def gelu(x):
-    """tanh-approximation gelu; the toolkit's only gelu definition."""
+    """tanh-approximation gelu, ``0.5 x (1 + tanh(c (x + 0.044715 x^3)))``; the toolkit's only gelu definition.
+
+    The cube and the sum run in x's dtype (``_gelu_arg``: two IEEE multiplies,
+    so an f32 input gives the same bits on every machine); c is an f64
+    scalar, so the rest runs in one f64 buffer and the result is f64.
+    ``x`` is never written to.
+    """
     x = np.asarray(x)
-    c = np.sqrt(2.0 / np.pi)
-    return 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x**3)))
+    y = np.asarray(_GELU_C * _gelu_arg(x))
+    np.tanh(y, out=y)
+    y += 1.0
+    y *= 0.5 * x
+    return y
 
 
 def gelu_grad(x):
-    c = np.sqrt(2.0 / np.pi)
-    inner = c * (x + 0.044715 * x**3)
-    t = np.tanh(inner)
-    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * c * (1.0 + 3 * 0.044715 * x**2)
+    t = np.tanh(_GELU_C * _gelu_arg(x))
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * _GELU_C * (1.0 + 3 * 0.044715 * x**2)
 
 
 def window_positions(h, w, kernel, stride, pad):
@@ -172,6 +206,23 @@ def window_positions(h, w, kernel, stride, pad):
     if h_out < 1 or w_out < 1:
         raise ShapeError(f"conv geometry leaves no output positions on a {h}x{w} input")
     return h_out, w_out
+
+
+def window_sums(x_hwc, kernel, stride, dtype):
+    """(N, H_out, W_out, C) sums of the unpadded k x k windows of an (N, H, W, C) array, in ``dtype``.
+
+    Each sum starts from zero and adds its window's k*k strided slices in
+    (di, dj) row-major order: the one summation order of the float and the
+    integer avgpool.
+    """
+    n, h, w, c = x_hwc.shape
+    h_out, w_out = window_positions(h, w, kernel, stride, 0)
+    h_span, w_span = stride * (h_out - 1) + 1, stride * (w_out - 1) + 1
+    sums = np.zeros((n, h_out, w_out, c), dtype)
+    for di in range(kernel):
+        for dj in range(kernel):
+            sums += x_hwc[:, di : di + h_span : stride, dj : dj + w_span : stride]
+    return sums
 
 
 def im2col(x, kernel, stride, pad, pad_value=0.0, channels_last=False):
@@ -202,7 +253,13 @@ def im2col(x, kernel, stride, pad, pad_value=0.0, channels_last=False):
 
 
 def layer_forward(layer: LayerSpec, x, index=None):
-    """Run one layer on f32 input. conv2d goes through im2col + matrix product."""
+    """Run one layer on f32 input. conv2d goes through im2col + matrix product.
+
+    gelu is ``gelu`` cast back to the input dtype; its cube is two IEEE
+    multiplies, as numpy's f32 ``pow`` is a CPU-dependent SIMD path.  avgpool
+    sums its k*k windows in the input dtype with ``window_sums``, in the order
+    the integer engine's avgpool sums its codes, then divides by k*k.
+    """
     op = layer.op_kind
     if op == "linear":
         if x.ndim != 2 or x.shape[1] != layer.in_channels:
@@ -221,10 +278,9 @@ def layer_forward(layer: LayerSpec, x, index=None):
     if op == "avgpool":
         if x.ndim != 4:
             raise ShapeError(f"avgpool expects (N, C, H, W), got {x.shape}", index)
-        cols, h_out, w_out = im2col(x, layer.kernel, layer.stride, 0)
-        n, c = x.shape[0], x.shape[1]
-        pooled = cols.reshape(n, h_out * w_out, c, layer.kernel * layer.kernel).mean(axis=3)
-        return np.moveaxis(pooled.reshape(n, h_out, w_out, c), 3, 1)
+        pooled = window_sums(x.transpose(0, 2, 3, 1), layer.kernel, layer.stride, x.dtype)
+        pooled /= layer.kernel**2
+        return np.moveaxis(pooled, 3, 1)
     if op == "flatten":
         return x.reshape(x.shape[0], -1)
     raise ShapeError(f"unknown op_kind {op!r}", index)
@@ -247,6 +303,20 @@ def model_forward(bundle: ModelBundle, x):
 
 def _tensor_entry(arr):
     return {"shape": list(arr.shape), "kind": DTYPE_TO_KIND[arr.dtype.newbyteorder("<")]}
+
+
+def _strings(value):
+    """The set of strings in a manifest value, at any depth: the blob names it may hold."""
+    found, todo = set(), [value]
+    while todo:
+        v = todo.pop()
+        if isinstance(v, str):
+            found.add(v)
+        elif isinstance(v, dict):
+            todo.extend(v.values())
+        elif isinstance(v, list):
+            todo.extend(v)
+    return found
 
 
 def build_from_layers(layers, input_shape, name="model", metadata=None):

@@ -158,6 +158,37 @@ class TestCompensate:
         assert a == (tmp_path / "again" / "manifest.json").read_text()
 
 
+W4A4 = ("--weight-bits", "4", "--act-bits", "4", "--sample-count", "128")
+
+
+class TestRerunStage:
+    """A stage re-run on a bundle that went further drops what the later stages built from it."""
+
+    @pytest.mark.parametrize("src", ["comp", "fused"])
+    def test_compensate_again_keeps_no_stale_fusion_or_blob(self, workspace, tmp_path, capsys, src):
+        from quantcomp.refnet import bundles_equal
+
+        assert run("compensate", workspace / "quant", *W4A4, "--position", "post", "--out", tmp_path / "fresh") == 0
+        assert run("compensate", workspace / src, *W4A4, "--position", "post", "--out", tmp_path / "again") == 0
+        again = load_bundle(tmp_path / "again")
+        assert again.stage == "quantized" and list(again.manifest["compensation"]["layers"]) == ["4"]
+        assert not any(name.startswith(("layer0.", "layer2.")) and "alpha" in name for name in again.blobs)
+        assert bundles_equal(again, load_bundle(tmp_path / "fresh"))
+        capsys.readouterr()
+        assert run("eval", tmp_path / "again") == 0
+        out = capsys.readouterr().out
+        assert "acc_comp" in out and "acc_fused" not in out
+
+    @pytest.mark.parametrize("src", ["comp", "fused"])
+    def test_quantize_again_drops_compensation_and_fusion(self, workspace, tmp_path, src):
+        from quantcomp.refnet import bundles_equal
+
+        assert run("quantize", workspace / src, *W4A4, "--out", tmp_path / "again") == 0
+        again = load_bundle(tmp_path / "again")
+        assert again.stage == "quantized" and "compensation" not in again.manifest
+        assert bundles_equal(again, load_bundle(workspace / "quant"))
+
+
 class TestFuseEvalDump:
     def test_fused_has_integer_blobs_and_multipliers(self, workspace):
         b = load_bundle(workspace / "fused")

@@ -15,6 +15,7 @@ from quantcomp.refnet import (
     build_mlp,
     bundles_equal,
     gelu,
+    gelu_grad,
     im2col,
     layer_forward,
     load_bundle,
@@ -22,6 +23,7 @@ from quantcomp.refnet import (
     model_forward,
     save_bundle,
     train_synthetic,
+    validate_bundle,
 )
 
 
@@ -199,6 +201,113 @@ class TestConvOracle:
         assert out.shape == (1, 12) and np.array_equal(out.ravel(), x.ravel())
 
 
+_GELU_C = np.sqrt(2.0 / np.pi)
+
+
+def _gelu_defined(x):
+    """gelu's defining expression, the cube as two multiplies."""
+    return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + 0.044715 * ((x * x) * x))))
+
+
+def _gelu_grad_defined(x):
+    t = np.tanh(_GELU_C * (x + 0.044715 * ((x * x) * x)))
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * _GELU_C * (1.0 + 3 * 0.044715 * x**2)
+
+
+def _views(x):
+    """``x`` and non-contiguous views of it: its transpose and a strided slice."""
+    return x, x.T, x[::3, 1::2]
+
+
+class TestGelu:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_byte_equal_to_its_definition_and_leaves_its_argument(self, dtype):
+        x = (np.random.default_rng(3).standard_normal((40, 30)) * 3).astype(dtype)
+        x[0, :4] = [0.0, -0.0, -30.0, 30.0]
+        for view in _views(x):
+            before = view.copy()
+            y = gelu(view)
+            assert y.dtype == np.float64 and y.shape == view.shape
+            assert y.tobytes() == _gelu_defined(view).tobytes()
+            assert view.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_grad_takes_the_same_cube(self, dtype):
+        x = (np.random.default_rng(4).standard_normal((40, 30)) * 3).astype(dtype)
+        for view in _views(x):
+            assert gelu_grad(view).tobytes() == _gelu_grad_defined(view).tobytes()
+        x = x.astype(np.float64)
+        h = 1e-6
+        assert np.allclose(gelu_grad(x), (gelu(x + h) - gelu(x - h)) / (2 * h), rtol=0, atol=1e-7)
+
+    def test_f32_accuracy_against_all_f64(self):
+        # the cube and its sum are f32, the rest f64: on N(0, 9) the float reference's
+        # f32 gelu is within 7.1e-8 of an all-f64 evaluation, relative to max(1, |y|)
+        x = (np.random.default_rng(5).standard_normal(4_000_000) * 3).astype(np.float32)
+        worst_f64 = worst_f32 = 0.0
+        for chunk in np.split(x, 4):
+            want = gelu(chunk.astype(np.float64))
+            got = gelu(chunk)
+            worst_f64 = max(worst_f64, float(np.max(np.abs(got - want) / np.maximum(1.0, np.abs(got)))))
+            got = layer_forward(LayerSpec("gelu"), chunk)
+            assert got.dtype == np.float32
+            worst_f32 = max(worst_f32, float(np.max(np.abs(got - want) / np.maximum(1.0, np.abs(got)))))
+        assert worst_f64 <= 4e-8 and worst_f32 <= 1.2e-7, (worst_f64, worst_f32)
+
+    def test_scalar_input(self):
+        assert float(gelu(np.float32(1.0))) == float(_gelu_defined(np.float32(1.0)))
+
+
+def _avgpool_loop(x, kernel, stride):
+    """Average pooling by a loop over output positions, in f64."""
+    n, c, h, w = x.shape
+    out = np.zeros((n, c, (h - kernel) // stride + 1, (w - kernel) // stride + 1))
+    for i in range(out.shape[2]):
+        for j in range(out.shape[3]):
+            window = x[:, :, i * stride : i * stride + kernel, j * stride : j * stride + kernel]
+            out[:, :, i, j] = window.astype(np.float64).mean(axis=(2, 3))
+    return out
+
+
+def _avgpool_im2col_mean(x, kernel, stride):
+    """The float avgpool before it summed strided slices: im2col, then numpy's mean over each window."""
+    cols, h_out, w_out = im2col(x, kernel, stride, 0)
+    n, c = x.shape[:2]
+    pooled = cols.reshape(n, h_out * w_out, c, kernel * kernel).mean(axis=3)
+    return np.moveaxis(pooled.reshape(n, h_out, w_out, c), 3, 1)
+
+
+def _pool_inputs(seed):
+    """An f32 NCHW batch, contiguous and as the NCHW view of NHWC data that conv2d returns;
+    one window of each holds only -0.0 and one only +0.0."""
+    x = np.random.default_rng(seed).standard_normal((2, 3, 7, 8)).astype(np.float32)
+    x[0, 0, :3, :3], x[0, 1, :3, :3] = -0.0, 0.0
+    return x, np.moveaxis(np.ascontiguousarray(np.moveaxis(x, 1, 3)), 3, 1)
+
+
+class TestFloatAvgpool:
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("kernel", [1, 2, 3])
+    def test_matches_the_f64_loop(self, kernel, stride):
+        layer = LayerSpec("avgpool", kernel=kernel, stride=stride)
+        for x in _pool_inputs([kernel, stride]):
+            before = x.copy()
+            got = layer_forward(layer, x)
+            want = _avgpool_loop(x, kernel, stride)
+            assert got.dtype == np.float32 and got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-6
+            assert x.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("kernel", [1, 2])
+    def test_byte_equal_to_im2col_mean_below_eight_terms(self, kernel, stride):
+        # numpy's mean sums fewer than 8 terms one after another, from +0.0, as the slices are summed
+        layer = LayerSpec("avgpool", kernel=kernel, stride=stride)
+        for x in _pool_inputs([kernel, stride, 1]):
+            got = layer_forward(layer, x)
+            assert got.tobytes() == _avgpool_im2col_mean(x, kernel, stride).tobytes()
+
+
 class TestBundleIO:
     def test_roundtrip_identity(self, tmp_path):
         task = TaskSpec(classes=3, dim=3, train_n=400, test_n=100, hidden=(6,))
@@ -372,11 +481,35 @@ class TestBundleOwner:
         m = build_mlp((2, 3))
         before = json.loads(json.dumps(m.manifest))
         extra = np.arange(3, dtype=np.int32)
-        d = m.derive("extra", {"k": 1}, {"layer0.extra": extra})
+        d = m.derive("quantization", {"k": "layer0.extra"}, {"layer0.extra": extra})
         assert m.manifest == before and "layer0.extra" not in m.blobs
-        assert d.manifest["extra"] == {"k": 1} and d.blobs["layer0.extra"] is extra
+        assert d.manifest["quantization"] == {"k": "layer0.extra"} and d.blobs["layer0.extra"] is extra
         assert d.manifest["tensors"]["layer0.extra"] == {"shape": [3], "kind": "i32"}
         assert d.manifest["layers"] is m.manifest["layers"]
+
+    def test_derive_drops_later_sections_and_the_blobs_no_section_names(self):
+        m = build_mlp((2, 3))
+        blob = np.arange(3, dtype=np.int32)
+        full = (
+            m.derive("quantization", {"codes": "q.codes", "old": "q.old"}, {"q.codes": blob, "q.old": blob})
+            .derive("compensation", {"layers": {"0": {"alpha": "c.alpha"}}}, {"c.alpha": blob})
+            .derive("fusion", {"entries": [{"codes": "q.codes", "m0": "f.m0"}]}, {"f.m0": blob})
+        )
+        every = {"layer0.weight", "layer0.bias", "q.codes", "q.old", "c.alpha", "f.m0"}
+        assert set(full.blobs) == set(full.manifest["tensors"]) == every
+        again = full.derive("quantization", {"codes": "q.codes"}, {"q.codes": blob[:2]})
+        assert "compensation" not in again.manifest and "fusion" not in again.manifest
+        assert set(again.blobs) == set(again.manifest["tensors"]) == {"layer0.weight", "layer0.bias", "q.codes"}
+        assert again.manifest["tensors"]["q.codes"] == {"shape": [2], "kind": "i32"}
+        refit = full.derive("compensation", {"layers": {}}, {})
+        assert "fusion" not in refit.manifest and set(refit.blobs) == {"layer0.weight", "layer0.bias", "q.codes", "q.old"}
+        validate_bundle(again)
+        validate_bundle(refit)
+        assert set(full.blobs) == every  # the source bundle is left as it was
+
+    def test_derive_takes_only_a_pipeline_section(self):
+        with pytest.raises(ValueError):
+            build_mlp((2, 3)).derive("extra", {}, {})
 
     def test_task_dataset_reads_the_trainer_metadata(self):
         from quantcomp.refnet import task_dataset
