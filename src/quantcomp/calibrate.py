@@ -231,8 +231,7 @@ def build_fused_model(
         op = spec.op_kind
         if op in refnet.PARAM_OPS:
             q = read_record(QUANT_LAYER, f"layer {i}:", qsec["layers"][str(i)], bundle)
-            # written in f64 but used in f32, until weight scales get one precision (an open item of ROADMAP.md)
-            wp = QuantParams(wb, "per_channel", q["scales"].astype(np.float32), q["zero_points"])
+            wp = QuantParams(wb, "per_channel", q["scales"], q["zero_points"])
             out = IntActivationParams(q["out_s"], q["out_z"], ab)
             layer = fuse_layer(
                 q["codes"],

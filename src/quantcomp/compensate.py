@@ -117,17 +117,6 @@ def fit_channel_affine(pair: ActivationPair) -> ChannelAffineParams:
     return ChannelAffineParams(alpha, beta, fallback, int(neg.sum()))
 
 
-def apply_channel_affine(y_quant, params: ChannelAffineParams):
-    """alpha * y + beta along the channel axis (axis 1 of an (N, C) array)."""
-    y = np.asarray(y_quant)
-    if y.ndim < 2 or y.shape[1] != params.channels:
-        raise ValueError(f"channel dim of {y.shape} does not match {params.channels} channels")
-    extra = (1,) * (y.ndim - 2)
-    a = params.alpha.astype(np.float64).reshape(1, -1, *extra)
-    b = params.beta.astype(np.float64).reshape(1, -1, *extra)
-    return (y.astype(np.float64) * a + b).astype(np.float32)
-
-
 @dataclass
 class FullMatrixParams:
     """Whole-matrix residual regression: residual ~ x @ W.T + b."""

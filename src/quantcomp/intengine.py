@@ -35,16 +35,17 @@ hardware runs.
 Codes with spatial extent travel channels-last (NHWC), the layout integer
 engines use so that a patch copy moves contiguous channel runs.  The
 interpreter transposes the quantized (N, C, H, W) input once.  A conv2d
-builds its patch matrix with ``im2col(..., channels_last=True)``, whose rows
-order their columns (k, k, C_in), and consumes its weight in the same
-(C_out, k, k, C_in) order through ``FusedLayerParams.w_centred``; the GEMM's
-(N*H_out*W_out, C_out) result is NHWC as it stands.  avgpool sums its k*k
-strided slices in i64 with ``refnet.window_sums``, from zero in (di, dj)
-row-major order: the order in which the float reference's avgpool sums its
-f32 slices.  flatten restores NCHW order before it reshapes, and so does the
-interpreter for a 4-D result, so linear weights, the fused record and the
-bundle on disk keep the float model's NCHW layout.  The GEMM is exact
-in any summation order, so the layout moves no bit.
+builds its patch matrix with ``refnet.im2col``, whose rows order their
+columns (k, k, C_in), and consumes its weight in the same order through
+``FusedLayerParams.w_centred``, which takes it from ``refnet.weight_matrix``
+as the float reference's conv does; the GEMM's (N*H_out*W_out, C_out) result
+is NHWC as it stands.  avgpool sums its k*k strided slices in i64 with
+``refnet.window_sums``, from zero in (di, dj) row-major order: the order in
+which the float reference's avgpool sums its f32 slices.  flatten restores
+NCHW order before it reshapes, and so does the interpreter for a 4-D result,
+so linear weights, the fused record and the bundle on disk keep the float
+model's NCHW layout.  The GEMM is exact in any summation order, so the
+layout moves no bit.
 
 The interpreter runs a plan (``FusedModel.plan``), built on a model's first
 run and kept: one step per entry, a closure over what the entry needs.
@@ -95,7 +96,8 @@ import numpy as np
 from .compensate import ChannelAffineParams, identity_compensation
 from .quant import QuantParams, code_dtype, quantize_uniform
 from .refnet import (
-    GRID_KEYS, PARAM_OPS, ModelBundle, RecordKey, gelu, im2col, read_record, reading_section, window_sums, write_record
+    GRID_KEYS, PARAM_OPS, ModelBundle, RecordKey, gelu, im2col, read_record, reading_section, weight_matrix, window_sums,
+    write_record,
 )
 
 INT32_MIN = -(2**31)
@@ -227,12 +229,11 @@ class FusedLayerParams:
         magnitude at most the reach ``qmax_in * max_c sum_j |w[c, j]|``.  f32
         represents every integer up to 2^24, so a layer whose reach is at most
         2^24 gets f32; f64 takes the rest up to 2^53, and a reach of 2^53 or
-        more raises ``EngineError``.  A conv2d weight is permuted to (C_out,
-        k, k, C_in) first, the column order of the engine's channels-last
+        more raises ``EngineError``.  ``refnet.weight_matrix`` gives the
+        columns of a conv2d weight the (k, k, C_in) order of ``im2col``'s
         patches.
         """
-        w_q = self.w_q.transpose(0, 2, 3, 1) if self.op_kind == "conv2d" else self.w_q
-        w = w_q.reshape(self.out_channels, -1).astype(np.int64) - self.z_w[:, None]
+        w = weight_matrix(self.w_q).astype(np.int64) - self.z_w[:, None]
         w = w.astype(np.float64)
         reach = np.abs(w).sum(axis=1).max(initial=0.0) * (2.0**self.in_bits - 1)
         if reach >= 2.0**53:
@@ -626,12 +627,14 @@ def _param_step(i, entry, lo=0):
             return requantize(acc, layer if tap is None else tap(i, x_q, acc, layer), trace, lo)
 
         return linear
-    k, stride, pad, z_x, c_out = layer.kernel, layer.stride, layer.pad, layer.z_x, layer.out_channels
+    k, stride, pad, z_x, (c_out, c_in) = layer.kernel, layer.stride, layer.pad, layer.z_x, layer.w_q.shape[:2]
 
     def conv2d(x_q, trace, tap):
+        if x_q.ndim != 4 or x_q.shape[3] != c_in:
+            raise EngineError(f"layer {i}: conv2d expects (N, H, W, {c_in}) codes, got shape {x_q.shape}")
         # (k, k, C) patches of the NHWC codes on their own dtype, padded with the
         # input zero-point; the GEMM's (N*H_out*W_out, C_out) result is already NHWC
-        cols, h_out, w_out = im2col(x_q, k, stride, pad, pad_value=z_x, channels_last=True)
+        cols, h_out, w_out = im2col(x_q, k, stride, pad, pad_value=z_x)
         acc = integer_accumulate(cols.reshape(x_q.shape[0] * h_out * w_out, -1), layer, trace)
         r = requantize(acc, layer if tap is None else tap(i, x_q, acc, layer), trace, lo)
         return r.reshape(x_q.shape[0], h_out, w_out, c_out)

@@ -91,8 +91,11 @@ class LayerSpec:
                 raise ShapeError(f"conv2d weight shape {want} expected", index)
             if self.kernel < 1 or self.stride < 1 or self.pad < 0:
                 raise ShapeError("bad conv2d geometry", index)
-        elif self.op_kind == "avgpool" and (self.kernel < 1 or self.stride < 1):
-            raise ShapeError("avgpool kernel and stride must be >= 1", index)
+        elif self.op_kind == "avgpool":
+            if self.kernel < 1 or self.stride < 1:
+                raise ShapeError("avgpool kernel and stride must be >= 1", index)
+            if self.pad != 0:
+                raise ShapeError(f"avgpool does not pad, got pad {self.pad}", index)
         if self.weight is not None and self.bias is not None:
             if self.bias.shape != (self.out_channels,):
                 raise ShapeError("bias length must equal out_channels", index)
@@ -225,35 +228,47 @@ def window_sums(x_hwc, kernel, stride, dtype):
     return sums
 
 
-def im2col(x, kernel, stride, pad, pad_value=0.0, channels_last=False):
-    """4-D input -> (N, P, C*k*k) patch matrix, P = H_out*W_out; returns (cols, H_out, W_out).
+def im2col(x_hwc, kernel, stride, pad, pad_value=0.0):
+    """(N, H, W, C) input -> (N, P, k*k*C) patch matrix, P = H_out*W_out; returns (cols, H_out, W_out).
 
-    By default ``x`` is (N, C, H, W) and each row orders its columns (C, k, k),
-    as a (C_out, C, k, k) weight reshapes: the float path's layout.  With
-    ``channels_last`` ``x`` is (N, H, W, C) and the columns are (k, k, C), the
-    integer engine's layout.  Both fill the matrix the same way: the input
-    is padded into a channels-last copy, then one strided slice copy per
-    kernel offset moves C values for every output position.  The matrix is
-    C-contiguous and has the input's dtype, so the integer path extracts
-    patches on its u8/u16 codes; ``pad_value`` lets it pad with the
-    zero-point code.
+    Each row orders its columns (k, k, C), as ``weight_matrix`` orders a conv
+    weight's: channels last, the layout integer engines use so that a patch
+    copy moves contiguous channel runs.  The input is padded into a copy,
+    then one strided slice copy per kernel offset moves C values for every
+    output position.  The matrix is C-contiguous and has the input's dtype,
+    so the integer path extracts patches on its u8/u16 codes; ``pad_value``
+    lets it pad with the zero-point code.
     """
-    x_hwc = x if channels_last else x.transpose(0, 2, 3, 1)
     n, h, w, c = x_hwc.shape
     h_out, w_out = window_positions(h, w, kernel, stride, pad)
-    xp = np.full((n, h + 2 * pad, w + 2 * pad, c), pad_value, dtype=x.dtype)
+    xp = np.full((n, h + 2 * pad, w + 2 * pad, c), pad_value, dtype=x_hwc.dtype)
     xp[:, pad : pad + h, pad : pad + w] = x_hwc
-    cols = np.empty((n, h_out, w_out) + ((kernel, kernel, c) if channels_last else (c, kernel, kernel)), x.dtype)
-    dst = cols if channels_last else cols.transpose(0, 1, 2, 4, 5, 3)  # (N, H_out, W_out, k, k, C) either way
+    cols = np.empty((n, h_out, w_out, kernel, kernel, c), x_hwc.dtype)
     h_span, w_span = stride * (h_out - 1) + 1, stride * (w_out - 1) + 1
     for di in range(kernel):
         for dj in range(kernel):
-            dst[:, :, :, di, dj] = xp[:, di : di + h_span : stride, dj : dj + w_span : stride]
-    return cols.reshape(n, h_out * w_out, c * kernel * kernel), h_out, w_out
+            cols[:, :, :, di, dj] = xp[:, di : di + h_span : stride, dj : dj + w_span : stride]
+    return cols.reshape(n, h_out * w_out, kernel * kernel * c), h_out, w_out
+
+
+def weight_matrix(weight):
+    """A linear or conv2d weight as its (C_out, C_eff) GEMM operand.
+
+    A (C_out, C_in) weight is that matrix already; a (C_out, C_in, k, k) one
+    has its columns permuted to ``im2col``'s (k, k, C_in) order.
+    """
+    if weight.ndim == 4:
+        weight = weight.transpose(0, 2, 3, 1)
+    return weight.reshape(weight.shape[0], -1)
 
 
 def layer_forward(layer: LayerSpec, x, index=None):
-    """Run one layer on f32 input. conv2d goes through im2col + matrix product.
+    """Run one layer on f32 input.
+
+    conv2d takes (k, k, C) patches of the channels-last view of its NCHW input
+    (``im2col`` copies the input anyway) and multiplies them by
+    ``weight_matrix`` of its weight, the integer engine's layout; the
+    result is the NCHW view of the GEMM's NHWC output.
 
     gelu is ``gelu`` cast back to the input dtype; its cube is two IEEE
     multiplies, as numpy's f32 ``pow`` is a CPU-dependent SIMD path.  avgpool
@@ -268,8 +283,8 @@ def layer_forward(layer: LayerSpec, x, index=None):
     if op == "conv2d":
         if x.ndim != 4 or x.shape[1] != layer.in_channels:
             raise ShapeError(f"conv2d expects (N, {layer.in_channels}, H, W), got {x.shape}", index)
-        cols, h_out, w_out = im2col(x, layer.kernel, layer.stride, layer.pad)
-        flat = cols @ layer.weight.reshape(layer.out_channels, -1).T + layer.bias
+        cols, h_out, w_out = im2col(x.transpose(0, 2, 3, 1), layer.kernel, layer.stride, layer.pad)
+        flat = cols @ weight_matrix(layer.weight).T + layer.bias
         return np.moveaxis(flat.reshape(x.shape[0], h_out, w_out, layer.out_channels), 3, 1)
     if op == "relu":
         return np.maximum(x, 0.0)
@@ -404,9 +419,8 @@ def validate_bundle(bundle: ModelBundle):
         elif op in ("conv2d", "avgpool"):
             if len(shape) != 3 or (op == "conv2d" and shape[0] != layer.in_channels):
                 raise BundleError(f"layer {i}: {op} input does not chain from {shape}")
-            p = layer.pad if op == "conv2d" else 0  # the avgpool kernel never pads
             try:
-                h, w = window_positions(shape[1], shape[2], layer.kernel, layer.stride, p)
+                h, w = window_positions(shape[1], shape[2], layer.kernel, layer.stride, layer.pad)
             except ShapeError:
                 raise BundleError(f"layer {i}: {op} geometry leaves no output") from None
             shape = (layer.out_channels if op == "conv2d" else shape[0], h, w)

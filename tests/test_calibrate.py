@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_intengine import _conv_graphs
 
 from quantcomp import calibrate, intengine
 from quantcomp.calibrate import (
@@ -25,7 +24,6 @@ from quantcomp.calibrate import (
 )
 from quantcomp.compensate import ActivationPair, channel_mse, fit_channel_affine
 from quantcomp.intengine import InferenceTrace, fused_runtime, run_int_model
-from quantcomp.quant import RangeEstimator
 from quantcomp.refnet import (
     LayerSpec,
     ModelBundle,
@@ -37,6 +35,7 @@ from quantcomp.refnet import (
     model_forward,
     train_synthetic,
 )
+from strategies import graphs
 
 TASK = TaskSpec(classes=5, dim=6, train_n=1500, test_n=300, hidden=(12, 12))
 
@@ -568,29 +567,9 @@ class TestOwnerChecks:
         assert fuse_model(ModelBundle(manifest, comp.blobs), beta_rounding=False).manifest["fusion"]["beta_rounding"] is False
 
 
-@st.composite
-def _mlp_graphs(draw):
-    """(layers, input shape, weight bits, activation bits, seed) of a small float MLP:
-    1-3 linear layers, each maybe followed by relu or gelu; bits in 2..8."""
-    seed = draw(st.integers(0, 2**16))
-    rng = np.random.default_rng(seed)
-    c = draw(st.integers(1, 6))
-    shape, layers = (c,), []
-    for _ in range(draw(st.integers(1, 3))):
-        c_out = draw(st.integers(1, 6))
-        weight = (rng.standard_normal((c_out, c)) * 0.7).astype(np.float32)
-        bias = (rng.standard_normal(c_out) * 0.1).astype(np.float32)
-        layers.append(LayerSpec("linear", c, c_out, weight=weight, bias=bias))
-        act = draw(st.sampled_from([None, "relu", "gelu"]))
-        if act:
-            layers.append(LayerSpec(act))
-        c = c_out
-    return layers, shape, draw(st.integers(2, 8)), draw(st.integers(2, 8)), seed
-
-
 class TestCompensationNeverRaisesMse:
     @settings(max_examples=100, derandomize=True, deadline=None)
-    @given(st.one_of(_mlp_graphs(), _conv_graphs()), st.booleans())
+    @given(graphs(), st.booleans())
     def test_post_mse_at_most_pre_mse(self, graph, sequential):
         # (1, 0) is among the closed-form fit's candidates, so no layer's fit can do worse than none
         layers, shape, w_bits, a_bits, seed = graph
@@ -652,6 +631,20 @@ class TestFusedRecord:
         assert len(built.entries) == len(read.entries)
         for i, (b, r) in enumerate(zip(built.entries, read.entries)):
             _assert_same_fields(b, r, f"entries[{i}]")
+
+    @pytest.mark.parametrize("beta_rounding", [True, False])
+    def test_weight_scales_stay_f64_from_quantization_to_the_engine(self, conv_gelu_comp, beta_rounding):
+        comp = conv_gelu_comp
+        qlayers = comp.manifest["quantization"]["layers"]
+        built = calibrate.build_fused_model(comp, compensation_params(comp), beta_rounding)
+        read = fused_runtime(fuse_model(comp, beta_rounding=beta_rounding))
+        for model in (built, read):
+            params = {i: e.layer for i, e in enumerate(model.entries) if e.kind == "param"}
+            assert sorted(params) == sorted(map(int, qlayers))
+            for i, layer in params.items():
+                stored = comp.tensor(qlayers[str(i)]["weight_scales"])
+                assert stored.dtype == layer.s_w.dtype == np.float64
+                assert layer.s_w.tobytes() == stored.tobytes(), f"layer {i}"
 
     def test_record_keys_of_every_kind(self, conv_gelu_comp):
         records = fuse_model(conv_gelu_comp).manifest["fusion"]["entries"]

@@ -354,6 +354,10 @@ def _avgpool_kernel_zero(mf):
     mf["layers"][1]["kernel"] = 0
 
 
+def _avgpool_pad_one(mf):
+    mf["layers"][1]["pad"] = 1
+
+
 def _avgpool_bundle(path):
     from quantcomp.refnet import LayerSpec, build_from_layers, save_bundle
 
@@ -381,6 +385,7 @@ class TestNamedErrors:
             "fused_unknown_op_kind",
             "fused_in_bits_2",
             "avgpool_kernel_0",
+            "avgpool_pad_1",
             "transposed_weight",
             "truncated_manifest",
         ],
@@ -405,6 +410,9 @@ class TestNamedErrors:
         elif case == "avgpool_kernel_0":
             edit_manifest(_avgpool_bundle(tmp_path / "pool"), tmp_path / "b", _avgpool_kernel_zero)
             argv, want = ["quantize", tmp_path / "b", "--out", tmp_path / "o"], "avgpool"
+        elif case == "avgpool_pad_1":
+            bad = edit_manifest(_avgpool_bundle(tmp_path / "pool"), tmp_path / "b", _avgpool_pad_one)
+            argv, want = ["eval", bad], "layer 1: avgpool does not pad, got pad 1"
         elif case == "transposed_weight":
             argv, want = ["eval", edit_manifest(workspace / "float", tmp_path / "b", _transpose_first_weight)], "weight shape"
         else:

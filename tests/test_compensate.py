@@ -4,12 +4,10 @@ import pytest
 from quantcomp.compensate import (
     ActivationPair,
     ChannelAffineParams,
-    apply_channel_affine,
     channel_mse,
     diagonal_energy,
     fit_channel_affine,
     fit_full_matrix,
-    identity_compensation,
 )
 
 
@@ -20,6 +18,11 @@ def make_pair(rng, n=256, c=16, gain_lo=0.5, gain_hi=2.0, noise=0.05):
     shift = rng.uniform(-1, 1, c)
     y_quant = (y_full - shift) / gain + rng.standard_normal((n, c)) * noise
     return ActivationPair(y_full, y_quant)
+
+
+def compensated(pair, p):
+    """alpha * y + beta per channel in f64, as calibration scores a fit."""
+    return pair.y_quant * p.alpha.astype(np.float64) + p.beta.astype(np.float64)
 
 
 class TestChannelAffineFit:
@@ -98,7 +101,7 @@ class TestChannelAffineFit:
         rng = np.random.default_rng(6)
         pair = make_pair(rng, n=256, c=8)
         p = fit_channel_affine(pair)
-        base = channel_mse(pair.y_full, apply_channel_affine(pair.y_quant, p).astype(np.float64))
+        base = channel_mse(pair.y_full, compensated(pair, p))
         for eps in (1e-3, 1e-2, 1e-1):
             for which in ("alpha", "beta"):
                 for sign in (+1, -1):
@@ -107,39 +110,16 @@ class TestChannelAffineFit:
                         p.beta + (sign * eps if which == "beta" else 0.0),
                         p.fallback_mask,
                     )
-                    mse = channel_mse(pair.y_full, apply_channel_affine(pair.y_quant, q).astype(np.float64))
+                    mse = channel_mse(pair.y_full, compensated(pair, q))
                     assert np.all(mse >= base - 1e-12)
-
-
-class TestApply:
-    def test_identity(self):
-        rng = np.random.default_rng(7)
-        y = rng.standard_normal((10, 3)).astype(np.float32)
-        assert np.allclose(apply_channel_affine(y, identity_compensation(3)), y)
-
-    def test_direct_values(self):
-        p = ChannelAffineParams([2.0], [-1.0], [False])
-        assert apply_channel_affine(np.array([[3.0]]), p)[0, 0] == 5.0
 
     def test_mse_never_worse_than_identity(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
             pair = make_pair(rng, n=64, c=5, noise=rng.uniform(0.0, 1.0))
-            p = fit_channel_affine(pair)
-            fitted = channel_mse(pair.y_full, apply_channel_affine(pair.y_quant, p).astype(np.float64))
+            fitted = channel_mse(pair.y_full, compensated(pair, fit_channel_affine(pair)))
             ident = channel_mse(pair.y_full, pair.y_quant)
             assert np.all(fitted <= ident + 1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            apply_channel_affine(np.zeros((4, 3)), identity_compensation(5))
-
-    def test_spatial_layout(self):
-        p = ChannelAffineParams([2.0, 3.0], [0.0, 1.0], [False, False])
-        y = np.ones((1, 2, 2, 2), dtype=np.float32)
-        out = apply_channel_affine(y, p)
-        assert np.allclose(out[0, 0], 2.0)  # 2*1 + 0
-        assert np.allclose(out[0, 1], 4.0)  # 3*1 + 1
 
 
 class TestFullMatrix:

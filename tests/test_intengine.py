@@ -29,6 +29,7 @@ from quantcomp.intengine import (
 )
 from quantcomp.quant import QuantParams, code_dtype, quantize_uniform, quantize_weights_per_channel, tensor_params
 from quantcomp.refnet import gelu
+from strategies import graphs, im2col_loop
 
 
 def _reference_encode(m):
@@ -819,9 +820,7 @@ class TestFusionSectionOwner:
 
 
 def _nchw_reference(model, x):
-    """The integer forward on NCHW codes with (C, k, k) patches and exact i64 GEMMs, the engine's old layout."""
-    from quantcomp.refnet import im2col
-
+    """The integer forward on NCHW codes with (C, k, k) patches of the position loop and exact i64 GEMMs."""
     x_q = quantize_uniform(np.asarray(x, dtype=np.float32), model.input_params.quant_params)
     for e in model.entries:
         if e.kind == "param":
@@ -830,7 +829,7 @@ def _nchw_reference(model, x):
             if layer.op_kind == "linear":
                 rows = x_q
             else:
-                cols, h_out, w_out = im2col(x_q, layer.kernel, layer.stride, layer.pad, pad_value=layer.z_x)
+                cols, h_out, w_out = im2col_loop(x_q, layer.kernel, layer.stride, layer.pad, pad_value=layer.z_x)
                 rows = cols.reshape(-1, cols.shape[2])
             r = requantize(rows.astype(np.int64) @ w.T + layer.const_acc + layer.bias_acc, layer)
             if layer.op_kind == "conv2d":
@@ -841,7 +840,7 @@ def _nchw_reference(model, x):
         elif e.kind == "gelu":
             x_q = e.lut[x_q]
         elif e.kind == "avgpool":
-            cols, h_out, w_out = im2col(x_q, e.kernel, e.stride, 0)
+            cols, h_out, w_out = im2col_loop(x_q, e.kernel, e.stride, 0)
             n, c = x_q.shape[:2]
             sums = cols.reshape(n, h_out * w_out, c, e.kernel**2).sum(axis=3, dtype=np.int64)
             pooled = fixed_point_multiply(sums, e.pool_m0, e.pool_shift).astype(x_q.dtype)
@@ -852,49 +851,28 @@ def _nchw_reference(model, x):
     return ((x_q.astype(np.float64) - p.z) * p.s).astype(np.float32)
 
 
-@st.composite
-def _conv_graphs(draw):
-    """(layers, input shape, weight bits, activation bits, seed) of a small float conv net:
-    1-2 conv2d, each maybe followed by relu or gelu, maybe an avgpool, then nothing,
-    a flatten, or flatten + linear; bits in 2..8."""
-    from quantcomp.refnet import LayerSpec
-
-    seed = draw(st.integers(0, 2**16))
-    rng = np.random.default_rng(seed)
-    c, h, w = draw(st.integers(1, 3)), draw(st.integers(3, 6)), draw(st.integers(3, 6))
-    shape, layers = (c, h, w), []
-    for _ in range(draw(st.integers(1, 2))):
-        k = draw(st.integers(1, min(3, h, w)))
-        s, p, c_out = draw(st.integers(1, 3)), draw(st.integers(0, 2)), draw(st.integers(1, 4))
-        weight = (rng.standard_normal((c_out, c, k, k)) * 0.5).astype(np.float32)
-        bias = (rng.standard_normal(c_out) * 0.1).astype(np.float32)
-        layers.append(LayerSpec("conv2d", c, c_out, weight=weight, bias=bias, kernel=k, stride=s, pad=p))
-        c, h, w = c_out, (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
-        act = draw(st.sampled_from([None, "relu", "gelu"]))
-        if act:
-            layers.append(LayerSpec(act))
-    if draw(st.booleans()):
-        k, s = draw(st.integers(1, min(2, h, w))), draw(st.integers(1, 2))
-        layers.append(LayerSpec("avgpool", kernel=k, stride=s))
-        h, w = (h - k) // s + 1, (w - k) // s + 1
-    tail = draw(st.sampled_from(["none", "flatten", "linear"]))
-    if tail != "none":
-        layers.append(LayerSpec("flatten"))
-    if tail == "linear":
-        c_out = draw(st.integers(1, 4))
-        weight = (rng.standard_normal((c_out, c * h * w)) * 0.3).astype(np.float32)
-        layers.append(LayerSpec("linear", c * h * w, c_out, weight=weight, bias=np.zeros(c_out, np.float32)))
-    return layers, shape, draw(st.integers(2, 8)), draw(st.integers(2, 8)), seed
-
-
 class TestChannelsLastEngine:
+    @pytest.mark.parametrize("shape", [(4, 48), (4, 3, 16), (4, 2, 4, 4)])
+    def test_input_that_is_no_conv_map_names_the_layer(self, shape):
+        from quantcomp.calibrate import fuse_model, quantize_model
+        from quantcomp.intengine import fused_runtime
+        from quantcomp.refnet import LayerSpec, build_from_layers
+
+        rng = np.random.default_rng(0)
+        conv = LayerSpec("conv2d", 3, 2, weight=rng.standard_normal((2, 3, 3, 3)).astype(np.float32), bias=np.zeros(2, np.float32), kernel=3, pad=1)
+        model_f = build_from_layers([conv, LayerSpec("flatten")], (3, 4, 4))
+        model = fused_runtime(fuse_model(quantize_model(model_f, rng.standard_normal((16, 3, 4, 4)).astype(np.float32), 8, 8)))
+        x = rng.standard_normal(shape).astype(np.float32)
+        with pytest.raises(EngineError, match=r"layer 0: conv2d expects \(N, H, W, 3\) codes, got shape"):
+            run_int_model(model, x)
+
     @settings(max_examples=30, derandomize=True, deadline=None)
-    @given(_conv_graphs())
+    @given(graphs(nets=("conv",)))
     def test_matches_nchw_oracles(self, graph):
         from quantcomp import intengine
         from quantcomp.calibrate import CalibrationConfig, calibrate_model, compensation_params, fuse_model, sim_forward
         from quantcomp.intengine import fused_runtime
-        from quantcomp.refnet import build_from_layers, im2col, validate_bundle
+        from quantcomp.refnet import build_from_layers, validate_bundle
 
         layers, shape, w_bits, a_bits, seed = graph
         rng = np.random.default_rng([seed, 1])
@@ -912,7 +890,7 @@ class TestChannelsLastEngine:
                 if layer.op_kind == "conv2d":
                     # x_q is NHWC; the oracle builds (C, k, k) patches from its NCHW view
                     assert x_q.ndim == 4 and x_q.shape[3] == layer.w_q.shape[1]
-                    cols, _, _ = im2col(x_q.transpose(0, 3, 1, 2), layer.kernel, layer.stride, layer.pad, layer.z_x)
+                    cols, _, _ = im2col_loop(x_q.transpose(0, 3, 1, 2), layer.kernel, layer.stride, layer.pad, layer.z_x)
                     w = layer.w_q.reshape(layer.out_channels, -1).astype(np.int64) - layer.z_w[:, None]
                     want = cols.reshape(-1, cols.shape[2]).astype(np.int64) @ w.T + layer.const_acc + layer.bias_acc
                     assert _in_i32(acc) and np.array_equal(acc, want)
@@ -928,34 +906,15 @@ class TestChannelsLastEngine:
                 assert sim.tobytes() == got.tobytes()
 
 
-@st.composite
-def _relu_mlp_graphs(draw):
-    """(layers, input shape, weight bits, activation bits, seed) of a small float MLP:
-    1-3 linear layers, each followed by a relu; bits in 2..8."""
-    from quantcomp.refnet import LayerSpec
-
-    seed = draw(st.integers(0, 2**16))
-    rng = np.random.default_rng(seed)
-    c = draw(st.integers(1, 6))
-    shape, layers = (c,), []
-    for _ in range(draw(st.integers(1, 3))):
-        c_out = draw(st.integers(1, 6))
-        weight = (rng.standard_normal((c_out, c)) * 0.7).astype(np.float32)
-        bias = (rng.standard_normal(c_out) * 0.1).astype(np.float32)
-        layers += [LayerSpec("linear", c, c_out, weight=weight, bias=bias), LayerSpec("relu")]
-        c = c_out
-    return layers, shape, draw(st.integers(2, 8)), draw(st.integers(2, 8)), seed
-
-
 def _folded_relus(model):
     return sum(e.kind == "relu" and i > 0 and model.entries[i - 1].kind == "param" for i, e in enumerate(model.entries))
 
 
 class TestPlan:
     @settings(max_examples=40, derandomize=True, deadline=None)
-    @given(st.one_of(_conv_graphs(), _relu_mlp_graphs()))
+    @given(graphs())
     def test_plan_matches_reference_interpreter(self, graph):
-        from quantcomp.calibrate import CalibrationConfig, calibrate_model, fuse_model
+        from quantcomp.calibrate import CalibrationConfig, calibrate_model, compensation_params, fuse_model, sim_forward
         from quantcomp.intengine import fused_runtime
         from quantcomp.refnet import build_from_layers
 
@@ -972,6 +931,13 @@ class TestPlan:
                 assert got.tobytes() == _nchw_reference(model, batch).tobytes()
             # one step per entry, less one for each relu folded into the param step before it
             assert len(model.plan) == len(model.entries) - _folded_relus(model)
+            if rounding:
+                for layer in (e.layer for e in model.entries if e.kind == "param"):
+                    slack = 4 * np.spacing(np.abs(layer.beta_real))  # the deviation's own rounding
+                    assert (beta_rounding_deviation(layer, layer.beta_real) <= beta_rounding_bound(layer) + slack).all()
+            else:
+                sim, _, _ = sim_forward(comp, x, compensation_params(comp))
+                assert sim.tobytes() == got.tobytes()
 
     def test_relu_above_zero_is_the_clip_floor(self):
         from dataclasses import replace

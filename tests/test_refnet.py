@@ -24,7 +24,9 @@ from quantcomp.refnet import (
     save_bundle,
     train_synthetic,
     validate_bundle,
+    weight_matrix,
 )
+from strategies import im2col_loop
 
 
 def linear(w, b):
@@ -100,80 +102,53 @@ def conv2d_direct(x, w, b, stride, pad):
     return out
 
 
-def _im2col_loop(x, kernel, stride, pad, pad_value=0.0, channels_last=False):
-    """The per-position loop im2col replaced, kept as its reference.
-
-    An (N, C, H, W) input gives (C, k, k) columns; with ``channels_last`` an
-    (N, H, W, C) input gives (k, k, C) columns.
-    """
-    x = np.moveaxis(x, 3, 1) if channels_last else x
-    n, c, h, w = x.shape
-    h_out = (h + 2 * pad - kernel) // stride + 1
-    w_out = (w + 2 * pad - kernel) // stride + 1
-    xp = np.full((n, c, h + 2 * pad, w + 2 * pad), pad_value, dtype=x.dtype)
-    xp[:, :, pad : pad + h, pad : pad + w] = x
-    cols = np.empty((n, h_out * w_out, c * kernel * kernel), dtype=x.dtype)
-    idx = 0
-    for i in range(h_out):
-        for j in range(w_out):
-            patch = xp[:, :, i * stride : i * stride + kernel, j * stride : j * stride + kernel]
-            cols[:, idx, :] = (patch.transpose(0, 2, 3, 1) if channels_last else patch).reshape(n, -1)
-            idx += 1
-    return cols, h_out, w_out
+def _nhwc_input(dtype, seed, layout):
+    """(2, 7, 6, 3) NHWC values: a contiguous array, the NHWC view of NCHW data
+    (what the float conv passes) or a strided slice of a taller array."""
+    x = (np.random.default_rng(seed).random((2, 7, 6, 3)) * 250).astype(dtype)
+    if layout == "nchw_view":
+        return np.ascontiguousarray(x.transpose(0, 3, 1, 2)).transpose(0, 2, 3, 1)
+    if layout == "strided":
+        tall = np.zeros((2, 14, 6, 3), dtype)
+        tall[:, ::2] = x
+        return tall[:, ::2]
+    return x
 
 
 class TestIm2col:
+    @pytest.mark.parametrize("layout", ["contiguous", "nchw_view", "strided"])
     @pytest.mark.parametrize("dtype", [np.float32, np.uint8, np.uint16])
     @pytest.mark.parametrize("stride", [1, 2, 3])
     @pytest.mark.parametrize("pad", [0, 1, 2])
     @pytest.mark.parametrize("kernel", [1, 2, 3, 5])
-    def test_byte_equal_to_position_loop(self, dtype, stride, pad, kernel):
-        rng = np.random.default_rng([kernel, stride, pad])
-        x = (rng.random((2, 3, 7, 6)) * 250).astype(dtype)
+    def test_byte_equal_to_position_loop(self, layout, dtype, stride, pad, kernel):
         pad_value = 7 if pad else 0  # a zero-point code, as the integer path pads with
+        x = _nhwc_input(dtype, [kernel, stride, pad], layout)
+        assert x.flags.c_contiguous == (layout == "contiguous")
+        before = x.copy()
         got, h_out, w_out = im2col(x, kernel, stride, pad, pad_value=pad_value)
-        want, h_want, w_want = _im2col_loop(x, kernel, stride, pad, pad_value=pad_value)
+        want, h_want, w_want = im2col_loop(x, kernel, stride, pad, pad_value=pad_value, channels_last=True)
         assert (h_out, w_out) == (h_want, w_want)
         assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("stride", [1, 2, 3])
-    @pytest.mark.parametrize("pad", [0, 1, 2])
-    @pytest.mark.parametrize("kernel", [1, 2, 3, 5])
-    def test_channels_last_byte_equal_to_position_loop(self, stride, pad, kernel):
-        rng = np.random.default_rng([kernel, stride, pad, 1])
-        for dtype in (np.float32, np.uint8, np.uint16):
-            x = (rng.random((2, 7, 6, 3)) * 250).astype(dtype)
-            got, h_out, w_out = im2col(x, kernel, stride, pad, pad_value=7, channels_last=True)
-            want, h_want, w_want = _im2col_loop(x, kernel, stride, pad, pad_value=7, channels_last=True)
-            assert (h_out, w_out) == (h_want, w_want)
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
-
-    def test_non_contiguous_input_and_fresh_output(self):
-        # the engine feeds im2col views: the transposed input codes, or a relu of them
-        x = np.moveaxis(np.arange(2 * 4 * 4 * 3, dtype=np.uint8).reshape(2, 4, 4, 3), 3, 1)
-        got, _, _ = im2col(x, 1, 1, 0)
         assert got.flags.c_contiguous and not np.shares_memory(got, x)
-        assert got.tobytes() == _im2col_loop(x, 1, 1, 0)[0].tobytes()
-        y = np.arange(2 * 3 * 4 * 4, dtype=np.uint8).reshape(2, 3, 4, 4)
-        for view in (y.transpose(0, 2, 3, 1), y[:, :, ::2].transpose(0, 2, 3, 1)):
-            assert not view.flags.c_contiguous
-            got, _, _ = im2col(view, 2, 1, 1, pad_value=3, channels_last=True)
-            assert got.flags.c_contiguous and not np.shares_memory(got, y)
-            assert got.tobytes() == _im2col_loop(view, 2, 1, 1, pad_value=3, channels_last=True)[0].tobytes()
+        assert got.tobytes() == want.tobytes() and x.tobytes() == before.tobytes()
 
-    def test_layouts_hold_the_same_patches(self):
-        # the channels-last matrix is the NCHW one with each row's (C, k, k) columns permuted to (k, k, C)
-        x = np.random.default_rng(5).integers(0, 256, (2, 4, 5, 6)).astype(np.uint8)
-        nchw, h_out, w_out = im2col(x, 3, 2, 1, pad_value=9)
-        nhwc, _, _ = im2col(np.ascontiguousarray(x.transpose(0, 2, 3, 1)), 3, 2, 1, pad_value=9, channels_last=True)
-        permuted = nchw.reshape(2, h_out * w_out, 4, 3, 3).transpose(0, 1, 3, 4, 2).reshape(nhwc.shape)
-        assert np.array_equal(nhwc, permuted)
+    @pytest.mark.parametrize("kernel", [1, 2, 3])
+    def test_weight_matrix_follows_the_patch_columns(self, kernel):
+        # integer values, so both products are exact whatever order they sum in
+        rng = np.random.default_rng(kernel)
+        x = rng.integers(0, 16, (2, 3, 5, 6)).astype(np.float32)
+        w = rng.integers(-8, 8, (4, 3, kernel, kernel)).astype(np.float32)
+        cols, _, _ = im2col(x.transpose(0, 2, 3, 1), kernel, 1, 1)
+        nchw_cols, _, _ = im2col_loop(x, kernel, 1, 1)
+        assert weight_matrix(w).shape == (4, kernel * kernel * 3)
+        assert np.array_equal(cols @ weight_matrix(w).T, nchw_cols @ w.reshape(4, -1).T)
+        # a linear weight is its own matrix
+        assert np.array_equal(weight_matrix(w[:, :, 0, 0]), w[:, :, 0, 0])
 
     def test_no_output_position_is_shape_error(self):
         with pytest.raises(ShapeError, match="no output positions"):
-            im2col(np.zeros((1, 2, 2, 3), np.uint8), 3, 1, 0, channels_last=True)
+            im2col(np.zeros((1, 2, 2, 3), np.uint8), 3, 1, 0)
 
 
 class TestConvOracle:
@@ -270,8 +245,8 @@ def _avgpool_loop(x, kernel, stride):
 
 
 def _avgpool_im2col_mean(x, kernel, stride):
-    """The float avgpool before it summed strided slices: im2col, then numpy's mean over each window."""
-    cols, h_out, w_out = im2col(x, kernel, stride, 0)
+    """The float avgpool before it summed strided slices: (C, k, k) patches, then numpy's mean over each window."""
+    cols, h_out, w_out = im2col_loop(x, kernel, stride, 0)
     n, c = x.shape[:2]
     pooled = cols.reshape(n, h_out * w_out, c, kernel * kernel).mean(axis=3)
     return np.moveaxis(pooled.reshape(n, h_out, w_out, c), 3, 1)
@@ -449,6 +424,19 @@ class TestLayerGeometry:
             LayerSpec("avgpool", kernel=kernel, stride=stride).validate(1)
         with pytest.raises(ShapeError, match="avgpool kernel and stride"):
             build_from_layers(*_pool_net(kernel, stride))
+
+    @pytest.mark.parametrize("pad", [1, -1])
+    def test_avgpool_does_not_pad(self, pad, tmp_path):
+        layers, shape = _pool_net(hw=6)
+        layers[1].pad = pad
+        with pytest.raises(ShapeError, match=f"layer 1: avgpool does not pad, got pad {pad}"):
+            build_from_layers(layers, shape)
+        path = save_bundle(build_from_layers(*_pool_net(hw=6)), tmp_path / "m")
+        manifest = json.loads((path / "manifest.json").read_text())
+        manifest["layers"][1]["pad"] = pad
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ShapeError, match="layer 1: avgpool does not pad"):
+            load_bundle(path)
 
     def test_avgpool_leaving_no_output(self):
         with pytest.raises(BundleError, match="layer 1: avgpool geometry leaves no output"):
