@@ -24,13 +24,21 @@ and f64 every one up to 2^53, so within those bounds no summation order, and
 no FMA, can round.  Like the gemmlowp line of integer engines, which pick the
 narrowest accumulator the value range allows, each layer picks its GEMM width
 once, from its reach (``FusedLayerParams.w_centred``): f32 when the reach is
-at most 2^24, f64 otherwise.  A fused layer's GEMM reach is at most twice the
-reach that ``fuse_layer`` caps at INT32_MAX (that one multiplies the same sum
-by ``max(Z_x, qmax - Z_x) >= qmax / 2``), so below 2^32 <= 2^53; a
-hand-assembled layer at 2^53 or more raises ``EngineError``.  The trace
-counts these MACs in ``gemm_macs`` apart from ``float_mul_count``: they are
-exact integer arithmetic on the host, not a claim about what deployment
-hardware runs.
+at most 2^24, f64 otherwise.  The trace counts these MACs in ``gemm_macs``
+apart from ``float_mul_count``: they are exact integer arithmetic on the
+host, not a claim about what deployment hardware runs.
+
+Every accumulator fits i32 by proof, once per layer, not by a check per call.
+``FusedLayerParams.acc_bounds`` computes each channel's least and greatest
+accumulator over all input codes, the ℓ1 bound of A2Q (Colbert et al. 2023,
+arXiv 2308.13504) taken per sign, which codes at 0 and at qmax attain, and
+rejects a layer whose bounds leave i32.  The same pass checks that weight
+codes lie on their grid and that ``const_acc`` is the sum it stands for.
+``fuse_layer`` runs the proof on every layer it makes, and the plan runs it
+on every param entry as it builds that entry's step, so the error names the
+layer; ``w_centred``, the GEMM operand, is built only after it.  The GEMM
+reach is ``max(hi - lo)`` of those bounds, so a proven layer's reach is below
+2^32 and its GEMM exact in f64 at worst.
 
 Codes with spatial extent travel channels-last (NHWC), the layout integer
 engines use so that a patch copy moves contiguous channel runs.  The
@@ -60,6 +68,10 @@ multiple of 2^shift.  A relu right after a param entry is no step of its own:
 ``max(z, clip(r, 0, q)) == clip(r, z, q)`` for a code z, so z becomes the
 lower bound of that requantize's clip.  relu (after any other entry), gelu,
 avgpool (which calls ``fixed_point_multiply``) and flatten are one step each.
+The sign step of the half-away rounding runs only where a negative tie can
+reach an output code: not on avgpool's sums, which are never negative, and
+not on a layer whose clip floor is at least Z_r or whose multipliers admit
+no tie on an i32 accumulator (see ``requantize``).
 The steps find the kernels by their module-global names at each call, so a
 tracer that rebinds them sees every call.
 
@@ -169,23 +181,32 @@ def decode_multiplier(m0: int, shift: int) -> float:
     return m0 * 2.0**-shift
 
 
-def fixed_point_multiply(v, m0, shift, nudge=None):
+def fixed_point_multiply(v, m0, shift, nudge=None, sign_step=True):
     """round(v * M0 * 2^-shift) in pure i64 arithmetic, ties away from zero.
 
     ``m0``/``shift`` may be scalars or per-channel arrays broadcasting against
     the last axis of ``v``.  ``v`` must hold integers of i32 range; they are
     multiplied straight into i64, and floats raise ``EngineError``.
     Branch-free: for p < 0, -((|p| + h) >> s) equals (p + h - 1) >> s with
-    h = 2^(s-1), so negative products take one extra -1 before the shared
-    nudge-and-shift.  ``nudge``, when given, replaces h; a nudge of
-    h + (z << s) returns the result plus z exactly, as long as it stays below
-    2^62 (``FusedLayerParams.requant_rows`` folds the output zero-point so).
+    h = 2^(s-1), so negative products take one extra -1 (the sign step)
+    before the shared nudge-and-shift.  ``nudge``, when given, replaces h; a
+    nudge of h + (z << s) returns the result plus z exactly, as long as it
+    stays below 2^62 (``FusedLayerParams.requant_rows`` folds the output
+    zero-point so).
+
+    The sign step moves a result only at a negative tie: (p + h) >> s and
+    (p + h - 1) >> s differ only where p + h is a multiple of 2^s, that is
+    where v2(p) = s - 1 (v2: the exponent of 2 in p), and p = v * M0.
+    ``sign_step=False`` skips it; a caller passes that only where no such
+    tie can reach a result it keeps: avgpool's window sums are never
+    negative, and ``requantize`` decides it per layer.
     """
     v = np.asarray(v)
     if v.dtype.kind not in "iu":
         raise EngineError(f"fixed-point multiply fed {v.dtype} values, not integers")
     p = np.multiply(v, m0, dtype=np.int64)  # an i32 accumulator times M0 < 2^31 stays below 2^62
-    p -= p < 0
+    if sign_step:
+        p -= p < 0
     p += (np.int64(1) << (shift - 1)) if nudge is None else nudge
     p >>= shift
     return p
@@ -222,23 +243,64 @@ class FusedLayerParams:
         return self.w_q.shape[0]
 
     @cached_property
+    def acc_bounds(self):
+        """The layer's i32 proof: each channel's (least, greatest) accumulator over all inputs, as (C_out,) f64 integers.
+
+        Built once, on first use: ``fuse_layer`` and the plan's param step
+        call it before any kernel sees the layer.  With d = W_q - Z_W, the
+        accumulator is ``sum_j (x_j - Z_x) d[c, j] + bias_acc[c]``, because
+        ``const_acc`` is ``-Z_x sum_j d[c, j]``.  Each input code x_j lies in
+        [0, qmax_in] on its own, so the greatest accumulator is ``qmax_in *
+        sum_j max(d, 0) + off`` and the least ``qmax_in * sum_j min(d, 0) +
+        off``, where off = const_acc + bias_acc.  Codes at 0 and at qmax_in
+        attain both (a conv's padding is Z_x, inside that range), so the
+        bound is exact and is the ℓ1 bound of A2Q (Colbert et al. 2023,
+        arXiv 2308.13504) per sign.
+
+        ``EngineError`` unless every weight code lies in [0, 2^w_bits),
+        ``const_acc`` equals ``-Z_x sum_j d[c, j]`` (its sum is a term of the
+        bound, so the check costs no reduction), and both bounds lie in i32
+        range on every channel.  The sums run in f64, exact while every
+        partial sum is below 2^53.  That holds on any layer whose bounds fit
+        i32, since their spread qmax_in * sum_j |d| is then below 2^32; past
+        2^53 the spread is far too wide for rounding to bring both into i32.
+        """
+        w = self.w_q.reshape(self.out_channels, -1)
+        unsigned = w.dtype.kind == "u"
+        narrow = unsigned and w.dtype.itemsize * 8 <= self.w_bits  # a dtype that holds only codes
+        if not narrow and w.size and ((not unsigned and w.min() < 0) or w.max() >= 2**self.w_bits):
+            raise EngineError(f"{self.op_kind}: weight_codes outside [0, 2^{self.w_bits}) for w_bits {self.w_bits}")
+        d = w.astype(np.float64)
+        d -= self.z_w.astype(np.float64)[:, None]  # an f64 row: a mixed-dtype subtract runs a slow buffered cast
+        ones = np.ones(d.shape[1])  # row sums as BLAS matrix-vector products: fewer per-call costs than .sum
+        total = d @ ones
+        pos = np.maximum(d, 0.0, out=d) @ ones
+        const = -self.z_x * total
+        if (self.const_acc != const).any():
+            raise EngineError(f"{self.op_kind}: const_acc is not -Z_x * sum(W_q - Z_W) in i32 range on some channel")
+        qmax, off = 2.0**self.in_bits - 1, const + self.bias_acc
+        lo, hi = qmax * (total - pos) + off, qmax * pos + off
+        if hi.max(initial=0.0) > INT32_MAX or lo.min(initial=0.0) < INT32_MIN:
+            raise EngineError(f"{self.op_kind}: worst-case accumulator would overflow i32; reduce fan-in or bitwidth")
+        return lo, hi
+
+    @cached_property
     def w_centred(self):
         """(W_q - Z_W) as (C_out, C_eff) f32 or f64, the narrowest float that keeps the GEMM exact; built on first use.
 
         Every product and partial sum of ``x_q @ w.T`` is an integer of
-        magnitude at most the reach ``qmax_in * max_c sum_j |w[c, j]|``.  f32
+        magnitude at most the GEMM reach ``qmax_in * max_c sum_j |w[c, j]|``,
+        which is ``max(hi - lo)`` of ``acc_bounds``; the operand is built only
+        once that proof has passed, so the reach is below 2^32.  f32
         represents every integer up to 2^24, so a layer whose reach is at most
-        2^24 gets f32; f64 takes the rest up to 2^53, and a reach of 2^53 or
-        more raises ``EngineError``.  ``refnet.weight_matrix`` gives the
-        columns of a conv2d weight the (k, k, C_in) order of ``im2col``'s
-        patches.
+        2^24 gets f32, and f64, exact up to 2^53, takes the rest.
+        ``refnet.weight_matrix`` gives the columns of a conv2d weight the (k,
+        k, C_in) order of ``im2col``'s patches.
         """
-        w = weight_matrix(self.w_q).astype(np.int64) - self.z_w[:, None]
-        w = w.astype(np.float64)
-        reach = np.abs(w).sum(axis=1).max(initial=0.0) * (2.0**self.in_bits - 1)
-        if reach >= 2.0**53:
-            raise EngineError(f"{self.op_kind}: accumulator reach {reach:.3g} >= 2^53, f64 GEMM would not be exact")
-        return w.astype(np.float32) if reach <= 2.0**24 else w
+        lo, hi = self.acc_bounds
+        w = weight_matrix(self.w_q).astype(np.float64)
+        w -= self.z_w.astype(np.float64)[:, None]
+        return w.astype(np.float32) if (hi - lo).max(initial=0.0) <= 2.0**24 else w
 
     @cached_property
     def acc_offset(self):
@@ -247,7 +309,7 @@ class FusedLayerParams:
 
     @cached_property
     def requant_rows(self):
-        """(m0, shift, nudge) as (1, C_out) i64 rows, plus the zero-point left to add after the shift; built on first use.
+        """(m0, shift, nudge) as (1, C_out) i64 rows, the zero-point to add after the shift, and "no tie"; built on first use.
 
         ``nudge`` is the rounding half 2^(shift-1) plus Z_r << shift.  Z_r << shift
         is a multiple of 2^shift, so the shift returns the result plus Z_r
@@ -256,11 +318,18 @@ class FusedLayerParams:
         sum must fit i64.  A layer whose nudge might not (shift plus the bit
         length of Z_r above 62: a multiplier below about 2^-24 for an 8-bit
         Z_r) keeps Z_r apart and adds it after the shift.
+
+        A tie of ``fixed_point_multiply`` needs v2(acc * M0) = shift - 1, that
+        is v2(acc) = shift - 1 - ctz(M0).  A nonzero accumulator of i32 range
+        has v2(acc) <= 31 (31 only at INT32_MIN), so a channel with
+        shift - ctz(M0) >= 33 admits no tie at all; the last entry is True
+        when every channel does.
         """
         shift = self.shift[None, :]
         fold = self.z_r == 0 or int(shift.max(initial=0)) + int(self.z_r).bit_length() <= 62
         nudge = (np.int64(1) << (shift - 1)) + ((np.int64(self.z_r) << shift) if fold else 0)
-        return self.m0[None, :], shift, nudge, 0 if fold else self.z_r
+        tie_free = bool((self.shift - np.log2(self.m0 & -self.m0) >= 33).all())  # M0 & -M0 = 2^ctz(M0)
+        return self.m0[None, :], shift, nudge, 0 if fold else self.z_r, tie_free
 
     @cached_property
     def out_dtype(self):
@@ -285,7 +354,7 @@ class InferenceTrace:
 
 
 def integer_accumulate(x_q, layer: FusedLayerParams, trace: InferenceTrace | None = None):
-    """Accumulators of i32 range, held in i64, for a (N, C_eff) code matrix; exact integer results.
+    """Accumulators of i32 range, held in i64, for a (N, C_eff) matrix of ``in_bits`` codes; exact integer results.
 
     ``acc = x_q @ (W_q - Z_W)^T + (const_acc + bias_acc)``, where
     ``const_acc`` holds the input-independent terms (-Z_x * sum W_q +
@@ -293,9 +362,13 @@ def integer_accumulate(x_q, layer: FusedLayerParams, trace: InferenceTrace | Non
     ``FusedLayerParams.w_centred``: f32 when every partial sum is an integer
     of magnitude at most 2^24, else f64 (below 2^53), so it is exact whatever
     order BLAS sums in.  The i64 row ``FusedLayerParams.acc_offset`` adds the
-    constant terms.  Every accumulator is checked to lie in i32 range; the
-    checked i64 rows are returned as they are, which ``requantize`` multiplies
-    into i64 anyway.
+    constant terms.
+
+    The i32 range is proved once per layer, not checked per call:
+    ``w_centred`` is built only after ``FusedLayerParams.acc_bounds`` has
+    shown that every input of codes in [0, 2^in_bits) keeps every accumulator
+    in i32.  Codes of that width are the caller's side of the contract; the
+    plan's input quantization and its steps give them.
     """
     x_q = np.asarray(x_q)
     if x_q.dtype.kind not in "iu":
@@ -305,11 +378,11 @@ def integer_accumulate(x_q, layer: FusedLayerParams, trace: InferenceTrace | Non
         raise EngineError(f"{layer.op_kind}: accumulate expects (N, {w.shape[1]}), got {x_q.shape}")
     if trace is not None:
         trace.gemm_macs += x_q.shape[0] * w.shape[0] * w.shape[1]
-    # np.dot, not @: the same BLAS GEMM with less per-call overhead on batch-1 rows
+    # np.dot, not @: the same BLAS GEMM with less per-call overhead on batch-1 rows.
+    # A cast, then an in-place add: one np.add(..., dtype=np.int64, casting="unsafe")
+    # runs through numpy's buffered cast and measured slower at every batch size
     acc = np.dot(x_q.astype(w.dtype), w.T).astype(np.int64)
     acc += layer.acc_offset
-    if acc.max(initial=0) > INT32_MAX or acc.min(initial=0) < INT32_MIN:
-        raise EngineError(f"{layer.op_kind}: accumulator overflows i32")
     return acc
 
 
@@ -326,6 +399,16 @@ def requantize(acc, layer: FusedLayerParams, trace: InferenceTrace | None = None
     are not integers raise ``EngineError``.  A ``lo`` above 0 is a relu with
     that zero-point folded into the clip: max(lo, clip(r, 0, q)) equals
     clip(r, lo, q) for 0 <= lo <= q.
+
+    The sign step of ``fixed_point_multiply``, which makes a tie round away
+    from zero rather than up, changes a code only at a negative tie, where
+    v2(acc * M0) = shift - 1.  The fixed-point path skips it where no such
+    tie can reach a code, decided from the layer and ``lo``, not the data:
+    - Z_r <= lo: a negative acc gives p = acc * M0 <= -M0 < 0, so
+      (p + 2^(shift-1)) >> shift <= 0 under either rule; its code is at
+      most Z_r and clips to lo either way;
+    - shift - ctz(M0) >= 33 on every channel (``requant_rows``): a tie then
+      needs v2(acc) >= 32, which no nonzero accumulator of i32 range has.
     """
     acc = np.asarray(acc)
     if acc.dtype.kind not in "iu":
@@ -342,8 +425,8 @@ def requantize(acc, layer: FusedLayerParams, trace: InferenceTrace | None = None
         r = round_half_away(y)
         r += layer.z_r
     else:
-        m0, shift, nudge, z_after = layer.requant_rows
-        r = fixed_point_multiply(acc, m0, shift, nudge)
+        m0, shift, nudge, z_after, tie_free = layer.requant_rows
+        r = fixed_point_multiply(acc, m0, shift, nudge, sign_step=not (tie_free or layer.z_r <= lo))
         if z_after:
             r += z_after
     np.maximum(r, lo, out=r)  # the clip as two ufuncs: np.clip adds per-call overhead
@@ -400,16 +483,10 @@ def fuse_layer(
         bias_acc = _check_i32("bias accumulator", bias_int + beta_off)
     else:
         bias_acc = bias_int
-    w_mat = w_q.reshape(c_out, -1).astype(np.int64)
-    c_eff = w_mat.shape[1]
-    const_acc = _check_i32(
-        "const accumulator", -np.int64(act_in.z) * w_mat.sum(axis=1) + np.int64(c_eff) * act_in.z * z_w
-    )
-    # worst-case accumulator magnitude over any admissible input
-    reach = np.abs(w_mat - z_w[:, None]).sum(axis=1) * max(act_in.z, 2**act_in.bitwidth - 1 - act_in.z)
-    if (reach + np.abs(bias_acc) > INT32_MAX).any():
-        raise EngineError("worst-case accumulator would overflow i32; reduce fan-in or bitwidth")
-    return FusedLayerParams(
+    # the proof below rejects a const_acc that leaves i32, which the int32 record would wrap
+    w_mat = w_q.reshape(c_out, -1)
+    const_acc = -np.int64(act_in.z) * (w_mat.sum(axis=1, dtype=np.int64) - w_mat.shape[1] * z_w)
+    layer = FusedLayerParams(
         op_kind=op_kind,
         w_q=w_q,
         z_w=z_w,
@@ -432,6 +509,8 @@ def fuse_layer(
         stride=stride,
         pad=pad,
     )
+    layer.acc_bounds  # the i32 proof: EngineError if some input could overflow an accumulator
+    return layer
 
 
 def beta_rounding_bound(layer: FusedLayerParams) -> np.ndarray:
@@ -618,16 +697,27 @@ class FusedModel:
 
 
 def _param_step(i, entry, lo=0):
-    """linear/conv2d: ``integer_accumulate``, ``tap`` if given, then ``requantize`` clipped below at ``lo``."""
+    """linear/conv2d: ``integer_accumulate``, ``tap`` if given, then ``requantize`` clipped below at ``lo``.
+
+    The layer's i32 proof (``FusedLayerParams.acc_bounds``) runs here, when
+    the step is built, so that its ``EngineError`` names layer ``i``.
+    """
     layer = entry.layer
+    try:
+        layer.acc_bounds
+    except EngineError as e:
+        raise EngineError(f"layer {i}: {e}") from None
+    c_out, c_in = layer.w_q.shape[:2]
     if layer.op_kind == "linear":
 
         def linear(x_q, trace, tap):
+            if x_q.ndim != 2 or x_q.shape[1] != c_in:
+                raise EngineError(f"layer {i}: linear expects (N, {c_in}) codes, got shape {_nchw(x_q).shape}")
             acc = integer_accumulate(x_q, layer, trace)
             return requantize(acc, layer if tap is None else tap(i, x_q, acc, layer), trace, lo)
 
         return linear
-    k, stride, pad, z_x, (c_out, c_in) = layer.kernel, layer.stride, layer.pad, layer.z_x, layer.w_q.shape[:2]
+    k, stride, pad, z_x = layer.kernel, layer.stride, layer.pad, layer.z_x
 
     def conv2d(x_q, trace, tap):
         if x_q.ndim != 4 or x_q.shape[3] != c_in:
@@ -653,9 +743,11 @@ def _gelu_step(i, entry):
 
 
 def _avgpool_step(i, entry):
-    """Average pooling of NHWC codes: window sums in i64, then the fixed-point 1/k^2."""
+    """Average pooling of NHWC codes: window sums in i64, then the fixed-point 1/k^2 (sums of codes have no negative tie)."""
     k, s, m0, shift = entry.kernel, entry.stride, entry.pool_m0, entry.pool_shift
-    return lambda x_q, trace, tap: fixed_point_multiply(window_sums(x_q, k, s, np.int64), m0, shift).astype(x_q.dtype)
+    return lambda x_q, trace, tap: fixed_point_multiply(
+        window_sums(x_q, k, s, np.int64), m0, shift, sign_step=False
+    ).astype(x_q.dtype)
 
 
 def _flatten_step(i, entry):

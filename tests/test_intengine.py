@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
+from quantcomp import intengine
 from quantcomp.compensate import ChannelAffineParams, identity_compensation
 from quantcomp.intengine import (
     INT32_MAX,
@@ -93,8 +95,10 @@ class TestMultiplierEncoding:
         assert np.array_equal(round_half_away(x), [1, 2, -1, -2, 2, -2])
 
 
-def simple_layer(w_q, z_w, z_x, z_r, m, bias=None, bits=8, s_x=1.0, s_w=None, s_r=None, alpha=None, beta=None):
-    """Hand-assembled FusedLayerParams for kernel-level tests."""
+def simple_layer(
+    w_q, z_w, z_x, z_r, m, bias=None, bits=8, s_x=1.0, s_w=None, s_r=None, alpha=None, beta=None, w_bits=None
+):
+    """Hand-assembled FusedLayerParams for kernel-level tests; ``w_bits`` defaults to ``bits``."""
     from quantcomp.intengine import FusedLayerParams
 
     w_q = np.asarray(w_q)
@@ -118,7 +122,7 @@ def simple_layer(w_q, z_w, z_x, z_r, m, bias=None, bits=8, s_x=1.0, s_w=None, s_
         bias_acc=bias,
         const_acc=const,
         bitwidth=bits,
-        w_bits=bits,
+        w_bits=bits if w_bits is None else w_bits,
         in_bits=bits,
         s_x=s_x,
         s_w=s_w,
@@ -224,21 +228,42 @@ class TestRequantize:
     )
     @example(bits=16, log2_m=-33.0, z_frac=1.0, lo_frac=0.0, seed=0)  # shift 63: Z_r stays apart
     @example(bits=8, log2_m=-10.0, z_frac=0.5, lo_frac=0.7, seed=0)
+    @example(bits=8, log2_m=-1.0, z_frac=0.5, lo_frac=0.0, seed=0)  # shift 31: ties within i32, sign step kept
+    @example(bits=4, log2_m=2.0, z_frac=0.2, lo_frac=0.5, seed=0)  # ties within i32, every one clipped to lo
+    @example(bits=8, log2_m=-32.0, z_frac=0.5, lo_frac=0.0, seed=0)  # shift - ctz(M0) = 32: INT32_MIN is a tie
     def test_folded_zero_point_and_floor_match_the_plain_form(self, bits, log2_m, z_frac, lo_frac, seed):
         # Z_r rides in the rounding nudge where that fits i64 and is added after the
-        # shift where it does not; a relu floor lo is the clip's lower bound
+        # shift where it does not; a relu floor lo is the clip's lower bound; and
+        # where requantize skips the sign step, the form that keeps it gives the same codes
         qmax = 2**bits - 1
         z_r, lo = round(z_frac * qmax), round(lo_frac * qmax)
         m = 2.0**log2_m * np.array([1.0, 1.3, 1.7])
         layer = simple_layer(np.zeros((3, 1), dtype=np.int64), z_w=0, z_x=0, z_r=z_r, m=m, bits=bits)
         event("Z_r folded" if layer.requant_rows[3] == 0 else "Z_r added after the shift")
+        skipped = layer.requant_rows[4] or z_r <= lo
+        event("sign step skipped" if skipped else "sign step kept")
         rng = np.random.default_rng(seed)
         acc = rng.integers(INT32_MIN, INT32_MAX, (16, 3), endpoint=True)
-        acc = np.concatenate([acc, np.full((1, 3), INT32_MIN), np.full((1, 3), INT32_MAX), np.zeros((1, 3), np.int64)])
+        # exact negative ties of each channel: acc = -odd * 2^e with e = shift - 1 - ctz(M0), within i32
+        ties = np.zeros((8, 3), dtype=np.int64)
+        for c, (m0, shift) in enumerate(zip(layer.m0.tolist(), layer.shift.tolist())):
+            e = shift - 1 - ((m0 & -m0).bit_length() - 1)
+            if 0 <= e <= 31:
+                odd = 2 * rng.integers(0, max(1, 2 ** (30 - e)), 8) + 1  # odd * 2^e <= 2^31
+                odd[0] = 1
+                ties[:, c] = -odd * 2**e
+                assert all((t * m0) % 2**shift == 2 ** (shift - 1) for t in ties[:, c].tolist())
+        event("negative ties drawn" if ties.any() else "no tie within i32")
+        acc = np.concatenate(
+            [acc, ties, np.full((1, 3), INT32_MIN), np.full((1, 3), INT32_MAX), np.zeros((1, 3), np.int64)]
+        )
         plain = fixed_point_multiply(acc, layer.m0[None, :], layer.shift[None, :]) + z_r
         want = np.maximum(np.clip(plain, 0, qmax), lo)
         got = requantize(acc, layer, lo=lo)
         assert got.dtype == code_dtype(bits) and np.array_equal(got, want)
+        if skipped:
+            unsigned = fixed_point_multiply(acc, layer.m0[None, :], layer.shift[None, :], sign_step=False) + z_r
+            assert np.array_equal(np.maximum(np.clip(unsigned, 0, qmax), lo), want)
 
 
 class TestFuseLayer:
@@ -470,7 +495,7 @@ class TestExactAccumulate:
         z_w = rng.integers(0, qw + 1, c_out)
         z_x = int(rng.integers(0, qx + 1))
         w_sum = int(np.abs(w_q.astype(np.int64) - z_w[:, None]).sum(axis=1).max())
-        assume(w_sum * max(z_x, qx - z_x) + 1000 <= 2**31 - 1)  # else fuse_layer rejects the layer
+        assume(w_sum * max(z_x, qx - z_x) + 1000 <= 2**31 - 1)  # enough for fuse_layer's i32 proof to pass
         layer = _fused(w_q, z_w, z_x, in_bits, w_bits, bias_acc=int(rng.integers(-1000, 1001)))
         # the GEMM width follows the reach, and both sides of 2^24 are drawn
         f32 = w_sum * qx <= 2**24
@@ -507,24 +532,27 @@ class TestExactAccumulate:
     def test_gemm_width_switches_to_f64_just_past_2_24(self):
         # 1-bit inputs: the reach is sum_j |W_q - Z_W| itself
         x = np.ones((1, 2), dtype=np.uint8)
-        at = simple_layer(np.array([[2**23, 2**23]], dtype=np.int64), z_w=0, z_x=0, z_r=0, m=1.0, bits=1)
+        at = simple_layer(np.array([[2**23, 2**23]], dtype=np.int64), z_w=0, z_x=0, z_r=0, m=1.0, bits=1, w_bits=24)
         assert at.w_centred.dtype == np.float32
         assert integer_accumulate(x, at)[0, 0] == 2**24
-        past = simple_layer(np.array([[2**23, 2**23 + 1]], dtype=np.int64), z_w=0, z_x=0, z_r=0, m=1.0, bits=1)
+        past = simple_layer(
+            np.array([[2**23, 2**23 + 1]], dtype=np.int64), z_w=0, z_x=0, z_r=0, m=1.0, bits=1, w_bits=24
+        )
         assert past.w_centred.dtype == np.float64
         assert integer_accumulate(x, past)[0, 0] == 2**24 + 1
         # 2^24 + 1 is no f32 value: an f32 GEMM on this layer would round to 2^24
         assert (x.astype(np.float32) @ past.w_centred.astype(np.float32).T)[0, 0] == 2**24
 
-    def test_hand_built_layer_past_2_53_raises(self):
-        # 1-bit inputs: the bound is sum_j |W_q - Z_W| itself
-        ok = simple_layer(np.array([[2**52, 2**52 - 1]], dtype=np.int64), z_w=0, z_x=0, z_r=0, m=1.0, bits=1)
-        assert ok.w_centred.tolist() == [[2.0**52, 2.0**52 - 1]]
-        bad = simple_layer(np.array([[2**52, 2**52]], dtype=np.int64), z_w=0, z_x=0, z_r=0, m=1.0, bits=1)
-        with pytest.raises(EngineError, match="2\\^53"):
+    def test_hand_built_layer_fails_its_proof_before_any_gemm(self):
+        # 1-bit inputs: the reach is sum_j |W_q - Z_W| itself, here 2^53, far past i32; w_centred
+        # runs the i32 proof before it builds the GEMM operand
+        bad = simple_layer(np.array([[2**52, 2**52]], dtype=np.int64), z_w=0, z_x=0, z_r=0, m=1.0, bits=1, w_bits=53)
+        with pytest.raises(EngineError, match="overflow i32"):
             integer_accumulate(np.zeros((1, 2), dtype=np.uint8), bad)
+        assert "w_centred" not in vars(bad)
+        # codes outside their w_bits grid fail by key
         wide = simple_layer(np.full((1, 4), 2**40, dtype=np.int64), z_w=0, z_x=0, z_r=0, m=1.0, bits=16)
-        with pytest.raises(EngineError, match="2\\^53"):
+        with pytest.raises(EngineError, match="weight_codes outside"):
             integer_accumulate(np.zeros((1, 4), dtype=np.uint16), wide)
 
 
@@ -820,7 +848,8 @@ class TestFusionSectionOwner:
 
 
 def _nchw_reference(model, x):
-    """The integer forward on NCHW codes with (C, k, k) patches of the position loop and exact i64 GEMMs."""
+    """The integer forward on NCHW codes with (C, k, k) patches of the position loop, exact i64 GEMMs and, on
+    rounded layers, the fixed-point multiply with its sign step on every channel."""
     x_q = quantize_uniform(np.asarray(x, dtype=np.float32), model.input_params.quant_params)
     for e in model.entries:
         if e.kind == "param":
@@ -831,7 +860,12 @@ def _nchw_reference(model, x):
             else:
                 cols, h_out, w_out = im2col_loop(x_q, layer.kernel, layer.stride, layer.pad, pad_value=layer.z_x)
                 rows = cols.reshape(-1, cols.shape[2])
-            r = requantize(rows.astype(np.int64) @ w.T + layer.const_acc + layer.bias_acc, layer)
+            acc = rows.astype(np.int64) @ w.T + layer.const_acc + layer.bias_acc
+            if layer.beta_rounding:
+                r = fixed_point_multiply(acc, layer.m0, layer.shift) + layer.z_r
+                r = np.clip(r, 0, 2**layer.bitwidth - 1).astype(code_dtype(layer.bitwidth))
+            else:
+                r = requantize(acc, layer)
             if layer.op_kind == "conv2d":
                 r = np.moveaxis(r.reshape(x_q.shape[0], h_out, w_out, -1), 3, 1)
             x_q = r
@@ -975,3 +1009,125 @@ class TestPlan:
         entries = [replace(e, z=z) if e.kind == "relu" else e for e in m.entries]
         with pytest.raises(EngineError, match=f"layer 1: relu zero-point {z} is not a 8-bit code"):
             FusedModel(m.input_params, entries, m.output_params)
+
+
+def _attaining_codes(layer):
+    """(2 C_out, C_eff) input codes, columns in ``w_q.reshape`` order: row c attains channel c's greatest
+    accumulator (qmax where W_q - Z_W > 0, else 0) and row C_out + c its least (qmax where it is < 0)."""
+    d = layer.w_q.reshape(layer.out_channels, -1).astype(np.int64) - layer.z_w[:, None]
+    qmax = 2**layer.in_bits - 1
+    return np.concatenate([np.where(d > 0, qmax, 0), np.where(d < 0, qmax, 0)]).astype(code_dtype(layer.in_bits))
+
+
+class TestI32Proof:
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(graphs())
+    def test_bound_attaining_codes_keep_every_accumulator_in_i32(self, graph):
+        # each param layer alone, fed codes at 0 and qmax that attain its bounds: the tapped
+        # accumulators are the bounds, lie in i32 and equal the i64 decomposition; and on
+        # the whole model, every tapped accumulator lies within its layer's bounds
+        from dataclasses import replace
+
+        from quantcomp.calibrate import CalibrationConfig, calibrate_model, fuse_model
+        from quantcomp.intengine import FusedEntry, FusedModel, fused_runtime
+        from quantcomp.refnet import build_from_layers
+
+        layers, shape, w_bits, a_bits, seed = graph
+        rng = np.random.default_rng([seed, 5])
+        model_f = build_from_layers(layers, shape)
+        calib = rng.standard_normal((24,) + shape).astype(np.float32)
+        comp = calibrate_model(model_f, CalibrationConfig(sample_count=16, weight_bits=w_bits, act_bits=a_bits), calib)
+        model = fused_runtime(fuse_model(comp))
+        taps = []
+
+        def tap(i, x_q, acc, layer):
+            taps.append((x_q.copy(), acc.copy(), layer))
+            return layer
+
+        for entry in (e for e in model.entries if e.kind == "param"):
+            # a conv2d of a k x k map with no padding has one patch: the whole map
+            layer = replace(entry.layer, pad=0, stride=1)
+            lo, hi = layer.acc_bounds
+            codes = _attaining_codes(layer)
+            grid_in = IntActivationParams(layer.s_x, layer.z_x, layer.in_bits)
+            one = FusedModel(grid_in, [FusedEntry("param", layer=layer)], IntActivationParams(layer.s_r, layer.z_r, layer.bitwidth))
+            # codes 0 and qmax as reals one step past the grid's ends, which clip to them
+            x = np.where(codes > 0, 2**layer.in_bits - layer.z_x, -layer.z_x - 1) * layer.s_x
+            if layer.op_kind == "conv2d":
+                x = x.reshape((len(codes),) + layer.w_q.shape[1:])
+            taps.clear()
+            intengine._interpret(one, x.astype(np.float32), InferenceTrace(), tap=tap)
+            (x_q, acc, _), = taps
+            assert np.array_equal(intengine._nchw(x_q).reshape(len(codes), -1), codes)
+            c = layer.out_channels
+            assert np.array_equal(acc[np.arange(c), np.arange(c)], hi)
+            assert np.array_equal(acc[c + np.arange(c), np.arange(c)], lo)
+            assert _in_i32(acc) and np.array_equal(acc, _reference_accumulate(codes, layer))
+
+        taps.clear()
+        intengine._interpret(model, rng.standard_normal((8,) + shape).astype(np.float32) * 4, InferenceTrace(), tap=tap)
+        assert len(taps) == sum(e.kind == "param" for e in model.entries)
+        for _, acc, layer in taps:
+            lo, hi = layer.acc_bounds
+            assert _in_i32(acc) and (acc >= lo).all() and (acc <= hi).all()
+
+    def _mlp_bundle(self, bits=8):
+        from quantcomp.calibrate import CalibrationConfig, calibrate_model, fuse_model
+        from quantcomp.refnet import build_mlp
+
+        model_f = build_mlp((8, 16, 16, 4), rng=np.random.default_rng(0))
+        calib = np.random.default_rng(1).standard_normal((64, 8)).astype(np.float32)
+        config = CalibrationConfig(sample_count=64, weight_bits=bits, act_bits=bits)
+        return fuse_model(calibrate_model(model_f, config, calib))
+
+    def _saved(self, bundle, tmp_path, blob, edit):
+        """The directory of ``bundle`` saved with blob ``blob`` replaced by ``edit`` of it."""
+        from quantcomp.refnet import ModelBundle, save_bundle
+
+        blobs = dict(bundle.blobs)
+        blobs[blob] = edit(blobs[blob].copy())
+        return save_bundle(ModelBundle(bundle.manifest, blobs), tmp_path / "bundle")
+
+    def test_bias_at_the_i32_edge_fails_on_the_first_run_for_every_input(self, tmp_path):
+        # the proof does not look at the input: every input fails, and the error names the layer
+        from quantcomp.refnet import load_bundle
+
+        def edge(bias):
+            bias[0] = 2**31 - 300
+            return bias
+
+        path = self._saved(self._mlp_bundle(), tmp_path, "entry0.bias_acc", edge)
+        for x in np.random.default_rng(2).standard_normal((50, 1, 8)).astype(np.float32):
+            model = intengine.fused_runtime(load_bundle(path))
+            with pytest.raises(EngineError, match=r"^layer 0: linear: worst-case accumulator would overflow i32"):
+                run_int_model(model, x)
+
+    @pytest.mark.parametrize(
+        "blob, layer, bits, edit, key",
+        [
+            ("entry0.const_acc", 0, 8, lambda c: c + np.int32(37), "const_acc"),
+            ("entry2.const_acc", 2, 8, lambda c: c - np.int32(1), "const_acc"),
+            ("layer0.wq", 0, 4, lambda w: np.where(np.arange(w.size).reshape(w.shape) == 5, 200, w).astype(w.dtype), "weight_codes"),
+        ],
+    )
+    def test_record_the_proof_rejects_fails_naming_layer_and_key(self, tmp_path, blob, layer, bits, edit, key):
+        # a const_acc that is not the sum it stands for, and a weight code off its 4-bit grid
+        from quantcomp.refnet import load_bundle
+
+        model = intengine.fused_runtime(load_bundle(self._saved(self._mlp_bundle(bits), tmp_path, blob, edit)))
+        with pytest.raises(EngineError, match=rf"^layer {layer}: linear: {key}"):
+            run_int_model(model, np.zeros((1, 8), np.float32))
+
+    @pytest.mark.parametrize("shape, shown", [((2, 5), "(2, 5)"), ((2, 1, 2, 4), "(2, 1, 2, 4)")])
+    def test_linear_step_names_its_layer_and_the_input_shape(self, shape, shown):
+        model = intengine.fused_runtime(self._mlp_bundle())
+        x = np.zeros(shape, np.float32)
+        want = rf"^layer 0: linear expects \(N, 8\) codes, got shape {re.escape(shown)}$"
+        with pytest.raises(EngineError, match=want):
+            run_int_model(model, x)
+
+    def test_fuse_rejects_a_const_acc_past_i32(self):
+        # -Z_x * sum(W_q - Z_W) = -65535 * 255 * 200 leaves i32; its int32 record would wrap
+        w_q = np.full((1, 200), 255, dtype=np.uint8)
+        with pytest.raises(EngineError, match="const_acc is not -Z_x"):
+            _fused(w_q, np.array([0]), 65535, 16, 8)
