@@ -15,30 +15,32 @@ this engine; quantization elsewhere rounds half-to-even).
 
 The host computes the first two terms as one GEMM on zero-point-centred
 weights (Jacob et al. 2018, arXiv 1712.05877): ``acc = x_q @ (W_q - Z_W)^T +
-(const_acc + bias_acc)``, with the last three terms folded into ``const_acc``
-and ``bias_acc`` at fuse time.  The GEMM runs on the host's float BLAS, and
-its result is the exact integer: every product and every partial sum is an
-integer of magnitude at most the layer's GEMM reach ``(2^in_bits - 1) *
-max_c sum_j |W_q - Z_W|``.  f32 holds every integer of magnitude up to 2^24
-and f64 every one up to 2^53, so within those bounds no summation order, and
-no FMA, can round.  Like the gemmlowp line of integer engines, which pick the
-narrowest accumulator the value range allows, each layer picks its GEMM width
-once, from its reach (``FusedLayerParams.w_centred``): f32 when the reach is
-at most 2^24, f64 otherwise.  The trace counts these MACs in ``gemm_macs``
-apart from ``float_mul_count``: they are exact integer arithmetic on the
-host, not a claim about what deployment hardware runs.
+off``, where the offset ``off = -Z_x sum_j (W_q - Z_W)[c, j] + bias_acc[c]``
+holds the last three terms.  As in Jacob et al., the zero-point terms are
+derived from the codes, not stored: the offset comes from the row sums of
+W_q - Z_W that the i32 proof below takes.  The GEMM runs on the host's float
+BLAS, and its result is the exact integer: every product and every partial
+sum is an integer of magnitude at most the layer's GEMM reach ``(2^in_bits -
+1) * max_c sum_j |W_q - Z_W|``.  f32 holds every integer of magnitude up to
+2^24 and f64 every one up to 2^53, so within those bounds no summation order,
+and no FMA, can round.  Like the gemmlowp line of integer engines, which pick
+the narrowest accumulator the value range allows, each layer picks its GEMM
+width once, from its reach (``FusedLayerParams.w_centred``): f32 when the
+reach is at most 2^24, f64 otherwise.  The trace counts these MACs in
+``gemm_macs`` apart from ``float_mul_count``: they are exact integer
+arithmetic on the host, not a claim about what deployment hardware runs.
 
 Every accumulator fits i32 by proof, once per layer, not by a check per call.
 ``FusedLayerParams.acc_bounds`` computes each channel's least and greatest
 accumulator over all input codes, the ℓ1 bound of A2Q (Colbert et al. 2023,
 arXiv 2308.13504) taken per sign, which codes at 0 and at qmax attain, and
 rejects a layer whose bounds leave i32.  The same pass checks that weight
-codes lie on their grid and that ``const_acc`` is the sum it stands for.
-``fuse_layer`` runs the proof on every layer it makes, and the plan runs it
-on every param entry as it builds that entry's step, so the error names the
-layer; ``w_centred``, the GEMM operand, is built only after it.  The GEMM
-reach is ``max(hi - lo)`` of those bounds, so a proven layer's reach is below
-2^32 and its GEMM exact in f64 at worst.
+codes lie on their grid.  ``fuse_layer`` runs the proof on every layer it
+makes, and ``FusedModel`` runs it on every param entry when the model is
+built or loaded, so the error names the layer and no model exists unproven;
+``w_centred``, the GEMM operand, is built only after it.  The GEMM reach is
+``max(hi - lo)`` of those bounds, so a proven layer's reach is below 2^32
+and its GEMM exact in f64 at worst.
 
 Codes with spatial extent travel channels-last (NHWC), the layout integer
 engines use so that a patch copy moves contiguous channel runs.  The
@@ -82,15 +84,16 @@ fits on: ``calibrate.sim_forward`` runs a model built unrounded through this
 module's interpreter, so the unrounded engine and the simulation are one
 code path.
 
-The no-float-in-kernels contract is static, so it is checked once, when a
-``FusedModel`` is built: every entry is a kind the engine runs, conv2d and
-avgpool windows are sound, weight codes are integers, every per-channel array
-has one entry per output channel, every scale and gain is positive, every
-(M0, shift) lies in the encoding's range, every relu zero-point is a code of
-the grid it acts on, and every gelu table maps each code of its input grid to
-a code.
+The no-float-in-kernels contract and the i32 proof are static, so they are
+checked once, when a ``FusedModel`` is built or loaded: every entry is a kind
+the engine runs, conv2d and avgpool windows are sound, weight codes are
+integers, every per-channel array has one entry per output channel, every
+scale and gain is positive, every (M0, shift) lies in the encoding's range,
+every param layer's input zero-point and every relu zero-point is a code of
+the grid it acts on, every gelu table maps each code of its input grid to a
+code, and every param layer's accumulators fit i32.
 The input is quantized to codes and every step maps codes to codes, so no
-kernel of a checked model sees a float.
+kernel of a checked model sees a float or overflows.
 
 The ``fusion`` manifest section is written, read and printed only here, and
 one table declares its record layout: ``FUSED_RECORDS`` lists, per entry
@@ -224,7 +227,6 @@ class FusedLayerParams:
     m0: np.ndarray  # i64 per channel
     shift: np.ndarray  # i64 per channel
     bias_acc: np.ndarray  # i32 per channel (quantized bias [+ beta offset])
-    const_acc: np.ndarray  # i32 per channel (-Z_x * sum W_q + C_eff * Z_x * Z_W)
     bitwidth: int  # output codes
     w_bits: int
     in_bits: int
@@ -244,26 +246,26 @@ class FusedLayerParams:
 
     @cached_property
     def acc_bounds(self):
-        """The layer's i32 proof: each channel's (least, greatest) accumulator over all inputs, as (C_out,) f64 integers.
+        """The layer's i32 proof: per channel (lo, hi, off), the least and greatest accumulator and their offset, in f64.
 
-        Built once, on first use: ``fuse_layer`` and the plan's param step
-        call it before any kernel sees the layer.  With d = W_q - Z_W, the
-        accumulator is ``sum_j (x_j - Z_x) d[c, j] + bias_acc[c]``, because
-        ``const_acc`` is ``-Z_x sum_j d[c, j]``.  Each input code x_j lies in
-        [0, qmax_in] on its own, so the greatest accumulator is ``qmax_in *
-        sum_j max(d, 0) + off`` and the least ``qmax_in * sum_j min(d, 0) +
-        off``, where off = const_acc + bias_acc.  Codes at 0 and at qmax_in
-        attain both (a conv's padding is Z_x, inside that range), so the
-        bound is exact and is the ℓ1 bound of A2Q (Colbert et al. 2023,
-        arXiv 2308.13504) per sign.
+        Built once, on first use: ``fuse_layer`` and ``FusedModel`` call it
+        before any kernel sees the layer.  With d = W_q - Z_W, the accumulator
+        is ``sum_j (x_j - Z_x) d[c, j] + bias_acc[c]``, that is ``sum_j x_j
+        d[c, j] + off[c]`` with the offset off = -Z_x sum_j d[c, j] +
+        bias_acc.  Each input code x_j lies in [0, qmax_in] on its own, so the
+        greatest accumulator is ``qmax_in * sum_j max(d, 0) + off`` and the
+        least ``qmax_in * sum_j min(d, 0) + off``.  Codes at 0 and at qmax_in
+        attain both (a conv's padding is Z_x, inside that range), so the bound
+        is exact and is the ℓ1 bound of A2Q (Colbert et al. 2023, arXiv
+        2308.13504) per sign.
 
-        ``EngineError`` unless every weight code lies in [0, 2^w_bits),
-        ``const_acc`` equals ``-Z_x sum_j d[c, j]`` (its sum is a term of the
-        bound, so the check costs no reduction), and both bounds lie in i32
-        range on every channel.  The sums run in f64, exact while every
-        partial sum is below 2^53.  That holds on any layer whose bounds fit
-        i32, since their spread qmax_in * sum_j |d| is then below 2^32; past
-        2^53 the spread is far too wide for rounding to bring both into i32.
+        ``EngineError`` unless every weight code lies in [0, 2^w_bits) and
+        both bounds lie in i32 range on every channel.  The sums run in f64,
+        exact while every partial sum is below 2^53.  That holds on any layer
+        whose bounds fit i32, since their spread qmax_in * sum_j |d| is then
+        below 2^32; past 2^53 the spread is far too wide for rounding to bring
+        both into i32.  The offset lies between the bounds, so on a proven
+        layer it is an exact integer of i32 range too.
         """
         w = self.w_q.reshape(self.out_channels, -1)
         unsigned = w.dtype.kind == "u"
@@ -275,14 +277,11 @@ class FusedLayerParams:
         ones = np.ones(d.shape[1])  # row sums as BLAS matrix-vector products: fewer per-call costs than .sum
         total = d @ ones
         pos = np.maximum(d, 0.0, out=d) @ ones
-        const = -self.z_x * total
-        if (self.const_acc != const).any():
-            raise EngineError(f"{self.op_kind}: const_acc is not -Z_x * sum(W_q - Z_W) in i32 range on some channel")
-        qmax, off = 2.0**self.in_bits - 1, const + self.bias_acc
+        qmax, off = 2.0**self.in_bits - 1, self.bias_acc - self.z_x * total
         lo, hi = qmax * (total - pos) + off, qmax * pos + off
         if hi.max(initial=0.0) > INT32_MAX or lo.min(initial=0.0) < INT32_MIN:
             raise EngineError(f"{self.op_kind}: worst-case accumulator would overflow i32; reduce fan-in or bitwidth")
-        return lo, hi
+        return lo, hi, off
 
     @cached_property
     def w_centred(self):
@@ -297,15 +296,15 @@ class FusedLayerParams:
         ``refnet.weight_matrix`` gives the columns of a conv2d weight the (k,
         k, C_in) order of ``im2col``'s patches.
         """
-        lo, hi = self.acc_bounds
+        lo, hi, _ = self.acc_bounds
         w = weight_matrix(self.w_q).astype(np.float64)
         w -= self.z_w.astype(np.float64)[:, None]
         return w.astype(np.float32) if (hi - lo).max(initial=0.0) <= 2.0**24 else w
 
     @cached_property
     def acc_offset(self):
-        """``const_acc + bias_acc`` as one (1, C_out) i64 row, summed in i64, built on first use."""
-        return (self.const_acc.astype(np.int64) + self.bias_acc)[None, :]
+        """The proof's offset ``-Z_x sum_j (W_q - Z_W)[c, j] + bias_acc[c]`` as one (1, C_out) i64 row."""
+        return self.acc_bounds[2].astype(np.int64)[None, :]
 
     @cached_property
     def requant_rows(self):
@@ -356,19 +355,18 @@ class InferenceTrace:
 def integer_accumulate(x_q, layer: FusedLayerParams, trace: InferenceTrace | None = None):
     """Accumulators of i32 range, held in i64, for a (N, C_eff) matrix of ``in_bits`` codes; exact integer results.
 
-    ``acc = x_q @ (W_q - Z_W)^T + (const_acc + bias_acc)``, where
-    ``const_acc`` holds the input-independent terms (-Z_x * sum W_q +
-    C_eff * Z_x * Z_W).  The product runs as a float GEMM in the width of
-    ``FusedLayerParams.w_centred``: f32 when every partial sum is an integer
-    of magnitude at most 2^24, else f64 (below 2^53), so it is exact whatever
-    order BLAS sums in.  The i64 row ``FusedLayerParams.acc_offset`` adds the
-    constant terms.
+    ``acc = x_q @ (W_q - Z_W)^T + off``, where the i64 row
+    ``FusedLayerParams.acc_offset`` holds the input-independent terms.  The
+    product runs as a float GEMM in the width of ``FusedLayerParams.w_centred``:
+    f32 when every partial sum is an integer of magnitude at most 2^24, else
+    f64 (below 2^53), so it is exact whatever order BLAS sums in.
 
     The i32 range is proved once per layer, not checked per call:
-    ``w_centred`` is built only after ``FusedLayerParams.acc_bounds`` has
-    shown that every input of codes in [0, 2^in_bits) keeps every accumulator
-    in i32.  Codes of that width are the caller's side of the contract; the
-    plan's input quantization and its steps give them.
+    ``FusedLayerParams.acc_bounds`` shows that every input of codes in [0,
+    2^in_bits) keeps every accumulator in i32, a ``FusedModel`` runs it on
+    every param layer when it is built or loaded, and both operands above are
+    built after it.  Codes of that width are the caller's side of the contract; the plan's
+    input quantization and its steps give them.
     """
     x_q = np.asarray(x_q)
     if x_q.dtype.kind not in "iu":
@@ -483,9 +481,6 @@ def fuse_layer(
         bias_acc = _check_i32("bias accumulator", bias_int + beta_off)
     else:
         bias_acc = bias_int
-    # the proof below rejects a const_acc that leaves i32, which the int32 record would wrap
-    w_mat = w_q.reshape(c_out, -1)
-    const_acc = -np.int64(act_in.z) * (w_mat.sum(axis=1, dtype=np.int64) - w_mat.shape[1] * z_w)
     layer = FusedLayerParams(
         op_kind=op_kind,
         w_q=w_q,
@@ -495,7 +490,6 @@ def fuse_layer(
         m0=m0,
         shift=shift,
         bias_acc=bias_acc.astype(np.int32),
-        const_acc=const_acc.astype(np.int32),
         bitwidth=out.bitwidth,
         w_bits=w_params.bitwidth,
         in_bits=act_in.bitwidth,
@@ -566,7 +560,6 @@ class FusedEntry:
 # the fusion section's ``beta_rounding``.
 FUSED_RECORDS = {
     "param": (
-        RecordKey("layer_index", None, "index"),
         RecordKey("op_kind", "op_kind", "scalar", str),
         RecordKey("weight_codes", "w_q", "blob", blob="layer{i}.wq"),
         RecordKey("w_bits", "w_bits", "scalar", int),
@@ -581,7 +574,6 @@ FUSED_RECORDS = {
         RecordKey("m0", "m0", "channels", np.int64, blob="entry{i}.m0"),
         RecordKey("shift", "shift", "channels", np.int64, blob="entry{i}.shift"),
         RecordKey("bias_acc", "bias_acc", "channels", np.int32, blob="entry{i}.bias_acc"),
-        RecordKey("const_acc", "const_acc", "channels", np.int32, blob="entry{i}.const_acc"),
         RecordKey("alpha", "alpha", "channels", np.float32, blob="entry{i}.alpha"),
         RecordKey("beta", "beta_real", "channels", np.float64, blob="entry{i}.beta"),
         RecordKey("kernel", "kernel", "scalar", int, default=0),
@@ -598,6 +590,8 @@ FUSED_RECORDS = {
     ),
     "flatten": (),
 }
+# the param keys FusedModel checks for one entry per output channel
+_CHANNEL_KEYS = tuple(k for k in FUSED_RECORDS["param"] if k.form == "channels")
 # the fusion section's own flag: whether every param layer folds its offset into the integer bias
 BETA_ROUNDING = RecordKey("beta_rounding", "beta_rounding", "scalar", bool)
 
@@ -610,7 +604,8 @@ def _holder(entry: FusedEntry):
 def _check_encoding(i, m0, shift):
     """EngineError unless M0 in [2^30, 2^31) and 1 <= shift <= 63, the inputs ``fixed_point_multiply`` rounds right."""
     m0, shift = np.asarray(m0), np.asarray(shift)
-    if not (((m0 >= 2**30) & (m0 < 2**31)).all() and ((shift >= 1) & (shift <= 63)).all()):
+    m0_ok = m0.min(initial=2**30) >= 2**30 and m0.max(initial=0) < 2**31  # initial: an empty layer passes
+    if not (m0_ok and shift.min(initial=1) >= 1 and shift.max(initial=1) <= 63):
         raise EngineError(f"layer {i}: multiplier (m0, shift) outside the fixed-point encoding")
 
 
@@ -632,8 +627,11 @@ class FusedModel:
         """EngineError unless every entry is a known kind on a sound window, fed integer codes of the right length.
 
         The code width is carried along the chain: each param entry's
-        ``in_bits`` must be the width of the codes it receives, and the output
-        grid must have the width of the codes the last entry writes.
+        ``in_bits`` must be the width of the codes it receives, its ``z_x`` a
+        code of that width, and the output grid must have the width of the
+        codes the last entry writes.  Every param layer's i32 proof
+        (``FusedLayerParams.acc_bounds``) runs here too, so every model that
+        exists, built or loaded, is proven, and the error names the layer.
         """
         bits = self.input_params.bitwidth
         for i, entry in enumerate(self.entries):
@@ -645,17 +643,23 @@ class FusedModel:
                     raise EngineError(f"layer {i}: param op_kind must be one of {PARAM_OPS}, got {layer.op_kind!r}")
                 if layer.in_bits != bits:
                     raise EngineError(f"layer {i}: in_bits is {layer.in_bits}, but the layer receives {bits}-bit codes")
+                if not 0 <= layer.z_x < 2**bits:
+                    raise EngineError(f"layer {i}: z_x {layer.z_x} is not a {bits}-bit code")
                 if layer.op_kind == "conv2d":
                     _check_window(i, "conv2d", layer.kernel, layer.stride, layer.pad)
                 if layer.w_q.dtype.kind not in "iu":
                     raise EngineError(f"layer {i}: weight codes are {layer.w_q.dtype}, not integers")
                 n = layer.out_channels
-                for k in FUSED_RECORDS["param"]:
-                    if k.form == "channels" and (shape := np.shape(getattr(layer, k.attr))) != (n,):
+                for k in _CHANNEL_KEYS:
+                    if (shape := np.shape(getattr(layer, k.attr))) != (n,):
                         raise EngineError(f"layer {i}: {k.key} has shape {shape}, layer has {n} output channels")
                 if not (layer.s_x > 0 and layer.s_r > 0 and layer.s_w.min(initial=1) > 0 and layer.alpha.min(initial=1) > 0):
                     raise EngineError(f"layer {i}: scales and gains must be positive")
                 _check_encoding(i, layer.m0, layer.shift)
+                try:
+                    layer.acc_bounds
+                except EngineError as e:
+                    raise EngineError(f"layer {i}: {e}") from None
                 bits = layer.bitwidth
             elif entry.kind == "relu":
                 if not 0 <= entry.z < 2**bits:
@@ -680,8 +684,9 @@ class FusedModel:
         """The steps ``_interpret`` runs, built on the first run and kept: one ``step(x_q, trace, tap)`` per entry.
 
         A relu right after a param entry is no step of its own but the lower
-        bound of that entry's requantize clip.  The plan follows ``entries``
-        as they were when it was built.
+        bound of that entry's requantize clip.  Building it checks nothing:
+        ``__post_init__`` has proven every param layer already.  The plan
+        follows ``entries`` as they were when it was built.
         """
         plan = []
         for i, entry in enumerate(self.entries):
@@ -697,16 +702,8 @@ class FusedModel:
 
 
 def _param_step(i, entry, lo=0):
-    """linear/conv2d: ``integer_accumulate``, ``tap`` if given, then ``requantize`` clipped below at ``lo``.
-
-    The layer's i32 proof (``FusedLayerParams.acc_bounds``) runs here, when
-    the step is built, so that its ``EngineError`` names layer ``i``.
-    """
+    """linear/conv2d: ``integer_accumulate``, ``tap`` if given, then ``requantize`` clipped below at ``lo``."""
     layer = entry.layer
-    try:
-        layer.acc_bounds
-    except EngineError as e:
-        raise EngineError(f"layer {i}: {e}") from None
     c_out, c_in = layer.w_q.shape[:2]
     if layer.op_kind == "linear":
 
@@ -790,8 +787,10 @@ def run_int_model(model: FusedModel, x, trace: InferenceTrace | None = None):
 
     Returns (logits_f32, trace).  The input quantization and final dequantization
     are the only floating-point steps and sit outside the kernels; a non-finite
-    input raises ``QuantError``.  The first call on a model builds its plan
-    (``FusedModel.plan``); every later call only runs it.
+    input raises ``QuantError``.  ``model`` was proven when it was built or
+    loaded (``FusedModel``), so no accumulator of any input leaves i32.  The
+    first call on a model builds its plan (``FusedModel.plan``); every later
+    call only runs it.
     """
     if trace is None:
         trace = InferenceTrace()
@@ -832,7 +831,7 @@ def fused_runtime(bundle) -> FusedModel:
     for i, e in enumerate(fusion["entries"]):
         kind = e["kind"]
         # a kind the table does not list reads as a bare entry, which FusedModel rejects
-        values = read_record(FUSED_RECORDS.get(kind, ()), f"layer {i}:", e, bundle, i)
+        values = read_record(FUSED_RECORDS.get(kind, ()), f"layer {i}:", e, bundle)
         if kind == "param":
             entries.append(FusedEntry(kind, layer=FusedLayerParams(**values, beta_rounding=beta_rounding)))
         else:
@@ -854,4 +853,4 @@ def dump_fused(model: FusedModel, file):
         holder = _holder(entry)
         print(f"[{holder.op_kind if entry.kind == 'param' else entry.kind}] layer {i}", file=file)
         for k in FUSED_RECORDS[entry.kind]:
-            print(f"  {k.key}: {k.show(i, holder)}", file=file)
+            print(f"  {k.key}: {k.show(holder)}", file=file)

@@ -524,7 +524,7 @@ def bundles_equal(a: ModelBundle, b: ModelBundle) -> bool:
 # manifest records
 
 # what a value read with each dtype must be, as errors say it; a float's must be finite
-_MUST = {None: "be the record's position", bool: "be true or false"}
+_MUST = {bool: "be true or false"}
 _MUST.update(dict.fromkeys((int, np.int32, np.int64), "hold integers"))
 
 
@@ -534,17 +534,17 @@ class RecordKey:
 
     ``form`` is ``scalar`` (inline, converted with ``dtype``), ``channels`` (a
     1-D blob of ``dtype``, read back through a safe cast, so floats in an
-    integer key or i64 in an i32 key fail instead of truncating), ``blob``
-    (an array blob kept as built) or ``index`` (the record's position, held
-    by no attribute).  The record holds a blob's name, ``blob.format(i=record
-    position)``.  Only a key with a ``default`` may be missing.  An integer
+    integer key or i64 in an i32 key fail instead of truncating) or ``blob``
+    (an array blob kept as built).  The record holds a blob's name,
+    ``blob.format(i=record position)``.  Only a key with a ``default`` may be
+    missing; a key that no table declares is ignored.  An integer
     scalar rejects ``8.9`` or ``"8"`` instead of truncating or parsing it
     (``8.0`` reads as ``8``), a float key NaN and infinities, and a ``bool``
     scalar all but true and false.
     """
 
     key: str
-    attr: str | None  # of the object the record describes
+    attr: str  # of the object the record describes
     form: str
     dtype: type | None = None
     blob: str = ""
@@ -552,8 +552,6 @@ class RecordKey:
 
     def write(self, i, holder, blobs):
         """This key's manifest value for record ``i``; a blob it names goes into ``blobs``."""
-        if self.form == "index":
-            return i
         value = getattr(holder, self.attr)
         if self.form == "scalar":
             return self.dtype(value)
@@ -561,8 +559,8 @@ class RecordKey:
         blobs[name] = value if self.form == "blob" else np.asarray(value, dtype=self.dtype)
         return name
 
-    def read(self, where, record, bundle, i=None):
-        """The attribute value that ``record`` stores under this key (for an ``index`` key, ``i``).
+    def read(self, where, record, bundle):
+        """The attribute value that ``record`` stores under this key.
 
         KeyError if the key is missing and has no default; ValueError naming
         ``where`` (put before the key, as ``"layer 3:"``) and the key if the
@@ -579,7 +577,7 @@ class RecordKey:
             if self.form == "channels":
                 value = raw.astype(self.dtype, casting="safe")
             else:
-                value = i if self.form == "index" else self.dtype(raw)
+                value = self.dtype(raw)
             holds = self._holds(value, raw)
         except (TypeError, ValueError, OverflowError):
             holds = False
@@ -598,9 +596,9 @@ class RecordKey:
             return isinstance(raw, bool)  # bool() reads "false" and 2 as true
         return value == raw  # 8.9 or "8" fails for an int
 
-    def show(self, i, holder):
-        """This key's value for record ``i`` as ``intengine.dump_fused`` prints it."""
-        value = i if self.form == "index" else getattr(holder, self.attr)
+    def show(self, holder):
+        """This key's value in ``holder`` as ``intengine.dump_fused`` prints it."""
+        value = getattr(holder, self.attr)
         if self.form == "blob":
             return f"shape={list(value.shape)} dtype={value.dtype}"
         return value.tolist() if isinstance(value, np.ndarray) else value
@@ -619,11 +617,9 @@ def write_record(keys, i, holder, blobs=None) -> dict:
     return {k.key: k.write(i, holder, blobs) for k in keys}
 
 
-def read_record(keys, where, record, bundle=None, i=None) -> dict:
-    """``{attr: value}`` of ``record`` for ``keys``, by ``RecordKey.read``; an ``index`` key is only checked."""
-    values = {k.attr: k.read(where, record, bundle, i) for k in keys}
-    values.pop(None, None)
-    return values
+def read_record(keys, where, record, bundle=None) -> dict:
+    """``{attr: value}`` of ``record`` for ``keys``, by ``RecordKey.read``."""
+    return {k.attr: k.read(where, record, bundle) for k in keys}
 
 
 @contextmanager

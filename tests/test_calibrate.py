@@ -585,9 +585,8 @@ class TestCompensationNeverRaisesMse:
 # the record keys of each fused entry kind, as the ``fusion`` section stores them
 FUSED_RECORD_KEYS = {
     "param": {
-        "kind", "layer_index", "op_kind", "weight_codes", "w_bits", "w_scales", "w_zero_points", "s_x", "z_x",
-        "in_bits", "s_r", "z_r", "out_bits", "m0", "shift", "bias_acc", "const_acc", "alpha", "beta", "kernel",
-        "stride", "pad",
+        "kind", "op_kind", "weight_codes", "w_bits", "w_scales", "w_zero_points", "s_x", "z_x", "in_bits", "s_r",
+        "z_r", "out_bits", "m0", "shift", "bias_acc", "alpha", "beta", "kernel", "stride", "pad",
     },
     "relu": {"kind", "z"},
     "gelu": {"kind", "table"},
@@ -722,7 +721,7 @@ _MISSING = object()
 def _corruptions(key, value):
     """What a corrupted manifest may hold under ``key`` (a ``RecordKey``, or None for an undeclared key) instead of ``value``."""
     out = [_MISSING, "x", float("nan"), [value]]
-    if key is not None and (key.dtype is int or key.form == "index"):
+    if key is not None and key.dtype is int:
         out.append(value + 0.5)
     if key is not None and key.dtype is bool:
         out += [0, "false"]

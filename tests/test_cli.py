@@ -336,6 +336,12 @@ def _narrow_first_in_bits(mf):
     next(e for e in mf["fusion"]["entries"] if e["kind"] == "param")["in_bits"] = 2
 
 
+def _bias_at_i32_max(bias):
+    bias = bias.copy()
+    bias[0] = 2**31 - 1
+    return bias
+
+
 def _f32_weight_codes(src, dst):
     from quantcomp.refnet import ModelBundle, save_bundle
 
@@ -384,6 +390,8 @@ class TestNamedErrors:
             "fused_f32_weight_codes",
             "fused_unknown_op_kind",
             "fused_in_bits_2",
+            "fused_unprovable_eval",
+            "fused_unprovable_dump",
             "avgpool_kernel_0",
             "avgpool_pad_1",
             "transposed_weight",
@@ -407,6 +415,11 @@ class TestNamedErrors:
             argv, want = ["eval", edit_manifest(workspace / "fused", tmp_path / "b", _dense_first_param)], "op_kind"
         elif case == "fused_in_bits_2":
             argv, want = ["eval", edit_manifest(workspace / "fused", tmp_path / "b", _narrow_first_in_bits)], "layer 0: in_bits"
+        elif case.startswith("fused_unprovable"):
+            # a bias at the i32 edge: the i32 proof fails when the bundle is loaded, before any input is read
+            bad = edit_blob(workspace / "fused", tmp_path / "b", "fusion", "entries", 0, "bias_acc", edit=_bias_at_i32_max)
+            argv = ["eval", bad] if case.endswith("eval") else ["dump-fused", bad]
+            want = "error: layer 0: linear: worst-case accumulator would overflow i32"
         elif case == "avgpool_kernel_0":
             edit_manifest(_avgpool_bundle(tmp_path / "pool"), tmp_path / "b", _avgpool_kernel_zero)
             argv, want = ["quantize", tmp_path / "b", "--out", tmp_path / "o"], "avgpool"

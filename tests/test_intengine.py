@@ -107,9 +107,6 @@ def simple_layer(
     m = np.full(c, m, dtype=np.float64) if np.isscalar(m) else np.asarray(m, dtype=np.float64)
     pairs = [encode_multiplier(v) for v in m]
     bias = np.zeros(c, dtype=np.int64) if bias is None else np.asarray(bias, dtype=np.int64)
-    const = -np.int64(z_x) * w_q.reshape(c, -1).astype(np.int64).sum(axis=1) + w_q.reshape(c, -1).shape[
-        1
-    ] * np.int64(z_x) * z_w
     s_w = np.ones(c) if s_w is None else np.asarray(s_w, dtype=np.float64)
     return FusedLayerParams(
         op_kind="linear",
@@ -120,7 +117,6 @@ def simple_layer(
         m0=np.array([p[0] for p in pairs], dtype=np.int64),
         shift=np.array([p[1] for p in pairs], dtype=np.int64),
         bias_acc=bias,
-        const_acc=const,
         bitwidth=bits,
         w_bits=bits if w_bits is None else w_bits,
         in_bits=bits,
@@ -456,7 +452,8 @@ def _reference_accumulate(x_q, layer):
     """The i64 decomposition the float GEMM replaced: x @ W^T - Z_W * sum(x) + const + bias."""
     x = np.asarray(x_q, dtype=np.int64)
     w = layer.w_q.reshape(layer.out_channels, -1).astype(np.int64)
-    return x @ w.T - x.sum(axis=1, keepdims=True) * layer.z_w[None, :] + layer.const_acc + layer.bias_acc
+    const = -np.int64(layer.z_x) * (w.sum(axis=1) - w.shape[1] * layer.z_w)  # -Z_x sum W_q + C_in Z_x Z_W
+    return x @ w.T - x.sum(axis=1, keepdims=True) * layer.z_w[None, :] + const + layer.bias_acc
 
 
 def _in_i32(acc):
@@ -817,6 +814,9 @@ class TestFusionSectionOwner:
             (0, "in_bits", 2, "layer 0: in_bits is 2, but the layer receives 8-bit codes"),
             (0, "out_bits", 4, "layer 3: in_bits is 8, but the layer receives 4-bit codes"),
             (3, "out_bits", 4, "output grid is 8-bit, but the last layer writes 4-bit codes"),
+            # conv2d pads with z_x, so a z_x off the 8-bit grid would reach im2col as a u8 pad value
+            (0, "z_x", 300, "layer 0: z_x 300 is not a 8-bit code"),
+            (0, "z_x", -1, "layer 0: z_x -1 is not a 8-bit code"),
         ],
     )
     def test_bad_record_fails_at_load(self, entry, field, value, want):
@@ -828,6 +828,26 @@ class TestFusionSectionOwner:
         manifest["fusion"]["entries"][entry][field] = value
         with pytest.raises(EngineError, match=want):
             fused_runtime(ModelBundle(manifest, fused.blobs))
+
+    def test_bundle_with_the_dropped_keys_loads_to_the_same_logits(self, tmp_path):
+        # a param record of the earlier format also held layer_index and a const_acc blob; undeclared keys are ignored
+        from quantcomp.intengine import fused_runtime
+        from quantcomp.refnet import load_bundle, save_bundle
+
+        fused = self._fused_conv()
+        fusion = json.loads(json.dumps(fused.manifest["fusion"]))
+        blobs = {}
+        for i, (record, entry) in enumerate(zip(fusion["entries"], fused_runtime(fused).entries)):
+            if record["kind"] == "param":
+                layer = entry.layer
+                w = layer.w_q.reshape(layer.out_channels, -1).astype(np.int64) - layer.z_w[:, None]
+                record["layer_index"], record["const_acc"] = i, f"entry{i}.const_acc"
+                blobs[f"entry{i}.const_acc"] = (-np.int64(layer.z_x) * w.sum(axis=1)).astype(np.int32)
+        old = load_bundle(save_bundle(fused.derive("fusion", fusion, blobs), tmp_path / "old"))
+        assert [r.get("layer_index") for r in old.manifest["fusion"]["entries"]] == [0, None, None, 3]
+        assert {"entry0.const_acc", "entry3.const_acc"} <= set(old.blobs)
+        x = np.random.default_rng(4).standard_normal((16, 1, 4, 4)).astype(np.float32)
+        assert run_int_model(fused_runtime(old), x)[0].tobytes() == run_int_model(fused_runtime(fused), x)[0].tobytes()
 
     def test_non_finite_input_is_quant_error(self):
         from quantcomp.intengine import fused_runtime, run_int_model
@@ -860,7 +880,7 @@ def _nchw_reference(model, x):
             else:
                 cols, h_out, w_out = im2col_loop(x_q, layer.kernel, layer.stride, layer.pad, pad_value=layer.z_x)
                 rows = cols.reshape(-1, cols.shape[2])
-            acc = rows.astype(np.int64) @ w.T + layer.const_acc + layer.bias_acc
+            acc = (rows.astype(np.int64) - layer.z_x) @ w.T + layer.bias_acc
             if layer.beta_rounding:
                 r = fixed_point_multiply(acc, layer.m0, layer.shift) + layer.z_r
                 r = np.clip(r, 0, 2**layer.bitwidth - 1).astype(code_dtype(layer.bitwidth))
@@ -926,7 +946,7 @@ class TestChannelsLastEngine:
                     assert x_q.ndim == 4 and x_q.shape[3] == layer.w_q.shape[1]
                     cols, _, _ = im2col_loop(x_q.transpose(0, 3, 1, 2), layer.kernel, layer.stride, layer.pad, layer.z_x)
                     w = layer.w_q.reshape(layer.out_channels, -1).astype(np.int64) - layer.z_w[:, None]
-                    want = cols.reshape(-1, cols.shape[2]).astype(np.int64) @ w.T + layer.const_acc + layer.bias_acc
+                    want = (cols.reshape(-1, cols.shape[2]).astype(np.int64) - layer.z_x) @ w.T + layer.bias_acc
                     assert _in_i32(acc) and np.array_equal(acc, want)
                     seen.append(i)
                 return layer
@@ -1047,7 +1067,7 @@ class TestI32Proof:
         for entry in (e for e in model.entries if e.kind == "param"):
             # a conv2d of a k x k map with no padding has one patch: the whole map
             layer = replace(entry.layer, pad=0, stride=1)
-            lo, hi = layer.acc_bounds
+            lo, hi, _ = layer.acc_bounds
             codes = _attaining_codes(layer)
             grid_in = IntActivationParams(layer.s_x, layer.z_x, layer.in_bits)
             one = FusedModel(grid_in, [FusedEntry("param", layer=layer)], IntActivationParams(layer.s_r, layer.z_r, layer.bitwidth))
@@ -1068,7 +1088,7 @@ class TestI32Proof:
         intengine._interpret(model, rng.standard_normal((8,) + shape).astype(np.float32) * 4, InferenceTrace(), tap=tap)
         assert len(taps) == sum(e.kind == "param" for e in model.entries)
         for _, acc, layer in taps:
-            lo, hi = layer.acc_bounds
+            lo, hi, _ = layer.acc_bounds
             assert _in_i32(acc) and (acc >= lo).all() and (acc <= hi).all()
 
     def _mlp_bundle(self, bits=8):
@@ -1088,8 +1108,8 @@ class TestI32Proof:
         blobs[blob] = edit(blobs[blob].copy())
         return save_bundle(ModelBundle(bundle.manifest, blobs), tmp_path / "bundle")
 
-    def test_bias_at_the_i32_edge_fails_on_the_first_run_for_every_input(self, tmp_path):
-        # the proof does not look at the input: every input fails, and the error names the layer
+    def test_bias_at_the_i32_edge_fails_at_load(self, tmp_path):
+        # the proof looks at no input: the model does not load, and the error names the layer
         from quantcomp.refnet import load_bundle
 
         def edge(bias):
@@ -1097,26 +1117,22 @@ class TestI32Proof:
             return bias
 
         path = self._saved(self._mlp_bundle(), tmp_path, "entry0.bias_acc", edge)
-        for x in np.random.default_rng(2).standard_normal((50, 1, 8)).astype(np.float32):
-            model = intengine.fused_runtime(load_bundle(path))
-            with pytest.raises(EngineError, match=r"^layer 0: linear: worst-case accumulator would overflow i32"):
-                run_int_model(model, x)
+        with pytest.raises(EngineError, match=r"^layer 0: linear: worst-case accumulator would overflow i32"):
+            intengine.fused_runtime(load_bundle(path))
 
     @pytest.mark.parametrize(
         "blob, layer, bits, edit, key",
         [
-            ("entry0.const_acc", 0, 8, lambda c: c + np.int32(37), "const_acc"),
-            ("entry2.const_acc", 2, 8, lambda c: c - np.int32(1), "const_acc"),
             ("layer0.wq", 0, 4, lambda w: np.where(np.arange(w.size).reshape(w.shape) == 5, 200, w).astype(w.dtype), "weight_codes"),
         ],
     )
     def test_record_the_proof_rejects_fails_naming_layer_and_key(self, tmp_path, blob, layer, bits, edit, key):
-        # a const_acc that is not the sum it stands for, and a weight code off its 4-bit grid
+        # a weight code off its 4-bit grid fails at load
         from quantcomp.refnet import load_bundle
 
-        model = intengine.fused_runtime(load_bundle(self._saved(self._mlp_bundle(bits), tmp_path, blob, edit)))
+        path = self._saved(self._mlp_bundle(bits), tmp_path, blob, edit)
         with pytest.raises(EngineError, match=rf"^layer {layer}: linear: {key}"):
-            run_int_model(model, np.zeros((1, 8), np.float32))
+            intengine.fused_runtime(load_bundle(path))
 
     @pytest.mark.parametrize("shape, shown", [((2, 5), "(2, 5)"), ((2, 1, 2, 4), "(2, 1, 2, 4)")])
     def test_linear_step_names_its_layer_and_the_input_shape(self, shape, shown):
@@ -1127,7 +1143,7 @@ class TestI32Proof:
             run_int_model(model, x)
 
     def test_fuse_rejects_a_const_acc_past_i32(self):
-        # -Z_x * sum(W_q - Z_W) = -65535 * 255 * 200 leaves i32; its int32 record would wrap
+        # the offset -Z_x * sum(W_q - Z_W) = -65535 * 255 * 200 leaves i32, and with it the least accumulator
         w_q = np.full((1, 200), 255, dtype=np.uint8)
-        with pytest.raises(EngineError, match="const_acc is not -Z_x"):
+        with pytest.raises(EngineError, match="overflow i32"):
             _fused(w_q, np.array([0]), 65535, 16, 8)
