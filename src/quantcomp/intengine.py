@@ -63,19 +63,34 @@ run and kept: one step per entry, a closure over what the entry needs.
 in order and dequantizes the result.  A param step calls ``integer_accumulate``
 (patches first, through ``im2col``, for a conv2d) and ``requantize``, which
 calls ``fixed_point_multiply``; the layer keeps its GEMM operand, its
-accumulator offset row and its (M0, shift, nudge) rows once built.  The
-nudge row ``(1 << (shift - 1)) + (Z_r << shift)`` folds the output
-zero-point into the rounding shift, exactly, because ``Z_r << shift`` is a
-multiple of 2^shift.  A relu right after a param entry is no step of its own:
-``max(z, clip(r, 0, q)) == clip(r, z, q)`` for a code z, so z becomes the
-lower bound of that requantize's clip.  relu (after any other entry), gelu,
-avgpool (which calls ``fixed_point_multiply``) and flatten are one step each.
+accumulator offset row and its requantize operands once built
+(``FusedLayerParams.requant_rows``).  The nudge ``(1 << (shift - 1)) + (Z_r
+<< shift)`` folds the output zero-point into the rounding shift, exactly,
+because ``Z_r << shift`` is a multiple of 2^shift.  As in the gemmlowp line,
+which fixes each layer's output pipeline offline (Jacob et al. 2018), a
+layer whose proven accumulator bounds allow it requantizes with one shift S,
+its largest: its mantissas become M0 << (S - shift), which gives the same
+codes, and the nudge add and the shift each run on one scalar instead of a
+row per channel.  ``requantize`` thus takes only accumulators the layer can
+produce, within its ``acc_bounds``, not any i32 value.  A relu right after a
+param entry is no step of its own: ``max(z, clip(r, 0, q)) == clip(r, z,
+q)`` for a code z, so z becomes the lower bound of that requantize's clip.
+relu (after any other entry), gelu, avgpool (which calls
+``fixed_point_multiply``) and flatten are one step each.
 The sign step of the half-away rounding runs only where a negative tie can
 reach an output code: not on avgpool's sums, which are never negative, and
 not on a layer whose clip floor is at least Z_r or whose multipliers admit
 no tie on an i32 accumulator (see ``requantize``).
 The steps find the kernels by their module-global names at each call, so a
 tracer that rebinds them sees every call.
+
+``run_int_model`` runs a batch in blocks of samples, as integer engines tile
+their work to the cache: a block holds as many samples as fit the fixed byte
+budget ``BLOCK_BYTES`` with the widest GEMM working set of the model, its
+patch operand in the GEMM's float width plus its i64 accumulators
+(``FusedModel.block_samples``).  Every step maps each sample on its own, so
+blocking moves no bit; a batch that fits one block runs whole, as do the
+fitting-time simulation's batches, whose taps need whole-layer captures.
 
 A layer fused with ``beta_rounding=False`` keeps the offset real and
 requantizes as ``Z_r + round((S_x S_W[c] acc_c alpha_c + beta_c) / S_r)``.
@@ -89,9 +104,10 @@ checked once, when a ``FusedModel`` is built or loaded: every entry is a kind
 the engine runs, conv2d and avgpool windows are sound, weight codes are
 integers, every per-channel array has one entry per output channel, every
 scale and gain is positive, every (M0, shift) lies in the encoding's range,
-every param layer's input zero-point and every relu zero-point is a code of
-the grid it acts on, every gelu table maps each code of its input grid to a
-code, and every param layer's accumulators fit i32.
+every param layer's input, weight and output zero-points and every relu
+zero-point are codes of the grid each acts on, every gelu table maps each
+code of its input grid to a code, and every param layer's accumulators fit
+i32.
 The input is quantized to codes and every step maps codes to codes, so no
 kernel of a checked model sees a float or overflows.
 
@@ -103,6 +119,7 @@ The writer, the reader, ``dump_fused`` and the per-channel check all follow it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -111,12 +128,17 @@ import numpy as np
 from .compensate import ChannelAffineParams, identity_compensation
 from .quant import QuantParams, code_dtype, quantize_uniform
 from .refnet import (
-    GRID_KEYS, PARAM_OPS, ModelBundle, RecordKey, gelu, im2col, read_record, reading_section, weight_matrix, window_sums,
-    write_record,
+    GRID_KEYS, PARAM_OPS, ModelBundle, RecordKey, ShapeError, gelu, im2col, read_record, reading_section, weight_matrix,
+    window_positions, window_sums, write_record,
 )
 
 INT32_MIN = -(2**31)
 INT32_MAX = 2**31 - 1
+# The GEMM working set one block of ``run_int_model`` may take (see ``FusedModel.block_samples``).
+# Chosen by measurement on a 2-vCPU Xeon with 2 MiB of L2 per core: the bench's conv batches
+# ran fastest with budgets of 3 to 4 MiB, since the u8 patches, the float GEMM result and the
+# requantize temporaries, which the budget leaves out, add about half as much again
+BLOCK_BYTES = 4 * 2**20
 
 
 class EngineError(Exception):
@@ -187,15 +209,18 @@ def decode_multiplier(m0: int, shift: int) -> float:
 def fixed_point_multiply(v, m0, shift, nudge=None, sign_step=True):
     """round(v * M0 * 2^-shift) in pure i64 arithmetic, ties away from zero.
 
-    ``m0``/``shift`` may be scalars or per-channel arrays broadcasting against
-    the last axis of ``v``.  ``v`` must hold integers of i32 range; they are
-    multiplied straight into i64, and floats raise ``EngineError``.
+    ``m0``/``shift``/``nudge`` may each be a scalar or a per-channel array
+    broadcasting against the last axis of ``v``; ``requantize`` passes
+    scalars for the shift and the nudge where its layer allows
+    (``FusedLayerParams.requant_rows``).  ``v`` must hold integers; they are
+    multiplied straight into i64, and floats raise ``EngineError``.  The
+    caller keeps |v * M0| + nudge below 2^63: an i32 value times an M0 below
+    2^31, with the plain rounding half, always does.
     Branch-free: for p < 0, -((|p| + h) >> s) equals (p + h - 1) >> s with
     h = 2^(s-1), so negative products take one extra -1 (the sign step)
     before the shared nudge-and-shift.  ``nudge``, when given, replaces h; a
-    nudge of h + (z << s) returns the result plus z exactly, as long as it
-    stays below 2^62 (``FusedLayerParams.requant_rows`` folds the output
-    zero-point so).
+    nudge of h + (z << s) returns the result plus z exactly, because z << s
+    is a multiple of 2^s.
 
     The sign step moves a result only at a negative tie: (p + h) >> s and
     (p + h - 1) >> s differ only where p + h is a multiple of 2^s, that is
@@ -207,7 +232,7 @@ def fixed_point_multiply(v, m0, shift, nudge=None, sign_step=True):
     v = np.asarray(v)
     if v.dtype.kind not in "iu":
         raise EngineError(f"fixed-point multiply fed {v.dtype} values, not integers")
-    p = np.multiply(v, m0, dtype=np.int64)  # an i32 accumulator times M0 < 2^31 stays below 2^62
+    p = np.multiply(v, m0, dtype=np.int64)
     if sign_step:
         p -= p < 0
     p += (np.int64(1) << (shift - 1)) if nudge is None else nudge
@@ -308,26 +333,49 @@ class FusedLayerParams:
 
     @cached_property
     def requant_rows(self):
-        """(m0, shift, nudge) as (1, C_out) i64 rows, the zero-point to add after the shift, and "no tie"; built on first use.
+        """(m0, shift, nudge) for ``fixed_point_multiply``, the zero-point to add after the shift, and "no tie"; built on first use.
 
-        ``nudge`` is the rounding half 2^(shift-1) plus Z_r << shift.  Z_r << shift
-        is a multiple of 2^shift, so the shift returns the result plus Z_r
-        exactly; this holds while the nudge stays below 2^62, because the
-        product of an i32 accumulator and M0 < 2^31 is below 2^62 and their
-        sum must fit i64.  A layer whose nudge might not (shift plus the bit
-        length of Z_r above 62: a multiplier below about 2^-24 for an 8-bit
-        Z_r) keeps Z_r apart and adds it after the shift.
+        The nudge is the rounding half plus the output zero-point shifted up:
+        Z_r << shift is a multiple of 2^shift, so the shift returns the result
+        plus Z_r exactly.  There are two forms:
+        - one shift, where the layer's bounds allow it: with S the largest
+          shift, m0 is the (1, C_out) i64 row M0' = M0 << (S - shift), and
+          shift and nudge are S and 2^(S-1) + (Z_r << S) as 0-d i64 arrays,
+          so the nudge add and the shift run on scalars (a 0-d array, unlike
+          a numpy scalar, costs no conversion per call, which a one-row batch
+          would feel).  It needs |acc| M0' + nudge < 2^63 for every
+          accumulator the layer can produce, so a layer takes it when
+          max(|lo|, |hi|, 1) * M0' + nudge < 2^63 on every channel, with lo
+          and hi from ``acc_bounds`` (the 1 keeps M0' itself in i64);
+        - per channel, elsewhere: (1, C_out) rows of M0, shift and
+          2^(shift-1) + (Z_r << shift), with Z_r kept apart, to add after the
+          shift, where that nudge might pass 2^62 (shift plus the bit length
+          of Z_r above 62), since an i32 accumulator times M0 < 2^31 is below
+          2^62.
+
+        Both give the same codes: with p = acc * M0, k = S - shift and
+        q = p + 2^(shift-1) + (Z_r << shift), the one-shift form computes
+        floor((q 2^k - e) / 2^S) and the per-channel form floor((q - e) /
+        2^shift), which are equal for the sign step's e = 1 as for e = 0.
 
         A tie of ``fixed_point_multiply`` needs v2(acc * M0) = shift - 1, that
-        is v2(acc) = shift - 1 - ctz(M0).  A nonzero accumulator of i32 range
-        has v2(acc) <= 31 (31 only at INT32_MIN), so a channel with
-        shift - ctz(M0) >= 33 admits no tie at all; the last entry is True
-        when every channel does.
+        is v2(acc) = shift - 1 - ctz(M0), the same for (M0', S).  A nonzero
+        accumulator of i32 range has v2(acc) <= 31 (31 only at INT32_MIN), so
+        a channel with shift - ctz(M0) >= 33 admits no tie at all; the last
+        entry is True when every channel does.
         """
-        shift = self.shift[None, :]
-        fold = self.z_r == 0 or int(shift.max(initial=0)) + int(self.z_r).bit_length() <= 62
-        nudge = (np.int64(1) << (shift - 1)) + ((np.int64(self.z_r) << shift) if fold else 0)
         tie_free = bool((self.shift - np.log2(self.m0 & -self.m0) >= 33).all())  # M0 & -M0 = 2^ctz(M0)
+        top = int(self.shift.max(initial=1))
+        nudge = (1 << (top - 1)) + (int(self.z_r) << top)
+        lo, hi, _ = self.acc_bounds
+        reach = np.maximum(np.maximum(-lo, hi), 1.0).tolist()  # exact integers in f64
+        channels = zip(reach, self.m0.tolist(), self.shift.tolist())
+        if all(int(a) * (m0 << (top - s)) + nudge < 2**63 for a, m0, s in channels):  # Python ints: exact
+            m0 = (self.m0 << (top - self.shift))[None, :]
+            return m0, np.array(top, np.int64), np.array(nudge, np.int64), 0, tie_free
+        shift = self.shift[None, :]
+        fold = self.z_r == 0 or top + int(self.z_r).bit_length() <= 62
+        nudge = (np.int64(1) << (shift - 1)) + ((np.int64(self.z_r) << shift) if fold else 0)
         return self.m0[None, :], shift, nudge, 0 if fold else self.z_r, tie_free
 
     @cached_property
@@ -342,7 +390,10 @@ class InferenceTrace:
 
     ``float_mul_count`` counts the float multiplies of unrounded layers,
     which requantize their real-valued offset in f64; it stays 0 on a model
-    fused with ``beta_rounding=True``.  ``gemm_macs`` counts the
+    fused with ``beta_rounding=True``.  Each ``requantize`` call counts one
+    multiply per accumulator plus the C_out products S_x S_W it forms, so a
+    batch that ``run_int_model`` runs in blocks counts those once per block.
+    ``gemm_macs`` counts the
     multiply-accumulates ``integer_accumulate`` ran through the host's float
     GEMM, in f32 or f64 as each layer's reach allows: exact integer
     arithmetic on the host's BLAS, not float multiplies of the model.
@@ -385,12 +436,17 @@ def integer_accumulate(x_q, layer: FusedLayerParams, trace: InferenceTrace | Non
 
 
 def requantize(acc, layer: FusedLayerParams, trace: InferenceTrace | None = None, lo=0):
-    """Accumulators of i32 range -> b-bit output codes, clipped to [lo, 2^b - 1].
+    """Accumulators the layer can produce -> b-bit output codes, clipped to [lo, 2^b - 1].
 
+    ``acc`` must hold accumulators of ``layer``, each channel's within its
+    proven ``acc_bounds``, as ``integer_accumulate`` returns them; any i32
+    value is not enough, because the one-shift form of ``requant_rows`` is
+    chosen from those bounds and an accumulator past them may overflow i64.
     A layer fused with ``beta_rounding=True`` multiplies by its fixed-point
     M' = (M0, shift) in i64 arithmetic, the deployable integer path, with the
-    output zero-point folded into the rounding nudge
-    (``FusedLayerParams.requant_rows``).  One fused with
+    output zero-point folded into the rounding nudge and, where the bounds
+    allow, one shift for the whole layer (``FusedLayerParams.requant_rows``).
+    One fused with
     ``beta_rounding=False`` requantizes the real value ``S_x S_W acc alpha +
     beta`` in f64; that reference form, the fitting-time simulation, is not
     integer-only and shows up in the trace's float counter.  Accumulators that
@@ -628,10 +684,13 @@ class FusedModel:
 
         The code width is carried along the chain: each param entry's
         ``in_bits`` must be the width of the codes it receives, its ``z_x`` a
-        code of that width, and the output grid must have the width of the
-        codes the last entry writes.  Every param layer's i32 proof
-        (``FusedLayerParams.acc_bounds``) runs here too, so every model that
-        exists, built or loaded, is proven, and the error names the layer.
+        code of that width, its weight zero-points codes of its ``w_bits`` and
+        its ``z_r`` a code of its output width (the one-shift nudge of
+        ``requant_rows`` takes Z_r's bit length on trust), and the output grid
+        must have the width of the codes the last entry writes.  Every param
+        layer's i32 proof (``FusedLayerParams.acc_bounds``) runs here too, so
+        every model that exists, built or loaded, is proven, and the error
+        names the layer.
         """
         bits = self.input_params.bitwidth
         for i, entry in enumerate(self.entries):
@@ -653,6 +712,10 @@ class FusedModel:
                 for k in _CHANNEL_KEYS:
                     if (shape := np.shape(getattr(layer, k.attr))) != (n,):
                         raise EngineError(f"layer {i}: {k.key} has shape {shape}, layer has {n} output channels")
+                if not 0 <= layer.z_w.min(initial=0) <= layer.z_w.max(initial=0) < 2**layer.w_bits:
+                    raise EngineError(f"layer {i}: w_zero_points must be {layer.w_bits}-bit codes")
+                if not 0 <= layer.z_r < 2**layer.bitwidth:
+                    raise EngineError(f"layer {i}: z_r {layer.z_r} is not a {layer.bitwidth}-bit code")
                 if not (layer.s_x > 0 and layer.s_r > 0 and layer.s_w.min(initial=1) > 0 and layer.alpha.min(initial=1) > 0):
                     raise EngineError(f"layer {i}: scales and gains must be positive")
                 _check_encoding(i, layer.m0, layer.shift)
@@ -695,6 +758,60 @@ class FusedModel:
             else:
                 plan.append(_STEPS[entry.kind](i, entry))
         return plan
+
+    @cached_property
+    def _blocks(self):
+        return {}  # input sample shape -> what block_samples returns for it
+
+    def block_samples(self, sample_shape):
+        """Samples per block of ``run_int_model`` on inputs of ``sample_shape``; computed on first use per shape and kept.
+
+        ``BLOCK_BYTES`` over the widest per-sample working set of any param
+        step (``_sample_bytes``), at least 1.  None, one block of the whole
+        batch, for a shape that does not chain through the entries, so that
+        the plan raises its named error on the whole input.
+        """
+        blocks = self._blocks
+        if sample_shape not in blocks:
+            per_sample = _sample_bytes(self.entries, sample_shape)
+            blocks[sample_shape] = None if per_sample is None else max(1, BLOCK_BYTES // per_sample)
+        return blocks[sample_shape]
+
+
+def _sample_bytes(entries, shape):
+    """The widest per-sample working set of a param step on inputs of sample ``shape``, in bytes.
+
+    A step's working set per sample is its GEMM operand rows in the GEMM's
+    float width plus its i64 accumulator rows: one row for a linear, one per
+    output position for a conv2d.  None where ``shape`` does not chain
+    through the entries, or no entry is a param layer.
+    """
+    widest = 0
+    try:
+        for e in entries:
+            if e.kind == "param":
+                layer = e.layer
+                c_in, c_out = layer.w_q.shape[1], layer.out_channels
+                if layer.op_kind == "linear":
+                    if shape != (c_in,):
+                        return None
+                    rows, shape = 1, (c_out,)
+                else:
+                    if len(shape) != 3 or shape[0] != c_in:
+                        return None
+                    h, w_out = window_positions(shape[1], shape[2], layer.kernel, layer.stride, layer.pad)
+                    rows, shape = h * w_out, (c_out, h, w_out)
+                gemm = layer.w_centred
+                widest = max(widest, rows * (gemm.shape[1] * gemm.itemsize + 8 * c_out))
+            elif e.kind == "avgpool":
+                if len(shape) != 3:
+                    return None
+                shape = (shape[0], *window_positions(shape[1], shape[2], e.kernel, e.stride, 0))
+            elif e.kind == "flatten":
+                shape = (math.prod(shape),)
+    except ShapeError:  # a window with no position: the plan's im2col or window_sums names it
+        return None
+    return widest or None
 
 
 # ---------------------------------------------------------------------------
@@ -791,10 +908,21 @@ def run_int_model(model: FusedModel, x, trace: InferenceTrace | None = None):
     loaded (``FusedModel``), so no accumulator of any input leaves i32.  The
     first call on a model builds its plan (``FusedModel.plan``); every later
     call only runs it.
+
+    The batch runs in blocks of ``FusedModel.block_samples`` samples, so that
+    each GEMM's patch operand and accumulators stay within ``BLOCK_BYTES``;
+    the logits of the blocks are concatenated.  Every step maps each sample
+    on its own, so the blocks give the bits of the whole batch, and
+    ``gemm_macs`` counts the same rows; ``float_mul_count`` counts per block
+    (see ``InferenceTrace``).  A batch that fits one block runs whole.
     """
     if trace is None:
         trace = InferenceTrace()
-    return _interpret(model, x, trace), trace
+    x = np.asarray(x)
+    block = model.block_samples(x.shape[1:])
+    if block is None or len(x) <= block:
+        return _interpret(model, x, trace), trace
+    return np.concatenate([_interpret(model, x[i : i + block], trace) for i in range(0, len(x), block)]), trace
 
 
 # ---------------------------------------------------------------------------

@@ -96,9 +96,9 @@ class TestMultiplierEncoding:
 
 
 def simple_layer(
-    w_q, z_w, z_x, z_r, m, bias=None, bits=8, s_x=1.0, s_w=None, s_r=None, alpha=None, beta=None, w_bits=None
+    w_q, z_w, z_x, z_r, m, bias=None, bits=8, s_x=1.0, s_w=None, s_r=None, alpha=None, beta=None, w_bits=None, in_bits=None
 ):
-    """Hand-assembled FusedLayerParams for kernel-level tests; ``w_bits`` defaults to ``bits``."""
+    """Hand-assembled FusedLayerParams for kernel-level tests; ``w_bits`` and ``in_bits`` default to ``bits``."""
     from quantcomp.intengine import FusedLayerParams
 
     w_q = np.asarray(w_q)
@@ -119,7 +119,7 @@ def simple_layer(
         bias_acc=bias,
         bitwidth=bits,
         w_bits=bits if w_bits is None else w_bits,
-        in_bits=bits,
+        in_bits=bits if in_bits is None else in_bits,
         s_x=s_x,
         s_w=s_w,
         s_r=1.0 if s_r is None else s_r,
@@ -230,11 +230,12 @@ class TestRequantize:
     def test_folded_zero_point_and_floor_match_the_plain_form(self, bits, log2_m, z_frac, lo_frac, seed):
         # Z_r rides in the rounding nudge where that fits i64 and is added after the
         # shift where it does not; a relu floor lo is the clip's lower bound; and
-        # where requantize skips the sign step, the form that keeps it gives the same codes
+        # where requantize skips the sign step, the form that keeps it gives the same codes.
+        # The layer's bounds are all of i32, so every accumulator drawn is one it can produce
         qmax = 2**bits - 1
         z_r, lo = round(z_frac * qmax), round(lo_frac * qmax)
-        m = 2.0**log2_m * np.array([1.0, 1.3, 1.7])
-        layer = simple_layer(np.zeros((3, 1), dtype=np.int64), z_w=0, z_x=0, z_r=z_r, m=m, bits=bits)
+        layer = _full_i32_layer(2.0**log2_m * np.array([1.0, 1.3, 1.7]), z_r, bits)
+        event("one shift" if np.ndim(layer.requant_rows[1]) == 0 else "per-channel rows")
         event("Z_r folded" if layer.requant_rows[3] == 0 else "Z_r added after the shift")
         skipped = layer.requant_rows[4] or z_r <= lo
         event("sign step skipped" if skipped else "sign step kept")
@@ -260,6 +261,84 @@ class TestRequantize:
         if skipped:
             unsigned = fixed_point_multiply(acc, layer.m0[None, :], layer.shift[None, :], sign_step=False) + z_r
             assert np.array_equal(np.maximum(np.clip(unsigned, 0, qmax), lo), want)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        bits=st.integers(2, 16),
+        exp=st.integers(-30, 8),
+        gap=st.integers(1, 3),
+        rest=st.lists(st.integers(0, 3), max_size=2),
+        mantissas=st.lists(st.sampled_from([1.0, 1.25, 1.5, 1.75]) | st.floats(1, 1.99), min_size=4, max_size=4),
+        reach=st.none()
+        | st.lists(st.just(0) | st.integers(0, 15).map(lambda k: 2**k - 1) | st.integers(0, 32767), min_size=8, max_size=8),
+        z_frac=st.floats(0, 1),
+        lo_frac=st.floats(0, 1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # all of i32 with a spread of 3: |acc| M0' reaches 2^64, so the layer keeps per-channel rows
+    @example(bits=8, exp=-10, gap=3, rest=[], mantissas=[1.5, 1.9, 1, 1], reach=None, z_frac=0.5, lo_frac=0.0, seed=0)
+    @example(bits=8, exp=-10, gap=1, rest=[], mantissas=[1.5, 1.9, 1, 1], reach=[5] * 8, z_frac=0.5, lo_frac=0.0, seed=0)
+    @example(bits=8, exp=0, gap=2, rest=[0, 1], mantissas=[1.0, 1.5, 1.25, 1], reach=[32767] * 8, z_frac=1.0, lo_frac=0.0, seed=0)
+    def test_one_shift_rows_give_the_per_channel_codes(self, bits, exp, gap, rest, mantissas, reach, z_frac, lo_frac, seed):
+        # channels whose shifts differ by 1 to 3, fed accumulators at their bounds, at 0, at
+        # negative ties within the bounds and between: the one-shift rows, where the bounds
+        # allow them, give what the per-channel (M0, shift) gives, with and without the sign step
+        spread = [0, gap] + [min(r, gap) for r in rest]
+        c, qmax = len(spread), 2**bits - 1
+        z_r, floor = round(z_frac * qmax), round(lo_frac * qmax)
+        m = np.array([mantissas[j] * 2.0 ** (exp - d) for j, d in enumerate(spread)])
+        if reach is None:
+            layer = _full_i32_layer(m, z_r, bits)
+        else:
+            # W_q - Z_W = (a, -b) on 16-bit codes: bounds -65535 b and 65535 a, with b >= 1 so that
+            # every channel has negative accumulators
+            a, b = np.array(reach[:c]), np.array(reach[4 : 4 + c]) + 1
+            w_q = np.stack([32768 + a, 32768 - b], axis=1).astype(np.uint16)
+            layer = simple_layer(w_q, z_w=32768, z_x=0, z_r=z_r, m=m, bits=bits, in_bits=16, w_bits=16)
+        assert list(layer.shift - layer.shift.min()) == spread
+        lo, hi, _ = layer.acc_bounds
+        top = int(layer.shift.max())
+        nudge = (1 << (top - 1)) + (z_r << top)
+        fits = all(
+            max(-int(l), int(h), 1) * (m0 << (top - s)) + nudge < 2**63
+            for l, h, m0, s in zip(lo.tolist(), hi.tolist(), layer.m0.tolist(), layer.shift.tolist())
+        )
+        rows = layer.requant_rows
+        assert (np.ndim(rows[1]) == 0) == fits
+        event("one shift" if fits else "per-channel rows: the bounds fail the i64 check")
+        rng = np.random.default_rng(seed)
+        columns, every_tie = [], True
+        for j, (m0, shift) in enumerate(zip(layer.m0.tolist(), layer.shift.tolist())):
+            e = shift - 1 - ((m0 & -m0).bit_length() - 1)  # ties are -odd * 2^e
+            count = (int(-lo[j]) // 2**e + 1) // 2 if e >= 0 else 0
+            odd = np.arange(count) if count <= 512 else np.r_[0:256, count - 256 : count]
+            every_tie &= count <= 512
+            ties = -(2 * odd + 1) * 2 ** max(e, 0)
+            assert all((t * m0) % 2**shift == 2 ** (shift - 1) for t in ties[:8].tolist())
+            drawn = rng.integers(lo[j], hi[j], 16, endpoint=True)
+            columns.append(np.concatenate([[lo[j], hi[j], 0], ties, drawn]).astype(np.int64))
+        event("every negative tie in the bounds" if every_tie else "512 negative ties: those nearest 0 and the bound")
+        acc = np.zeros((max(map(len, columns)), c), np.int64)
+        for j, col in enumerate(columns):
+            acc[: len(col), j] = col
+        assert (acc >= lo).all() and (acc <= hi).all()
+        for sign_step in (False, True):
+            got = fixed_point_multiply(acc, *rows[:3], sign_step=sign_step) + rows[3]
+            want = fixed_point_multiply(acc, layer.m0[None, :], layer.shift[None, :], sign_step=sign_step) + z_r
+            assert np.array_equal(got, want)
+        assert np.array_equal(requantize(acc, layer, lo=floor), np.clip(want, floor, qmax))
+
+
+def _full_i32_layer(m, z_r, bits):
+    """A layer with multipliers ``m`` whose proven accumulator bounds are all of i32 on every channel."""
+    c = len(m)
+    # 16-bit codes against W_q - Z_W = (32767, -32768, 2) and a bias of -32768: the bounds are
+    # 65535 * 32769 - 32768 = INT32_MAX and -65535 * 32768 - 32768 = INT32_MIN
+    w_q = np.tile(np.array([[65535, 0, 32770]], dtype=np.uint16), (c, 1))
+    layer = simple_layer(w_q, 32768, 0, z_r, m, bias=np.full(c, -32768), bits=bits, w_bits=16, in_bits=16)
+    lo, hi, _ = layer.acc_bounds
+    assert (lo == INT32_MIN).all() and (hi == INT32_MAX).all()
+    return layer
 
 
 class TestFuseLayer:
@@ -385,6 +464,42 @@ class TestFuseLayer:
         got = requantize(acc, fused).astype(np.int64)
         want = np.clip(out.z + round_half_away(m[None, :] * acc), 0, qmax)
         assert np.abs(got - want).max() <= 1
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(graphs())
+    def test_every_fused_layer_is_within_one_code_of_its_exact_multiplier(self, graph):
+        # every param layer of a calibrated, fused model, on the accumulators it produces: the
+        # stored (M0, shift) and the requantize operands decode to the same real, within 2^-31
+        # of m = alpha S_x S_W / S_r, and the codes lie within one of the exact real rounding
+        from quantcomp.calibrate import CalibrationConfig, calibrate_model, fuse_model
+        from quantcomp.intengine import fused_runtime
+        from quantcomp.refnet import build_from_layers
+
+        layers, shape, w_bits, a_bits, seed = graph
+        rng = np.random.default_rng([seed, 7])
+        model_f = build_from_layers(layers, shape)
+        calib = rng.standard_normal((24,) + shape).astype(np.float32)
+        comp = calibrate_model(model_f, CalibrationConfig(sample_count=16, weight_bits=w_bits, act_bits=a_bits), calib)
+        model = fused_runtime(fuse_model(comp))
+        taps = []
+
+        def tap(i, x_q, acc, layer):
+            taps.append((acc.copy(), layer))
+            return layer
+
+        intengine._interpret(model, rng.standard_normal((16,) + shape).astype(np.float32) * 3, InferenceTrace(), tap=tap)
+        assert len(taps) == sum(e.kind == "param" for e in model.entries)
+        for acc, layer in taps:
+            m = layer.alpha.astype(np.float64) * accumulator_scale(layer.s_x, layer.s_w) / np.float64(layer.s_r)
+            stored = decode_multiplier(layer.m0, layer.shift)
+            assert np.all(np.abs(stored - m) <= m * 2.0**-31)
+            m0, shift, _, _, _ = layer.requant_rows
+            event("one shift" if np.ndim(shift) == 0 else "per-channel rows")
+            event(f"shift spread {int(np.ptp(layer.shift))}")
+            assert np.array_equal(decode_multiplier(m0[0], shift), stored)
+            got = requantize(acc, layer).astype(np.int64)
+            want = np.clip(layer.z_r + round_half_away(m[None, :] * acc), 0, 2**layer.bitwidth - 1)
+            assert np.abs(got - want).max(initial=0) <= 1
 
     def test_symmetric_weight_specialization(self):
         # Z_W = 0 must flow through the general path unchanged
@@ -812,8 +927,14 @@ class TestFusionSectionOwner:
             (1, "kind", "maxpool", "layer 1: unknown fused entry kind 'maxpool'"),
             # a narrower in_bits lets w_centred pick f32 on a reach it understates
             (0, "in_bits", 2, "layer 0: in_bits is 2, but the layer receives 8-bit codes"),
-            (0, "out_bits", 4, "layer 3: in_bits is 8, but the layer receives 4-bit codes"),
-            (3, "out_bits", 4, "output grid is 8-bit, but the last layer writes 4-bit codes"),
+            # 9, not narrower: the layer's z_r must stay a code of its output width
+            (0, "out_bits", 9, "layer 3: in_bits is 8, but the layer receives 9-bit codes"),
+            (3, "out_bits", 9, "output grid is 8-bit, but the last layer writes 9-bit codes"),
+            # the one-shift nudge of requant_rows takes z_r's bit length on trust
+            (0, "z_r", 256, "layer 0: z_r 256 is not a 8-bit code"),
+            (3, "z_r", -1, "layer 3: z_r -1 is not a 8-bit code"),
+            (0, "w_zero_points", 256, "layer 0: w_zero_points must be 8-bit codes"),
+            (3, "w_zero_points", -1, "layer 3: w_zero_points must be 8-bit codes"),
             # conv2d pads with z_x, so a z_x off the 8-bit grid would reach im2col as a u8 pad value
             (0, "z_x", 300, "layer 0: z_x 300 is not a 8-bit code"),
             (0, "z_x", -1, "layer 0: z_x -1 is not a 8-bit code"),
@@ -821,13 +942,9 @@ class TestFusionSectionOwner:
     )
     def test_bad_record_fails_at_load(self, entry, field, value, want):
         from quantcomp.intengine import fused_runtime
-        from quantcomp.refnet import ModelBundle
 
-        fused = self._fused_conv()
-        manifest = json.loads(json.dumps(fused.manifest))
-        manifest["fusion"]["entries"][entry][field] = value
         with pytest.raises(EngineError, match=want):
-            fused_runtime(ModelBundle(manifest, fused.blobs))
+            fused_runtime(_edited(self._fused_conv(), entry, field, lambda v: value))
 
     def test_bundle_with_the_dropped_keys_loads_to_the_same_logits(self, tmp_path):
         # a param record of the earlier format also held layer_index and a const_acc blob; undeclared keys are ignored
@@ -1147,3 +1264,66 @@ class TestI32Proof:
         w_q = np.full((1, 200), 255, dtype=np.uint8)
         with pytest.raises(EngineError, match="overflow i32"):
             _fused(w_q, np.array([0]), 65535, 16, 8)
+
+
+class TestSampleBlocks:
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(graphs(), st.sampled_from([3, 2, 1]), st.integers(4, 9))
+    def test_blocks_give_the_whole_batch_bits_and_counts(self, graph, per_block, n):
+        # a budget of 1-3 samples' working sets: run_int_model's blocks against one whole-batch _interpret
+        from quantcomp.calibrate import CalibrationConfig, calibrate_model, fuse_model
+        from quantcomp.intengine import fused_runtime
+        from quantcomp.refnet import build_from_layers
+
+        layers, shape, w_bits, a_bits, seed = graph
+        rng = np.random.default_rng([seed, 9])
+        model_f = build_from_layers(layers, shape)
+        calib = rng.standard_normal((24,) + shape).astype(np.float32)
+        comp = calibrate_model(model_f, CalibrationConfig(sample_count=16, weight_bits=w_bits, act_bits=a_bits), calib)
+        x = rng.standard_normal((n,) + shape).astype(np.float32) * 2
+        wrong = np.zeros((n, shape[0] + 1) + shape[1:], np.float32)  # one channel too many
+        blocks = -(-n // per_block)
+        kind = "conv" if len(shape) == 3 else "mlp"
+        event(f"{kind}: batch not a multiple of the block" if n % per_block else f"{kind}: batch a multiple of the block")
+        for rounding in (True, False):
+            model = fused_runtime(fuse_model(comp, beta_rounding=rounding))
+            whole_trace = InferenceTrace()
+            whole = intengine._interpret(model, x, whole_trace)
+            with pytest.raises(EngineError) as named:
+                intengine._interpret(model, wrong, InferenceTrace())
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(intengine, "BLOCK_BYTES", per_block * intengine._sample_bytes(model.entries, shape))
+                trace = InferenceTrace()
+                got, _ = run_int_model(model, x, trace)
+                with pytest.raises(EngineError, match=f"^{re.escape(str(named.value))}$"):
+                    run_int_model(model, wrong)
+            assert model.block_samples(shape) == per_block  # kept from the first call
+            assert got.tobytes() == whole.tobytes()
+            assert trace.gemm_macs == whole_trace.gemm_macs
+            # an unrounded layer's requantize counts its C_out products S_x S_W once per block
+            c_out = sum(e.layer.out_channels for e in model.entries if e.kind == "param")
+            assert trace.float_mul_count == whole_trace.float_mul_count + (0 if rounding else (blocks - 1) * c_out)
+
+    def test_conv_batch_past_the_budget_runs_in_blocks(self, monkeypatch):
+        # 7 conv samples on a budget of 3.5 samples' working sets: blocks of 3, 3 and 1, each
+        # running every param layer on its own rows
+        from test_calibrate import _conv_gelu_model
+
+        from quantcomp.calibrate import CalibrationConfig, calibrate_model, fuse_model
+        from quantcomp.intengine import fused_runtime
+
+        model_f, pool = _conv_gelu_model()
+        model = fused_runtime(fuse_model(calibrate_model(model_f, CalibrationConfig(sample_count=64), pool)))
+        x = pool[:7]
+        calls = []
+        accumulate = intengine.integer_accumulate
+        monkeypatch.setattr(intengine, "integer_accumulate", lambda x_q, *a: calls.append(len(x_q)) or accumulate(x_q, *a))
+        whole = intengine._interpret(model, x, InferenceTrace())
+        rows = [c // 7 for c in calls]  # per param layer, its GEMM rows per sample
+        assert rows[:2] == [36, 36] and len(rows) == 3
+        per_sample = intengine._sample_bytes(model.entries, x.shape[1:])
+        monkeypatch.setattr(intengine, "BLOCK_BYTES", 3 * per_sample + per_sample // 2)
+        calls.clear()
+        got, _ = run_int_model(model, x)
+        assert got.tobytes() == whole.tobytes()
+        assert calls == [n * r for n in (3, 3, 1) for r in rows]

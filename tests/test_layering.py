@@ -7,7 +7,7 @@ no field of the fused layout (``FusedLayerParams``, ``FusedEntry``).  The
 record tables keep the format tabular: every array is a blob of its own
 name, and a section's records hold only scalars and blob names.  The
 package root re-exports only names that the package itself, the benchmark or
-the demos use.
+the demos use.  Only the CLI reads the process environment.
 """
 
 import ast
@@ -140,6 +140,30 @@ def test_no_unused_module_level_imports(path):
 def test_unused_import_detector_sees_one():
     tree = ast.parse("import os\nimport sys\nfrom a import b as c, d\nprint(sys.argv, d)\n")
     assert _unused_imports(tree) == [(1, "os"), (3, "c")]
+
+
+def _environment_reads(tree):
+    """Sorted lines where ``tree`` reads the process environment: ``os.environ``, ``os.getenv`` or either imported by name."""
+    names = {"environ", "environb", "getenv", "getenvb"}
+    lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr in names]
+    lines += [
+        n.lineno
+        for n in ast.walk(tree)
+        if isinstance(n, ast.ImportFrom) and n.module == "os" and any(a.name in names for a in n.names)
+    ]
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py") if p.name != "cli.py"))
+def test_only_the_cli_reads_the_environment(path):
+    # a setting such as the engine's block budget stays a module constant, never an environment knob
+    assert _environment_reads(ast.parse((SRC / path).read_text())) == []
+
+
+def test_environment_read_detector_sees_each_form():
+    tree = ast.parse("import os\nfrom os import getenv\nos.environ.get('A')\nx = os.getenv('B')\n")
+    assert _environment_reads(tree) == [2, 3, 4]
+    assert _environment_reads(ast.parse((SRC / "cli.py").read_text()))  # its output root
 
 
 def test_cli_main_holds_the_only_except():
