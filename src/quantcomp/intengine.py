@@ -64,17 +64,18 @@ in order and dequantizes the result.  A param step calls ``integer_accumulate``
 (patches first, through ``im2col``, for a conv2d) and ``requantize``, which
 calls ``fixed_point_multiply``; the layer keeps its GEMM operand, its
 accumulator offset row and its requantize operands once built
-(``FusedLayerParams.requant_rows``).  The nudge ``(1 << (shift - 1)) + (Z_r
-<< shift)`` folds the output zero-point into the rounding shift, exactly,
-because ``Z_r << shift`` is a multiple of 2^shift.  As in the gemmlowp line,
-which fixes each layer's output pipeline offline (Jacob et al. 2018), a
-layer whose proven accumulator bounds allow it requantizes with one shift S,
-its largest: its mantissas become M0 << (S - shift), which gives the same
-codes, and the nudge add and the shift each run on one scalar instead of a
-row per channel.  ``requantize`` thus takes only accumulators the layer can
-produce, within its ``acc_bounds``, not any i32 value.  A relu right after a
-param entry is no step of its own: ``max(z, clip(r, 0, q)) == clip(r, z,
-q)`` for a code z, so z becomes the lower bound of that requantize's clip.
+(``FusedLayerParams.requant_rows``).  As in the gemmlowp line, which fixes
+each layer's output pipeline offline (Jacob et al. 2018), a layer whose
+proven accumulator bounds allow it requantizes with one shift S, its
+largest: its mantissas become M0 << (S - shift), which gives the same codes,
+and the nudge add and the shift each run on one scalar instead of a row per
+channel.  That nudge ``(1 << (S - 1)) + (Z_r << S)`` folds the output
+zero-point into the rounding shift, exactly, because ``Z_r << S`` is a
+multiple of 2^S; any other layer adds Z_r after its per-channel shifts.
+``requantize`` thus takes only accumulators the layer can produce, within
+its ``acc_bounds``, not any i32 value.  A relu right after a param entry is
+no step of its own: ``max(z, clip(r, 0, q)) == clip(r, z, q)`` for a code
+z, so z becomes the lower bound of that requantize's clip.
 relu (after any other entry), gelu, avgpool (which calls
 ``fixed_point_multiply``) and flatten are one step each.
 The sign step of the half-away rounding runs only where a negative tie can
@@ -84,13 +85,15 @@ no tie on an i32 accumulator (see ``requantize``).
 The steps find the kernels by their module-global names at each call, so a
 tracer that rebinds them sees every call.
 
-``run_int_model`` runs a batch in blocks of samples, as integer engines tile
-their work to the cache: a block holds as many samples as fit the fixed byte
-budget ``BLOCK_BYTES`` with the widest GEMM working set of the model, its
-patch operand in the GEMM's float width plus its i64 accumulators
-(``FusedModel.block_samples``).  Every step maps each sample on its own, so
-blocking moves no bit; a batch that fits one block runs whole, as do the
-fitting-time simulation's batches, whose taps need whole-layer captures.
+Each param step runs its GEMM in blocks of samples, as the gemmlowp line
+blocks inside the GEMM, sized from that GEMM's own shape (Jacob et al.
+2018): a block holds as many samples as fit the fixed byte budget
+``BLOCK_BYTES`` with that step's working set, its operand rows in the GEMM's
+float width plus its i64 accumulator rows (``_param_step``).  Every step
+maps each sample on its own, so blocking moves no bit; a batch that fits
+runs as one block, as do the fitting-time simulation's batches, whose taps
+need whole-layer captures.  The other steps, and the input quantization,
+run once per batch.
 
 A layer fused with ``beta_rounding=False`` keeps the offset real and
 requantizes as ``Z_r + round((S_x S_W[c] acc_c alpha_c + beta_c) / S_r)``.
@@ -128,16 +131,16 @@ import numpy as np
 from .compensate import ChannelAffineParams, identity_compensation
 from .quant import QuantParams, code_dtype, quantize_uniform
 from .refnet import (
-    GRID_KEYS, PARAM_OPS, ModelBundle, RecordKey, ShapeError, gelu, im2col, read_record, reading_section, weight_matrix,
+    GRID_KEYS, PARAM_OPS, ModelBundle, RecordKey, gelu, im2col, read_record, reading_section, weight_matrix,
     window_positions, window_sums, write_record,
 )
 
 INT32_MIN = -(2**31)
 INT32_MAX = 2**31 - 1
-# The GEMM working set one block of ``run_int_model`` may take (see ``FusedModel.block_samples``).
-# Chosen by measurement on a 2-vCPU Xeon with 2 MiB of L2 per core: the bench's conv batches
-# ran fastest with budgets of 3 to 4 MiB, since the u8 patches, the float GEMM result and the
-# requantize temporaries, which the budget leaves out, add about half as much again
+# The GEMM working set one block of a param step may take (see ``_param_step``).  On a 2-vCPU
+# Xeon with 2 MiB of L2 per core, the bench's conv batches ran within noise of each other at 2, 3,
+# 4 and 6 MiB; the u8 patches, the float GEMM result and the requantize temporaries, which the
+# budget leaves out, add about half as much again
 BLOCK_BYTES = 4 * 2**20
 
 
@@ -335,28 +338,27 @@ class FusedLayerParams:
     def requant_rows(self):
         """(m0, shift, nudge) for ``fixed_point_multiply``, the zero-point to add after the shift, and "no tie"; built on first use.
 
-        The nudge is the rounding half plus the output zero-point shifted up:
-        Z_r << shift is a multiple of 2^shift, so the shift returns the result
-        plus Z_r exactly.  There are two forms:
+        There are two forms:
         - one shift, where the layer's bounds allow it: with S the largest
           shift, m0 is the (1, C_out) i64 row M0' = M0 << (S - shift), and
           shift and nudge are S and 2^(S-1) + (Z_r << S) as 0-d i64 arrays,
           so the nudge add and the shift run on scalars (a 0-d array, unlike
           a numpy scalar, costs no conversion per call, which a one-row batch
-          would feel).  It needs |acc| M0' + nudge < 2^63 for every
-          accumulator the layer can produce, so a layer takes it when
-          max(|lo|, |hi|, 1) * M0' + nudge < 2^63 on every channel, with lo
-          and hi from ``acc_bounds`` (the 1 keeps M0' itself in i64);
-        - per channel, elsewhere: (1, C_out) rows of M0, shift and
-          2^(shift-1) + (Z_r << shift), with Z_r kept apart, to add after the
-          shift, where that nudge might pass 2^62 (shift plus the bit length
-          of Z_r above 62), since an i32 accumulator times M0 < 2^31 is below
-          2^62.
+          would feel).  Z_r << S is a multiple of 2^S, so the shift returns
+          the result plus Z_r exactly, and nothing is added after it.  The
+          form needs |acc| M0' + nudge < 2^63 for every accumulator the layer
+          can produce, so a layer takes it when max(|lo|, |hi|, 1) * M0' +
+          nudge < 2^63 on every channel, with lo and hi from ``acc_bounds``
+          (the 1 keeps M0' itself in i64);
+        - per channel, elsewhere: (1, C_out) rows of M0, shift and the
+          rounding half 2^(shift-1), with Z_r added after the shift.  An i32
+          accumulator times M0 < 2^31 is below 2^62, and so is the half.
 
         Both give the same codes: with p = acc * M0, k = S - shift and
         q = p + 2^(shift-1) + (Z_r << shift), the one-shift form computes
-        floor((q 2^k - e) / 2^S) and the per-channel form floor((q - e) /
-        2^shift), which are equal for the sign step's e = 1 as for e = 0.
+        floor((q 2^k - e) / 2^S) and the per-channel form floor((p +
+        2^(shift-1) - e) / 2^shift) + Z_r = floor((q - e) / 2^shift), which
+        are equal for the sign step's e = 1 as for e = 0.
 
         A tie of ``fixed_point_multiply`` needs v2(acc * M0) = shift - 1, that
         is v2(acc) = shift - 1 - ctz(M0), the same for (M0', S).  A nonzero
@@ -374,9 +376,7 @@ class FusedLayerParams:
             m0 = (self.m0 << (top - self.shift))[None, :]
             return m0, np.array(top, np.int64), np.array(nudge, np.int64), 0, tie_free
         shift = self.shift[None, :]
-        fold = self.z_r == 0 or top + int(self.z_r).bit_length() <= 62
-        nudge = (np.int64(1) << (shift - 1)) + ((np.int64(self.z_r) << shift) if fold else 0)
-        return self.m0[None, :], shift, nudge, 0 if fold else self.z_r, tie_free
+        return self.m0[None, :], shift, np.int64(1) << (shift - 1), self.z_r, tie_free
 
     @cached_property
     def out_dtype(self):
@@ -392,8 +392,8 @@ class InferenceTrace:
     which requantize their real-valued offset in f64; it stays 0 on a model
     fused with ``beta_rounding=True``.  Each ``requantize`` call counts one
     multiply per accumulator plus the C_out products S_x S_W it forms, so a
-    batch that ``run_int_model`` runs in blocks counts those once per block.
-    ``gemm_macs`` counts the
+    param step that runs its batch in blocks (``_param_step``) counts those
+    once per block.  ``gemm_macs`` counts the
     multiply-accumulates ``integer_accumulate`` ran through the host's float
     GEMM, in f32 or f64 as each layer's reach allows: exact integer
     arithmetic on the host's BLAS, not float multiplies of the model.
@@ -759,91 +759,59 @@ class FusedModel:
                 plan.append(_STEPS[entry.kind](i, entry))
         return plan
 
-    @cached_property
-    def _blocks(self):
-        return {}  # input sample shape -> what block_samples returns for it
-
-    def block_samples(self, sample_shape):
-        """Samples per block of ``run_int_model`` on inputs of ``sample_shape``; computed on first use per shape and kept.
-
-        ``BLOCK_BYTES`` over the widest per-sample working set of any param
-        step (``_sample_bytes``), at least 1.  None, one block of the whole
-        batch, for a shape that does not chain through the entries, so that
-        the plan raises its named error on the whole input.
-        """
-        blocks = self._blocks
-        if sample_shape not in blocks:
-            per_sample = _sample_bytes(self.entries, sample_shape)
-            blocks[sample_shape] = None if per_sample is None else max(1, BLOCK_BYTES // per_sample)
-        return blocks[sample_shape]
-
-
-def _sample_bytes(entries, shape):
-    """The widest per-sample working set of a param step on inputs of sample ``shape``, in bytes.
-
-    A step's working set per sample is its GEMM operand rows in the GEMM's
-    float width plus its i64 accumulator rows: one row for a linear, one per
-    output position for a conv2d.  None where ``shape`` does not chain
-    through the entries, or no entry is a param layer.
-    """
-    widest = 0
-    try:
-        for e in entries:
-            if e.kind == "param":
-                layer = e.layer
-                c_in, c_out = layer.w_q.shape[1], layer.out_channels
-                if layer.op_kind == "linear":
-                    if shape != (c_in,):
-                        return None
-                    rows, shape = 1, (c_out,)
-                else:
-                    if len(shape) != 3 or shape[0] != c_in:
-                        return None
-                    h, w_out = window_positions(shape[1], shape[2], layer.kernel, layer.stride, layer.pad)
-                    rows, shape = h * w_out, (c_out, h, w_out)
-                gemm = layer.w_centred
-                widest = max(widest, rows * (gemm.shape[1] * gemm.itemsize + 8 * c_out))
-            elif e.kind == "avgpool":
-                if len(shape) != 3:
-                    return None
-                shape = (shape[0], *window_positions(shape[1], shape[2], e.kernel, e.stride, 0))
-            elif e.kind == "flatten":
-                shape = (math.prod(shape),)
-    except ShapeError:  # a window with no position: the plan's im2col or window_sums names it
-        return None
-    return widest or None
-
 
 # ---------------------------------------------------------------------------
 # the plan's steps: ``step(x_q, trace, tap) -> codes``, one builder per entry kind
 
 
 def _param_step(i, entry, lo=0):
-    """linear/conv2d: ``integer_accumulate``, ``tap`` if given, then ``requantize`` clipped below at ``lo``."""
+    """linear/conv2d in blocks of samples: each runs ``integer_accumulate``, ``tap`` if given, then ``requantize`` clipped below at ``lo``.
+
+    A block holds as many samples as fit ``BLOCK_BYTES`` of this GEMM's
+    working set, at least one: per sample, its GEMM rows (one for a linear,
+    H_out*W_out of the call's input for a conv2d), each an operand row in the
+    GEMM's float width plus an i64 accumulator row.  A batch that fits runs
+    as one block, and so does every call with a ``tap``, which sees the whole
+    layer; otherwise the blocks write their codes into one output array.
+    """
     layer = entry.layer
     c_out, c_in = layer.w_q.shape[:2]
-    if layer.op_kind == "linear":
-
-        def linear(x_q, trace, tap):
-            if x_q.ndim != 2 or x_q.shape[1] != c_in:
-                raise EngineError(f"layer {i}: linear expects (N, {c_in}) codes, got shape {_nchw(x_q).shape}")
-            acc = integer_accumulate(x_q, layer, trace)
-            return requantize(acc, layer if tap is None else tap(i, x_q, acc, layer), trace, lo)
-
-        return linear
+    gemm = layer.w_centred
+    row_bytes = gemm.shape[1] * gemm.itemsize + 8 * c_out
+    conv = layer.op_kind == "conv2d"
     k, stride, pad, z_x = layer.kernel, layer.stride, layer.pad, layer.z_x
 
-    def conv2d(x_q, trace, tap):
-        if x_q.ndim != 4 or x_q.shape[3] != c_in:
-            raise EngineError(f"layer {i}: conv2d expects (N, H, W, {c_in}) codes, got shape {x_q.shape}")
-        # (k, k, C) patches of the NHWC codes on their own dtype, padded with the
-        # input zero-point; the GEMM's (N*H_out*W_out, C_out) result is already NHWC
-        cols, h_out, w_out = im2col(x_q, k, stride, pad, pad_value=z_x)
-        acc = integer_accumulate(cols.reshape(x_q.shape[0] * h_out * w_out, -1), layer, trace)
+    def run(x_q, trace, tap):
+        rows = x_q
+        if conv:
+            # (k, k, C) patches of the NHWC codes on their own dtype, padded with the
+            # input zero-point; the GEMM's (N*H_out*W_out, C_out) result is already NHWC
+            cols, h_out, w_out = im2col(x_q, k, stride, pad, pad_value=z_x)
+            rows = cols.reshape(cols.shape[0] * h_out * w_out, cols.shape[2])
+        acc = integer_accumulate(rows, layer, trace)
         r = requantize(acc, layer if tap is None else tap(i, x_q, acc, layer), trace, lo)
-        return r.reshape(x_q.shape[0], h_out, w_out, c_out)
+        return r.reshape(x_q.shape[0], h_out, w_out, c_out) if conv else r
 
-    return conv2d
+    # ``run`` is a closure of its own: a step that called itself per block would keep its layer in a reference cycle until the GC
+    def step(x_q, trace, tap):
+        if conv:
+            if x_q.ndim != 4 or x_q.shape[3] != c_in:
+                raise EngineError(f"layer {i}: conv2d expects (N, H, W, {c_in}) codes, got shape {x_q.shape}")
+            positions = window_positions(x_q.shape[1], x_q.shape[2], k, stride, pad)
+            block = BLOCK_BYTES // (positions[0] * positions[1] * row_bytes) or 1
+        elif x_q.ndim != 2 or x_q.shape[1] != c_in:
+            raise EngineError(f"layer {i}: linear expects (N, {c_in}) codes, got shape {_nchw(x_q).shape}")
+        else:
+            positions, block = (), BLOCK_BYTES // row_bytes or 1
+        n = x_q.shape[0]
+        if tap is not None or n <= block:
+            return run(x_q, trace, tap)
+        out = np.empty((n, *positions, c_out), layer.out_dtype)
+        for s in range(0, n, block):
+            out[s : s + block] = run(x_q[s : s + block], trace, None)
+        return out
+
+    return step
 
 
 def _relu_step(i, entry):
@@ -865,7 +833,7 @@ def _avgpool_step(i, entry):
 
 
 def _flatten_step(i, entry):
-    return lambda x_q, trace, tap: _nchw(x_q).reshape(x_q.shape[0], -1)
+    return lambda x_q, trace, tap: _nchw(x_q).reshape(x_q.shape[0], math.prod(x_q.shape[1:]))
 
 
 _STEPS = {"param": _param_step, "relu": _relu_step, "gelu": _gelu_step, "avgpool": _avgpool_step, "flatten": _flatten_step}
@@ -907,22 +875,12 @@ def run_int_model(model: FusedModel, x, trace: InferenceTrace | None = None):
     input raises ``QuantError``.  ``model`` was proven when it was built or
     loaded (``FusedModel``), so no accumulator of any input leaves i32.  The
     first call on a model builds its plan (``FusedModel.plan``); every later
-    call only runs it.
-
-    The batch runs in blocks of ``FusedModel.block_samples`` samples, so that
-    each GEMM's patch operand and accumulators stay within ``BLOCK_BYTES``;
-    the logits of the blocks are concatenated.  Every step maps each sample
-    on its own, so the blocks give the bits of the whole batch, and
-    ``gemm_macs`` counts the same rows; ``float_mul_count`` counts per block
-    (see ``InferenceTrace``).  A batch that fits one block runs whole.
+    call only runs it, and each param step blocks its own GEMM over the batch
+    (see ``_param_step``).
     """
     if trace is None:
         trace = InferenceTrace()
-    x = np.asarray(x)
-    block = model.block_samples(x.shape[1:])
-    if block is None or len(x) <= block:
-        return _interpret(model, x, trace), trace
-    return np.concatenate([_interpret(model, x[i : i + block], trace) for i in range(0, len(x), block)]), trace
+    return _interpret(model, x, trace), trace
 
 
 # ---------------------------------------------------------------------------

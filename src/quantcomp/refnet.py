@@ -297,7 +297,7 @@ def layer_forward(layer: LayerSpec, x, index=None):
         pooled /= layer.kernel**2
         return np.moveaxis(pooled, 3, 1)
     if op == "flatten":
-        return x.reshape(x.shape[0], -1)
+        return x.reshape(x.shape[0], math.prod(x.shape[1:]))
     raise ShapeError(f"unknown op_kind {op!r}", index)
 
 

@@ -189,14 +189,20 @@ class TestAccumulate:
 
 class TestRequantize:
     def test_named_example(self):
-        layer = simple_layer(np.zeros((1, 1), dtype=np.int64), z_w=0, z_x=0, z_r=10, m=0.5)
+        # W_q - Z_W = 1 on 8-bit codes: the proven bounds [0, 255] hold the accumulator 100
+        layer = simple_layer(np.ones((1, 1), dtype=np.int64), z_w=0, z_x=0, z_r=10, m=0.5)
         assert layer.m0[0] == 2**30 and layer.shift[0] == 31
+        lo, hi, _ = layer.acc_bounds
+        assert lo[0] <= 100 <= hi[0]
         out = requantize(np.array([[100]]), layer)
         assert out[0, 0] == 60
 
     def test_identity_multiplier_is_clip(self):
-        layer = simple_layer(np.zeros((1, 1), dtype=np.int64), z_w=0, z_x=0, z_r=0, m=1.0)
+        # W_q - Z_W = (2, -1) on 8-bit codes: the proven bounds [-255, 510] hold -5 to 300
+        layer = simple_layer(np.array([[3, 0]]), z_w=1, z_x=0, z_r=0, m=1.0)
         acc = np.array([[-5, 0, 100, 300]]).reshape(4, 1)
+        lo, hi, _ = layer.acc_bounds
+        assert lo[0] <= acc.min() and acc.max() <= hi[0]
         out = requantize(acc, layer)
         assert np.array_equal(out.ravel(), [0, 0, 100, 255])
 
@@ -222,21 +228,20 @@ class TestRequantize:
         lo_frac=st.floats(0, 1),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(bits=16, log2_m=-33.0, z_frac=1.0, lo_frac=0.0, seed=0)  # shift 63: Z_r stays apart
+    @example(bits=16, log2_m=-33.0, z_frac=1.0, lo_frac=0.0, seed=0)  # shift 63, Z_r at 16-bit qmax
     @example(bits=8, log2_m=-10.0, z_frac=0.5, lo_frac=0.7, seed=0)
     @example(bits=8, log2_m=-1.0, z_frac=0.5, lo_frac=0.0, seed=0)  # shift 31: ties within i32, sign step kept
     @example(bits=4, log2_m=2.0, z_frac=0.2, lo_frac=0.5, seed=0)  # ties within i32, every one clipped to lo
     @example(bits=8, log2_m=-32.0, z_frac=0.5, lo_frac=0.0, seed=0)  # shift - ctz(M0) = 32: INT32_MIN is a tie
     def test_folded_zero_point_and_floor_match_the_plain_form(self, bits, log2_m, z_frac, lo_frac, seed):
-        # Z_r rides in the rounding nudge where that fits i64 and is added after the
-        # shift where it does not; a relu floor lo is the clip's lower bound; and
-        # where requantize skips the sign step, the form that keeps it gives the same codes.
+        # Z_r rides in the one-shift nudge where the bounds allow that form and is added
+        # after the per-channel shifts elsewhere; a relu floor lo is the clip's lower bound;
+        # and where requantize skips the sign step, the form that keeps it gives the same codes.
         # The layer's bounds are all of i32, so every accumulator drawn is one it can produce
         qmax = 2**bits - 1
         z_r, lo = round(z_frac * qmax), round(lo_frac * qmax)
         layer = _full_i32_layer(2.0**log2_m * np.array([1.0, 1.3, 1.7]), z_r, bits)
         event("one shift" if np.ndim(layer.requant_rows[1]) == 0 else "per-channel rows")
-        event("Z_r folded" if layer.requant_rows[3] == 0 else "Z_r added after the shift")
         skipped = layer.requant_rows[4] or z_r <= lo
         event("sign step skipped" if skipped else "sign step kept")
         rng = np.random.default_rng(seed)
@@ -1266,11 +1271,24 @@ class TestI32Proof:
             _fused(w_q, np.array([0]), 65535, 16, 8)
 
 
-class TestSampleBlocks:
+def _gemm_rows(monkeypatch):
+    """(layer, GEMM rows) of every ``integer_accumulate`` call from here on, in call order."""
+    calls, accumulate = [], intengine.integer_accumulate
+    monkeypatch.setattr(intengine, "integer_accumulate", lambda x_q, layer, *a: calls.append((layer, len(x_q))) or accumulate(x_q, layer, *a))
+    return calls
+
+
+def _blocks(n, block):
+    """The sample counts of ``n`` samples cut into blocks of ``block``."""
+    return [min(block, n - s) for s in range(0, n, block)]
+
+
+class TestStepBlocks:
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(graphs(), st.sampled_from([3, 2, 1]), st.integers(4, 9))
-    def test_blocks_give_the_whole_batch_bits_and_counts(self, graph, per_block, n):
-        # a budget of 1-3 samples' working sets: run_int_model's blocks against one whole-batch _interpret
+    def test_blocks_give_the_unblocked_bits_and_counts(self, graph, per_block, n):
+        # a budget of ``per_block`` samples of the narrowest param step's working set, so that
+        # every param step runs blocks of 1-3 samples, against one run whose budget fits any batch
         from quantcomp.calibrate import CalibrationConfig, calibrate_model, fuse_model
         from quantcomp.intengine import fused_runtime
         from quantcomp.refnet import build_from_layers
@@ -1282,31 +1300,68 @@ class TestSampleBlocks:
         comp = calibrate_model(model_f, CalibrationConfig(sample_count=16, weight_bits=w_bits, act_bits=a_bits), calib)
         x = rng.standard_normal((n,) + shape).astype(np.float32) * 2
         wrong = np.zeros((n, shape[0] + 1) + shape[1:], np.float32)  # one channel too many
-        blocks = -(-n // per_block)
-        kind = "conv" if len(shape) == 3 else "mlp"
-        event(f"{kind}: batch not a multiple of the block" if n % per_block else f"{kind}: batch a multiple of the block")
         for rounding in (True, False):
             model = fused_runtime(fuse_model(comp, beta_rounding=rounding))
-            whole_trace = InferenceTrace()
-            whole = intengine._interpret(model, x, whole_trace)
-            with pytest.raises(EngineError) as named:
-                intengine._interpret(model, wrong, InferenceTrace())
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(intengine, "BLOCK_BYTES", per_block * intengine._sample_bytes(model.entries, shape))
+                mp.setattr(intengine, "BLOCK_BYTES", 2**62)
+                calls = _gemm_rows(mp)
+                whole_trace = InferenceTrace()
+                whole, _ = run_int_model(model, x, whole_trace)
+                with pytest.raises(EngineError) as named:
+                    run_int_model(model, wrong)
+                layers_run = [layer for layer, _ in calls]
+                rows = [r // n for _, r in calls]  # per param step, its GEMM rows per sample
+                w = [layer.w_centred for layer in layers_run]
+                sample_bytes = [r * (g.shape[1] * g.itemsize + 8 * g.shape[0]) for r, g in zip(rows, w)]
+                budget = per_block * min(sample_bytes)
+                mp.setattr(intengine, "BLOCK_BYTES", budget)
+                calls.clear()
                 trace = InferenceTrace()
                 got, _ = run_int_model(model, x, trace)
                 with pytest.raises(EngineError, match=f"^{re.escape(str(named.value))}$"):
                     run_int_model(model, wrong)
-            assert model.block_samples(shape) == per_block  # kept from the first call
+            blocks = [_blocks(n, max(1, budget // b)) for b in sample_bytes]
+            assert min(map(len, blocks)) == -(-n // per_block) and all(max(b) <= per_block for b in blocks)
+            assert calls == [(layer, r * m) for layer, r, b in zip(layers_run, rows, blocks) for m in b]
+            event(f"{'conv' if len(shape) == 3 else 'mlp'}: {'steps of unlike blocks' if len({b[0] for b in blocks}) > 1 else 'one block size'}")
             assert got.tobytes() == whole.tobytes()
             assert trace.gemm_macs == whole_trace.gemm_macs
-            # an unrounded layer's requantize counts its C_out products S_x S_W once per block
-            c_out = sum(e.layer.out_channels for e in model.entries if e.kind == "param")
-            assert trace.float_mul_count == whole_trace.float_mul_count + (0 if rounding else (blocks - 1) * c_out)
+            # an unrounded layer's requantize counts its C_out products S_x S_W once per block of its step
+            extra = sum((len(b) - 1) * layer.out_channels for layer, b in zip(layers_run, blocks))
+            assert trace.float_mul_count == whole_trace.float_mul_count + (0 if rounding else extra)
 
-    def test_conv_batch_past_the_budget_runs_in_blocks(self, monkeypatch):
-        # 7 conv samples on a budget of 3.5 samples' working sets: blocks of 3, 3 and 1, each
-        # running every param layer on its own rows
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    @given(graphs())
+    def test_a_tap_sees_its_whole_layer_under_any_budget(self, graph):
+        # sim_forward under a 1-byte budget: one GEMM per param layer, the default budget's
+        # logits and captures, while the engine without a tap runs blocks of one sample
+        from quantcomp.calibrate import CalibrationConfig, calibrate_model, compensation_params, fuse_model, sim_forward
+        from quantcomp.intengine import fused_runtime
+        from quantcomp.refnet import build_from_layers
+
+        layers, shape, w_bits, a_bits, seed = graph
+        rng = np.random.default_rng([seed, 11])
+        model_f = build_from_layers(layers, shape)
+        calib = rng.standard_normal((24,) + shape).astype(np.float32)
+        comp = calibrate_model(model_f, CalibrationConfig(sample_count=16, weight_bits=w_bits, act_bits=a_bits), calib)
+        x = rng.standard_normal((5,) + shape).astype(np.float32)
+        want, want_caps, _ = sim_forward(comp, x, compensation_params(comp))
+        params = len(want_caps)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(intengine, "BLOCK_BYTES", 1)
+            calls = _gemm_rows(mp)
+            got, caps, _ = sim_forward(comp, x, compensation_params(comp))
+            assert len(calls) == params
+            run_int_model(fused_runtime(fuse_model(comp, beta_rounding=False)), x)
+            assert len(calls) == params + 5 * params
+        assert got.tobytes() == want.tobytes()
+        assert caps.keys() == want_caps.keys()
+        assert all(caps[i].tobytes() == want_caps[i].tobytes() for i in caps)
+
+    def test_conv_batch_past_the_budget_runs_each_step_in_its_own_blocks(self, monkeypatch):
+        # 7 conv samples on a budget of 3.5 samples of the second conv's working set: 36 GEMM
+        # rows per sample on both convs, but the first has 18 patch columns and the second 36,
+        # so the first conv runs 5 + 2, the second 3 + 3 + 1, and the linear layer whole
         from test_calibrate import _conv_gelu_model
 
         from quantcomp.calibrate import CalibrationConfig, calibrate_model, fuse_model
@@ -1315,15 +1370,35 @@ class TestSampleBlocks:
         model_f, pool = _conv_gelu_model()
         model = fused_runtime(fuse_model(calibrate_model(model_f, CalibrationConfig(sample_count=64), pool)))
         x = pool[:7]
-        calls = []
-        accumulate = intengine.integer_accumulate
-        monkeypatch.setattr(intengine, "integer_accumulate", lambda x_q, *a: calls.append(len(x_q)) or accumulate(x_q, *a))
         whole = intengine._interpret(model, x, InferenceTrace())
-        rows = [c // 7 for c in calls]  # per param layer, its GEMM rows per sample
-        assert rows[:2] == [36, 36] and len(rows) == 3
-        per_sample = intengine._sample_bytes(model.entries, x.shape[1:])
+        calls = _gemm_rows(monkeypatch)
+        second = model.entries[2].layer.w_centred
+        assert second.shape == (4, 36) and second.dtype == np.float32
+        per_sample = 36 * (36 * 4 + 8 * 4)
         monkeypatch.setattr(intengine, "BLOCK_BYTES", 3 * per_sample + per_sample // 2)
-        calls.clear()
         got, _ = run_int_model(model, x)
         assert got.tobytes() == whole.tobytes()
-        assert calls == [n * r for n in (3, 3, 1) for r in rows]
+        assert [r for _, r in calls] == [36 * 5, 36 * 2, 36 * 3, 36 * 3, 36 * 1, 7]
+
+
+class TestEmptyBatch:
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(graphs())
+    def test_no_samples_give_no_logits_on_every_path(self, graph):
+        from quantcomp.calibrate import CalibrationConfig, calibrate_model, compensation_params, fuse_model, sim_forward
+        from quantcomp.intengine import fused_runtime
+        from quantcomp.refnet import build_from_layers, model_forward, validate_bundle
+
+        layers, shape, w_bits, a_bits, seed = graph
+        rng = np.random.default_rng([seed, 13])
+        model_f = build_from_layers(layers, shape)
+        want = (0,) + validate_bundle(model_f)
+        calib = rng.standard_normal((24,) + shape).astype(np.float32)
+        comp = calibrate_model(model_f, CalibrationConfig(sample_count=16, weight_bits=w_bits, act_bits=a_bits), calib)
+        x = np.zeros((0,) + shape, np.float32)
+        event(f"{'conv' if len(shape) == 3 else 'mlp'}: {'flattened' if len(want) == 2 else 'a map'}")
+        for rounding in (True, False):
+            got, trace = run_int_model(fused_runtime(fuse_model(comp, beta_rounding=rounding)), x)
+            assert got.shape == want and got.dtype == np.float32 and trace.gemm_macs == 0
+        assert sim_forward(comp, x, compensation_params(comp))[0].shape == want
+        assert model_forward(model_f, x).shape == want

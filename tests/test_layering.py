@@ -7,7 +7,9 @@ no field of the fused layout (``FusedLayerParams``, ``FusedEntry``).  The
 record tables keep the format tabular: every array is a blob of its own
 name, and a section's records hold only scalars and blob names.  The
 package root re-exports only names that the package itself, the benchmark or
-the demos use.  Only the CLI reads the process environment.
+the demos use.  Only the CLI reads the process environment.  Every public
+function and method of the package has a caller outside the tests, but for a
+named few.
 """
 
 import ast
@@ -173,10 +175,10 @@ def test_cli_main_holds_the_only_except():
     assert handlers and all(h in set(ast.walk(main)) for h in handlers)
 
 
-def _referenced_names(path):
-    """Every identifier a file names: variables, attributes and imported names."""
+def _referenced_names(tree):
+    """Every identifier a parsed file names: variables, attributes and imported names."""
     names = set()
-    for node in ast.walk(ast.parse(path.read_text())):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -196,11 +198,48 @@ def test_every_export_has_a_caller():
     assert exports
     outside = set()
     for path in [*ROOT.glob("bench/**/*.py"), *ROOT.glob("demos/*.py")]:
-        outside |= _referenced_names(path)
-    in_src = {p.stem: _referenced_names(p) for p in SRC.glob("*.py") if p.name != "__init__.py"}
+        outside |= _referenced_names(ast.parse(path.read_text()))
+    in_src = {p.stem: _referenced_names(ast.parse(p.read_text())) for p in SRC.glob("*.py") if p.name != "__init__.py"}
     unused = [
         f"{module}.{name}"
         for module, name in exports
         if name not in outside and not any(name in names for stem, names in in_src.items() if stem != module)
     ]
     assert unused == []
+
+
+# Public functions that only tests call today; ROADMAP item 1 decides whether a run's report calls them or they go
+TEST_ONLY = {
+    "intengine.decode_multiplier",
+    "intengine.beta_rounding_bound",
+    "intengine.beta_rounding_deviation",
+    "evalbench.figure1b_report",
+}
+
+
+def _public_functions(tree):
+    """Names of the public module-level functions and public methods that ``tree`` defines."""
+    members = [n for node in tree.body for n in (node.body if isinstance(node, ast.ClassDef) else [node])]
+    return [n.name for n in members if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)) and not n.name.startswith("_")]
+
+
+def _uncalled(modules, callers):
+    """``module.name`` of each public function or method of ``modules`` ({stem: tree}) that no name in ``callers`` reaches."""
+    return sorted(f"{stem}.{name}" for stem, tree in modules.items() for name in _public_functions(tree) if name not in callers)
+
+
+def test_every_public_function_has_a_caller_outside_the_tests():
+    # by name, as a call, an attribute or an import: src (less the package root's re-exports),
+    # bench and demos count as callers, test files do not
+    callers = set()
+    for path in [*SRC.glob("*.py"), *ROOT.glob("bench/**/*.py"), *ROOT.glob("demos/*.py")]:
+        if path != SRC / "__init__.py" and not path.name.startswith("test_"):
+            callers |= _referenced_names(ast.parse(path.read_text()))
+    modules = {p.stem: ast.parse(p.read_text()) for p in SRC.glob("*.py")}
+    assert _uncalled(modules, callers) == sorted(TEST_ONLY)
+
+
+def test_uncalled_detector_sees_one_test_only_function():
+    source = "def used():\n    pass\n\ndef unused():\n    pass\n\nclass K:\n    def run(self):\n        pass\n\n    def _own(self):\n        pass\n"
+    modules = {"m": ast.parse(source)}
+    assert _uncalled(modules, _referenced_names(ast.parse("from m import used\nused()\nK().run()\n"))) == ["m.unused"]
