@@ -43,19 +43,19 @@ built or loaded, so the error names the layer and no model exists unproven;
 and its GEMM exact in f64 at worst.
 
 Codes with spatial extent travel channels-last (NHWC), the layout integer
-engines use so that a patch copy moves contiguous channel runs.  The
-interpreter transposes the quantized (N, C, H, W) input once.  A conv2d
-builds its patch matrix with ``refnet.im2col``, whose rows order their
-columns (k, k, C_in), and consumes its weight in the same order through
-``FusedLayerParams.w_centred``, which takes it from ``refnet.weight_matrix``
-as the float reference's conv does; the GEMM's (N*H_out*W_out, C_out) result
-is NHWC as it stands.  avgpool sums its k*k strided slices in i64 with
-``refnet.window_sums``, from zero in (di, dj) row-major order: the order in
-which the float reference's avgpool sums its f32 slices.  flatten restores
-NCHW order before it reshapes, and so does the interpreter for a 4-D result,
-so linear weights, the fused record and the bundle on disk keep the float
-model's NCHW layout.  The GEMM is exact in any summation order, so the
-layout moves no bit.
+engines use so that a patch copy moves contiguous runs, k*C_in codes per
+window row.  The interpreter transposes the quantized (N, C, H, W) input
+once.  A conv2d builds its patch matrix in one copy with ``refnet.im2col``,
+whose rows order their columns (k, k, C_in), and consumes its weight in the
+same order through ``FusedLayerParams.w_centred``, which takes it from
+``refnet.weight_matrix`` as the float reference's conv does; the GEMM's
+(N*H_out*W_out, C_out) result is NHWC as it stands.  avgpool sums its k*k
+strided slices in i64 with ``refnet.window_sums``, from zero in (di, dj)
+row-major order: the order in which the float reference's avgpool sums its
+f32 slices.  flatten restores NCHW order before it reshapes, and so does the
+interpreter for a 4-D result, so linear weights, the fused record and the
+bundle on disk keep the float model's NCHW layout.  The GEMM is exact in any
+summation order, so the layout moves no bit.
 
 The interpreter runs a plan (``FusedModel.plan``), built on a model's first
 run and kept: one step per entry, a closure over what the entry needs.
@@ -660,8 +660,7 @@ def _holder(entry: FusedEntry):
 def _check_encoding(i, m0, shift):
     """EngineError unless M0 in [2^30, 2^31) and 1 <= shift <= 63, the inputs ``fixed_point_multiply`` rounds right."""
     m0, shift = np.asarray(m0), np.asarray(shift)
-    m0_ok = m0.min(initial=2**30) >= 2**30 and m0.max(initial=0) < 2**31  # initial: an empty layer passes
-    if not (m0_ok and shift.min(initial=1) >= 1 and shift.max(initial=1) <= 63):
+    if not (m0.min() >= 2**30 and m0.max() < 2**31 and shift.min() >= 1 and shift.max() <= 63):
         raise EngineError(f"layer {i}: multiplier (m0, shift) outside the fixed-point encoding")
 
 
@@ -709,14 +708,16 @@ class FusedModel:
                 if layer.w_q.dtype.kind not in "iu":
                     raise EngineError(f"layer {i}: weight codes are {layer.w_q.dtype}, not integers")
                 n = layer.out_channels
+                if layer.w_q.size == 0:
+                    raise EngineError(f"layer {i}: empty weight codes of shape {layer.w_q.shape} ({n} output channels)")
                 for k in _CHANNEL_KEYS:
                     if (shape := np.shape(getattr(layer, k.attr))) != (n,):
                         raise EngineError(f"layer {i}: {k.key} has shape {shape}, layer has {n} output channels")
-                if not 0 <= layer.z_w.min(initial=0) <= layer.z_w.max(initial=0) < 2**layer.w_bits:
+                if not 0 <= layer.z_w.min() <= layer.z_w.max() < 2**layer.w_bits:
                     raise EngineError(f"layer {i}: w_zero_points must be {layer.w_bits}-bit codes")
                 if not 0 <= layer.z_r < 2**layer.bitwidth:
                     raise EngineError(f"layer {i}: z_r {layer.z_r} is not a {layer.bitwidth}-bit code")
-                if not (layer.s_x > 0 and layer.s_r > 0 and layer.s_w.min(initial=1) > 0 and layer.alpha.min(initial=1) > 0):
+                if not (layer.s_x > 0 and layer.s_r > 0 and layer.s_w.min() > 0 and layer.alpha.min() > 0):
                     raise EngineError(f"layer {i}: scales and gains must be positive")
                 _check_encoding(i, layer.m0, layer.shift)
                 try:

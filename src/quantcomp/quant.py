@@ -164,8 +164,8 @@ def quantize_weights_per_channel(w, bitwidth):
     w = np.asarray(w, dtype=np.float64)
     if w.ndim < 2:
         raise QuantError("per-channel weight quantization needs a leading output-channel dim")
-    if w.shape[1:] and int(np.prod(w.shape[1:])) == 0:
-        raise QuantError("empty channel")
+    if w.size == 0:
+        raise QuantError(f"weight of shape {w.shape} has no output channel or an empty one")
     if not np.isfinite(w).all():
         raise QuantError("non-finite weights")
     flat = w.reshape(w.shape[0], -1)

@@ -82,6 +82,8 @@ class LayerSpec:
     def validate(self, index=None):
         if self.op_kind not in ALL_OPS:
             raise ShapeError(f"unknown op_kind {self.op_kind!r}", index)
+        if self.op_kind in PARAM_OPS and min(self.in_channels, self.out_channels) < 1:
+            raise ShapeError(f"{self.op_kind} has {self.in_channels} input and {self.out_channels} output channels", index)
         if self.op_kind == "linear":
             if self.weight is None or self.weight.shape != (self.out_channels, self.in_channels):
                 raise ShapeError("linear weight shape inconsistent with channel counts", index)
@@ -232,23 +234,19 @@ def im2col(x_hwc, kernel, stride, pad, pad_value=0.0):
     """(N, H, W, C) input -> (N, P, k*k*C) patch matrix, P = H_out*W_out; returns (cols, H_out, W_out).
 
     Each row orders its columns (k, k, C), as ``weight_matrix`` orders a conv
-    weight's: channels last, the layout integer engines use so that a patch
-    copy moves contiguous channel runs.  The input is padded into a copy,
-    then one strided slice copy per kernel offset moves C values for every
-    output position.  The matrix is C-contiguous and has the input's dtype,
-    so the integer path extracts patches on its u8/u16 codes; ``pad_value``
-    lets it pad with the zero-point code.
+    weight's: channels last, so a patch row is k runs of k*C adjacent values.
+    The input is padded into a copy, and its stride-sliced window view is
+    copied once in C order, a forced copy: ``ascontiguousarray`` would return
+    the read-only view itself at kernel 1, stride 1, pad 0.  The fresh,
+    writeable, C-contiguous matrix has the input's dtype, so the integer path
+    patches its u8/u16 codes, padded with the zero-point ``pad_value``.
     """
     n, h, w, c = x_hwc.shape
     h_out, w_out = window_positions(h, w, kernel, stride, pad)
     xp = np.full((n, h + 2 * pad, w + 2 * pad, c), pad_value, dtype=x_hwc.dtype)
     xp[:, pad : pad + h, pad : pad + w] = x_hwc
-    cols = np.empty((n, h_out, w_out, kernel, kernel, c), x_hwc.dtype)
-    h_span, w_span = stride * (h_out - 1) + 1, stride * (w_out - 1) + 1
-    for di in range(kernel):
-        for dj in range(kernel):
-            cols[:, :, :, di, dj] = xp[:, di : di + h_span : stride, dj : dj + w_span : stride]
-    return cols.reshape(n, h_out * w_out, kernel * kernel * c), h_out, w_out
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kernel, kernel), axis=(1, 2))[:, ::stride, ::stride]
+    return windows.transpose(0, 1, 2, 4, 5, 3).copy().reshape(n, h_out * w_out, kernel * kernel * c), h_out, w_out
 
 
 def weight_matrix(weight):
@@ -266,9 +264,9 @@ def layer_forward(layer: LayerSpec, x, index=None):
     """Run one layer on f32 input.
 
     conv2d takes (k, k, C) patches of the channels-last view of its NCHW input
-    (``im2col`` copies the input anyway) and multiplies them by
-    ``weight_matrix`` of its weight, the integer engine's layout; the
-    result is the NCHW view of the GEMM's NHWC output.
+    (``im2col`` pads it into a copy, so the view costs no copy of its own) and
+    multiplies them by ``weight_matrix`` of its weight, the integer engine's
+    layout; the result is the NCHW view of the GEMM's NHWC output.
 
     gelu is ``gelu`` cast back to the input dtype; its cube is two IEEE
     multiplies, as numpy's f32 ``pow`` is a CPU-dependent SIMD path.  avgpool

@@ -24,7 +24,7 @@ def im2col_loop(x, kernel, stride, pad, pad_value=0.0, channels_last=False):
     for i in range(h_out):
         for j in range(w_out):
             patch = xp[:, :, i * stride : i * stride + kernel, j * stride : j * stride + kernel]
-            cols[:, idx, :] = (patch.transpose(0, 2, 3, 1) if channels_last else patch).reshape(n, -1)
+            cols[:, idx, :] = (patch.transpose(0, 2, 3, 1) if channels_last else patch).reshape(n, c * kernel * kernel)
             idx += 1
     return cols, h_out, w_out
 

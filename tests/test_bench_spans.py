@@ -3,7 +3,8 @@
 bench/spans.py finds the engine's kernels by wrapping module-global names of
 ``quantcomp.intengine`` from outside.  If inference stopped calling one of
 them by that name, its ``PER_LAYER`` metrics would read 0; these tests trace
-one ``run_int_model`` call and require a span for each.  bench/spans.py is
+one ``run_int_model`` call and require a span for each, and one
+``intengine.im2col`` span per conv layer.  bench/spans.py is
 only imported, under a name of its own, and nothing under bench/ changes.
 """
 
@@ -44,6 +45,7 @@ def _conv():
     layers = [
         LayerSpec("conv2d", 2, 3, weight=rng.standard_normal((3, 2, 3, 3)).astype(np.float32), bias=np.zeros(3, np.float32), kernel=3, pad=1),
         LayerSpec("relu"),
+        LayerSpec("conv2d", 3, 3, weight=rng.standard_normal((3, 3, 3, 3)).astype(np.float32), bias=np.zeros(3, np.float32), kernel=3, pad=1),
         LayerSpec("avgpool", kernel=2, stride=2),
         LayerSpec("flatten"),
         LayerSpec("linear", 12, 3, weight=rng.standard_normal((3, 12)).astype(np.float32), bias=np.zeros(3, np.float32)),
@@ -65,3 +67,5 @@ def test_traced_inference_reaches_every_kernel_span(make):
     assert calls["intengine.run_int_model"] == 1
     assert {name: calls[name] > 0 for name in KERNELS} == {name: True for name in KERNELS}
     assert calls["intengine.integer_accumulate"] == len(model_f.param_layer_indices())
+    # the bench's intengine.im2col metrics need the engine to call im2col by that name, once per conv layer
+    assert calls["intengine.im2col"] == sum(layer.op_kind == "conv2d" for layer in model_f.layers)

@@ -951,6 +951,41 @@ class TestFusionSectionOwner:
         with pytest.raises(EngineError, match=want):
             fused_runtime(_edited(self._fused_conv(), entry, field, lambda v: value))
 
+    @pytest.mark.parametrize("entry, op", [(0, "conv2d"), (3, "linear")])
+    def test_zero_output_channels_are_named_errors(self, entry, op):
+        # before, each raised a bare ValueError from reshaping the empty weight to (0, -1)
+        from dataclasses import replace
+
+        from quantcomp.intengine import FUSED_RECORDS, FusedEntry, FusedModel, fused_runtime
+        from quantcomp.quant import QuantError
+        from quantcomp.refnet import LayerSpec, ShapeError, build_from_layers
+
+        fused = self._fused_conv()
+        model = fused_runtime(fused)
+        layer = model.entries[entry].layer
+        assert layer.op_kind == op
+        c_in, window = layer.w_q.shape[1], layer.w_q.shape[2:]
+        w = np.zeros((0, c_in, *window), np.float32)
+        spec = LayerSpec(op, c_in, 0, weight=w, bias=np.zeros(0, np.float32), kernel=layer.kernel, pad=layer.pad)
+        with pytest.raises(ShapeError, match=f"layer 0: {op} has {c_in} input and 0 output channels"):
+            build_from_layers([spec], (c_in, 4, 4) if window else (c_in,))
+        with pytest.raises(QuantError, match="no output channel"):
+            quantize_weights_per_channel(w, 8)
+
+        # the weight codes and every per-channel array the record stores, cut to 0 rows
+        record = fused.manifest["fusion"]["entries"][entry]
+        cut = [k for k in FUSED_RECORDS["param"] if k.form != "scalar" and record.get(k.key) in fused.blobs]
+        entries = list(model.entries)
+        entries[entry] = FusedEntry("param", layer=replace(layer, **{k.attr: getattr(layer, k.attr)[:0] for k in cut}))
+        want = f"layer {entry}: empty weight codes of shape \\(0, {c_in}.*\\) \\(0 output channels\\)"
+        with pytest.raises(EngineError, match=want):
+            FusedModel(model.input_params, entries, model.output_params)
+        loaded = fused
+        for k in cut:
+            loaded = _blob_replaced(loaded, entry, k.key, lambda blob: blob[:0])
+        with pytest.raises(EngineError, match=want):
+            fused_runtime(loaded)
+
     def test_bundle_with_the_dropped_keys_loads_to_the_same_logits(self, tmp_path):
         # a param record of the earlier format also held layer_index and a const_acc blob; undeclared keys are ignored
         from quantcomp.intengine import fused_runtime

@@ -104,8 +104,11 @@ def conv2d_direct(x, w, b, stride, pad):
 
 def _nhwc_input(dtype, seed, layout):
     """(2, 7, 6, 3) NHWC values: a contiguous array, the NHWC view of NCHW data
-    (what the float conv passes) or a strided slice of a taller array."""
+    (what the float conv passes) or a strided slice of a taller array; or an
+    empty batch, (0, 7, 6, 3)."""
     x = (np.random.default_rng(seed).random((2, 7, 6, 3)) * 250).astype(dtype)
+    if layout == "empty":
+        return x[:0]
     if layout == "nchw_view":
         return np.ascontiguousarray(x.transpose(0, 3, 1, 2)).transpose(0, 2, 3, 1)
     if layout == "strided":
@@ -116,7 +119,7 @@ def _nhwc_input(dtype, seed, layout):
 
 
 class TestIm2col:
-    @pytest.mark.parametrize("layout", ["contiguous", "nchw_view", "strided"])
+    @pytest.mark.parametrize("layout", ["contiguous", "nchw_view", "strided", "empty"])
     @pytest.mark.parametrize("dtype", [np.float32, np.uint8, np.uint16])
     @pytest.mark.parametrize("stride", [1, 2, 3])
     @pytest.mark.parametrize("pad", [0, 1, 2])
@@ -124,13 +127,14 @@ class TestIm2col:
     def test_byte_equal_to_position_loop(self, layout, dtype, stride, pad, kernel):
         pad_value = 7 if pad else 0  # a zero-point code, as the integer path pads with
         x = _nhwc_input(dtype, [kernel, stride, pad], layout)
-        assert x.flags.c_contiguous == (layout == "contiguous")
+        assert x.flags.c_contiguous == (layout in ("contiguous", "empty"))
         before = x.copy()
         got, h_out, w_out = im2col(x, kernel, stride, pad, pad_value=pad_value)
         want, h_want, w_want = im2col_loop(x, kernel, stride, pad, pad_value=pad_value, channels_last=True)
         assert (h_out, w_out) == (h_want, w_want)
         assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.flags.c_contiguous and not np.shares_memory(got, x)
+        # a fresh array even where the window view is contiguous already (kernel 1, stride 1, pad 0)
+        assert got.flags.c_contiguous and got.flags.writeable and not np.shares_memory(got, x)
         assert got.tobytes() == want.tobytes() and x.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("kernel", [1, 2, 3])
