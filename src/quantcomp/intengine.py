@@ -78,10 +78,10 @@ no step of its own: ``max(z, clip(r, 0, q)) == clip(r, z, q)`` for a code
 z, so z becomes the lower bound of that requantize's clip.
 relu (after any other entry), gelu, avgpool (which calls
 ``fixed_point_multiply``) and flatten are one step each.
-The sign step of the half-away rounding runs only where a negative tie can
-reach an output code: not on avgpool's sums, which are never negative, and
-not on a layer whose clip floor is at least Z_r or whose multipliers admit
-no tie on an i32 accumulator (see ``requantize``).
+The sign step of the half-away rounding, p += p >> 63, runs only where a
+negative tie can reach an output code: not on avgpool's sums, which are never
+negative, and not on a layer whose clip floor is at least Z_r or whose
+multipliers admit no tie on an i32 accumulator (see ``requantize``).
 The steps find the kernels by their module-global names at each call, so a
 tracer that rebinds them sees every call.
 
@@ -129,7 +129,7 @@ from functools import cached_property
 import numpy as np
 
 from .compensate import ChannelAffineParams, identity_compensation
-from .quant import QuantParams, code_dtype, quantize_uniform
+from .quant import QuantParams, code_dtype, dequantize, quantize_uniform
 from .refnet import (
     GRID_KEYS, PARAM_OPS, ModelBundle, RecordKey, gelu, im2col, read_record, reading_section, weight_matrix,
     window_positions, window_sums, write_record,
@@ -142,6 +142,7 @@ INT32_MAX = 2**31 - 1
 # 4 and 6 MiB; the u8 patches, the float GEMM result and the requantize temporaries, which the
 # budget leaves out, add about half as much again
 BLOCK_BYTES = 4 * 2**20
+_SIGN_BIT = np.array(63, np.int64)  # i64 p >> 63 is -1 where p < 0, else 0; 0-d, so no ufunc call converts it
 
 
 class EngineError(Exception):
@@ -169,9 +170,11 @@ class IntActivationParams:
 
 
 def round_half_away(x):
-    """Nearest integer, ties away from zero (the engine's requantization rounding)."""
+    """Nearest integer, ties away from zero (the engine's requantization rounding), in one temporary."""
     x = np.asarray(x, dtype=np.float64)
-    return np.copysign(np.floor(np.abs(x) + 0.5), x)
+    r = np.abs(x, out=np.empty_like(x))  # the one temporary, an array even for a 0-d x
+    r += 0.5
+    return np.copysign(np.floor(r, out=r), x, out=r)
 
 
 def accumulator_scale(s_x, s_w):
@@ -216,12 +219,13 @@ def fixed_point_multiply(v, m0, shift, nudge=None, sign_step=True):
     broadcasting against the last axis of ``v``; ``requantize`` passes
     scalars for the shift and the nudge where its layer allows
     (``FusedLayerParams.requant_rows``).  ``v`` must hold integers; they are
-    multiplied straight into i64, and floats raise ``EngineError``.  The
-    caller keeps |v * M0| + nudge below 2^63: an i32 value times an M0 below
-    2^31, with the plain rounding half, always does.
+    multiplied into i64, an i64 ``v`` by a plain product, and floats raise
+    ``EngineError``.  The caller keeps |v * M0| + nudge below 2^63: an i32
+    value times an M0 below 2^31, with the plain rounding half, always does.
     Branch-free: for p < 0, -((|p| + h) >> s) equals (p + h - 1) >> s with
-    h = 2^(s-1), so negative products take one extra -1 (the sign step)
-    before the shared nudge-and-shift.  ``nudge``, when given, replaces h; a
+    h = 2^(s-1), so negative products take one extra -1, the sign step p +=
+    p >> 63 (-1 exactly where p < 0; one i64 pass, no bool temporary), before
+    the shared nudge-and-shift.  ``nudge``, when given, replaces h; a
     nudge of h + (z << s) returns the result plus z exactly, because z << s
     is a multiple of 2^s.
 
@@ -235,9 +239,9 @@ def fixed_point_multiply(v, m0, shift, nudge=None, sign_step=True):
     v = np.asarray(v)
     if v.dtype.kind not in "iu":
         raise EngineError(f"fixed-point multiply fed {v.dtype} values, not integers")
-    p = np.multiply(v, m0, dtype=np.int64)
+    p = v * m0 if v.dtype == np.int64 else np.multiply(v, m0, dtype=np.int64)
     if sign_step:
-        p -= p < 0
+        p += p >> _SIGN_BIT
     p += (np.int64(1) << (shift - 1)) if nudge is None else nudge
     p >>= shift
     return p
@@ -330,9 +334,9 @@ class FusedLayerParams:
         return w.astype(np.float32) if (hi - lo).max(initial=0.0) <= 2.0**24 else w
 
     @cached_property
-    def acc_offset(self):
-        """The proof's offset ``-Z_x sum_j (W_q - Z_W)[c, j] + bias_acc[c]`` as one (1, C_out) i64 row."""
-        return self.acc_bounds[2].astype(np.int64)[None, :]
+    def gemm_operands(self):
+        """``w_centred.T`` and the proof's offset ``-Z_x sum_j (W_q - Z_W)[c, j] + bias_acc[c]`` as one (1, C_out) i64 row."""
+        return self.w_centred.T, self.acc_bounds[2].astype(np.int64)[None, :]
 
     @cached_property
     def requant_rows(self):
@@ -383,6 +387,10 @@ class FusedLayerParams:
         """The dtype of this layer's output codes."""
         return code_dtype(self.bitwidth)
 
+    @cached_property
+    def code_max(self):  # requantize's clip ceiling 2^b - 1, a 0-d i64 like the scalars of ``requant_rows``
+        return np.array(2**self.bitwidth - 1, np.int64)
+
 
 @dataclass
 class InferenceTrace:
@@ -407,7 +415,7 @@ def integer_accumulate(x_q, layer: FusedLayerParams, trace: InferenceTrace | Non
     """Accumulators of i32 range, held in i64, for a (N, C_eff) matrix of ``in_bits`` codes; exact integer results.
 
     ``acc = x_q @ (W_q - Z_W)^T + off``, where the i64 row
-    ``FusedLayerParams.acc_offset`` holds the input-independent terms.  The
+    of ``FusedLayerParams.gemm_operands`` holds the input-independent terms.  The
     product runs as a float GEMM in the width of ``FusedLayerParams.w_centred``:
     f32 when every partial sum is an integer of magnitude at most 2^24, else
     f64 (below 2^53), so it is exact whatever order BLAS sums in.
@@ -422,16 +430,16 @@ def integer_accumulate(x_q, layer: FusedLayerParams, trace: InferenceTrace | Non
     x_q = np.asarray(x_q)
     if x_q.dtype.kind not in "iu":
         raise EngineError(f"{layer.op_kind}: integer kernel fed {x_q.dtype} input")
-    w = layer.w_centred
-    if x_q.ndim != 2 or x_q.shape[1] != w.shape[1]:
-        raise EngineError(f"{layer.op_kind}: accumulate expects (N, {w.shape[1]}), got {x_q.shape}")
+    w, offset = layer.gemm_operands
+    if x_q.ndim != 2 or x_q.shape[1] != w.shape[0]:
+        raise EngineError(f"{layer.op_kind}: accumulate expects (N, {w.shape[0]}), got {x_q.shape}")
     if trace is not None:
         trace.gemm_macs += x_q.shape[0] * w.shape[0] * w.shape[1]
     # np.dot, not @: the same BLAS GEMM with less per-call overhead on batch-1 rows.
     # A cast, then an in-place add: one np.add(..., dtype=np.int64, casting="unsafe")
     # runs through numpy's buffered cast and measured slower at every batch size
-    acc = np.dot(x_q.astype(w.dtype), w.T).astype(np.int64)
-    acc += layer.acc_offset
+    acc = np.dot(x_q.astype(w.dtype), w).astype(np.int64)
+    acc += offset
     return acc
 
 
@@ -480,11 +488,11 @@ def requantize(acc, layer: FusedLayerParams, trace: InferenceTrace | None = None
         r += layer.z_r
     else:
         m0, shift, nudge, z_after, tie_free = layer.requant_rows
-        r = fixed_point_multiply(acc, m0, shift, nudge, sign_step=not (tie_free or layer.z_r <= lo))
+        r = fixed_point_multiply(acc, m0, shift, nudge, sign_step=not (tie_free or layer.z_r <= int(lo)))
         if z_after:
             r += z_after
-    np.maximum(r, lo, out=r)  # the clip as two ufuncs: np.clip adds per-call overhead
-    np.minimum(r, 2**layer.bitwidth - 1, out=r)
+    np.maximum(r, lo, out=r)  # the clip as two ufuncs on 0-d bounds: np.clip adds per-call overhead
+    np.minimum(r, layer.code_max, out=r)
     return r.astype(layer.out_dtype)
 
 
@@ -775,7 +783,7 @@ def _param_step(i, entry, lo=0):
     as one block, and so does every call with a ``tap``, which sees the whole
     layer; otherwise the blocks write their codes into one output array.
     """
-    layer = entry.layer
+    layer, lo = entry.layer, np.array(lo, np.int64)  # the clip floor as a 0-d i64, as ``code_max``
     c_out, c_in = layer.w_q.shape[:2]
     gemm = layer.w_centred
     row_bytes = gemm.shape[1] * gemm.itemsize + 8 * c_out
@@ -863,9 +871,7 @@ def _interpret(model: FusedModel, x, trace: InferenceTrace, tap=None):
         x_q = x_q.transpose(0, 2, 3, 1)  # 4-D codes travel NHWC between entries
     for step in model.plan:
         x_q = step(x_q, trace, tap)
-    x_q = _nchw(x_q)
-    p = model.output_params
-    return ((x_q.astype(np.float64) - p.z) * p.s).astype(np.float32)
+    return dequantize(_nchw(x_q), model.output_params.quant_params)
 
 
 def run_int_model(model: FusedModel, x, trace: InferenceTrace | None = None):

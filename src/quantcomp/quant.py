@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -89,6 +90,13 @@ class QuantParams:
     def qmax(self):
         return 2**self.bitwidth - 1
 
+    @cached_property
+    def operands(self):
+        """(s, z, 0, qmax, code dtype), kept: f64 s (a view), z and clip bounds, 0-d per tensor, which no ufunc call converts."""
+        shape = () if self.scheme == "per_tensor" else self.scales.shape
+        s, z = self.scales.reshape(shape), self.zero_points.astype(np.float64).reshape(shape)
+        return s, z, np.zeros(()), np.array(float(self.qmax)), code_dtype(self.bitwidth)
+
     def scalar(self):
         """(s, z) for per_tensor params."""
         if self.scheme != "per_tensor":
@@ -123,16 +131,14 @@ def tensor_params(x, bitwidth, estimator=RangeEstimator()) -> QuantParams:
 
 
 def _broadcast_params(params: QuantParams, x):
-    """Scales/zero-points broadcast against x's leading channel axis."""
+    """``params.operands`` with the scales and zero-points broadcast against x's leading channel axis."""
     if params.scheme == "per_tensor":
-        return params.scales[0], params.zero_points[0]  # np.float64 and np.int64, as __post_init__ stores them
+        return params.operands
     if x.shape[0] != len(params.scales):
         raise QuantError(f"per_channel params (C={len(params.scales)}) do not match leading dim of {x.shape}")
     extra = (1,) * (x.ndim - 1)
-    return (
-        params.scales.astype(np.float64).reshape(-1, *extra),
-        params.zero_points.reshape(-1, *extra),
-    )
+    s, z, *rest = params.operands
+    return s.reshape(-1, *extra), z.reshape(-1, *extra), *rest
 
 
 def quantize_uniform(x, params: QuantParams):
@@ -140,23 +146,26 @@ def quantize_uniform(x, params: QuantParams):
     x = np.asarray(x, dtype=np.float64)
     if not np.isfinite(x).all():
         raise QuantError("non-finite input")
-    s, z = _broadcast_params(params, x)
+    s, z, lo, hi, dtype = _broadcast_params(params, x)
     # np.rint is np.round at 0 decimals; rint, the offset and the clip all run
     # in place, and the clip as two ufuncs (np.clip's per-call overhead is
     # larger at batch 1) gives the same values, as no NaN got this far
     q = np.divide(x, s, out=np.empty_like(x))  # an array even for a 0-d x
     np.rint(q, out=q)
     q += z
-    np.maximum(q, 0, out=q)
-    np.minimum(q, params.qmax, out=q)
-    return q.astype(code_dtype(params.bitwidth))
+    np.maximum(q, lo, out=q)
+    np.minimum(q, hi, out=q)
+    return q.astype(dtype)
 
 
 def dequantize(codes, params: QuantParams):
-    """x_hat = s * (q - z), as f32."""
+    """x_hat = s * (q - z), as f32; the subtract and the multiply run in place on one f64 copy."""
     codes = np.asarray(codes)
-    s, z = _broadcast_params(params, codes)
-    return ((codes.astype(np.float64) - z) * s).astype(np.float32)
+    s, z, *_ = _broadcast_params(params, codes)
+    x = codes.astype(np.float64)
+    x -= z
+    x *= s
+    return x.astype(np.float32)
 
 
 def quantize_weights_per_channel(w, bitwidth):

@@ -94,6 +94,25 @@ class TestMultiplierEncoding:
         x = np.array([0.5, 1.5, -0.5, -1.5, 2.4, -2.4])
         assert np.array_equal(round_half_away(x), [1, 2, -1, -2, 2, -2])
 
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        st.lists(
+            st.floats(allow_nan=False)
+            | st.integers(-(2**52), 2**52 - 1).map(lambda k: k + 0.5)  # ties +-(k + 0.5), exact below 2^52
+            | st.sampled_from([0.0, -0.0, 0.5 - 2**-54, -(0.5 - 2**-54)])
+            | st.floats(2.0**52, 2.0**1000).flatmap(lambda a: st.sampled_from([a, -a])),  # already integers
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_round_half_away_is_the_four_temporary_formula_bit_for_bit(self, values):
+        # the in-place form against the formula it replaced, sign of zero included
+        x = np.array(values)
+        want = np.copysign(np.floor(np.abs(x) + 0.5), x)
+        got = round_half_away(x)
+        assert got.dtype == np.float64 and got.shape == x.shape and got.tobytes() == want.tobytes()
+        assert round_half_away(x[:1].reshape(())).tobytes() == want[0].tobytes()  # 0-d input
+
 
 def simple_layer(
     w_q, z_w, z_x, z_r, m, bias=None, bits=8, s_x=1.0, s_w=None, s_r=None, alpha=None, beta=None, w_bits=None, in_bits=None
@@ -334,6 +353,60 @@ class TestRequantize:
         assert np.array_equal(requantize(acc, layer, lo=floor), np.clip(want, floor, qmax))
 
 
+def _frozen(arrays):
+    """Each array made read-only, paired with a copy of its bytes, so that a write raises and a change shows."""
+    for a in arrays:
+        a.flags.writeable = False
+    return [(a, a.copy()) for a in arrays]
+
+
+class TestKernelsLeaveTheirInputs:
+    @pytest.mark.parametrize("beta", [None, np.array([0.25, -0.5])])  # fixed-point and real-valued requantize
+    def test_no_kernel_writes_into_its_arguments(self, beta):
+        # the kernels run in place only on arrays they made: the input, the codes, the
+        # accumulators, the clip floor, the grid and every array the layer keeps are
+        # read-only here, and each is compared with its copy after the calls
+        rng = np.random.default_rng(5)
+        layer = simple_layer(rng.integers(0, 256, (2, 6)), z_w=[120, 7], z_x=9, z_r=100, m=[0.003, 0.0071], beta=beta)
+        grid = QuantParams(8, "per_tensor", [0.05], [128])
+        requantize(integer_accumulate(quantize_uniform(np.zeros((1, 6)), grid), layer), layer)  # builds what both keep
+        kept = [a for v in (*vars(layer).values(), *vars(grid).values()) for a in (v if isinstance(v, tuple) else (v,))]
+        x = rng.normal(0, 3, (4, 6))
+        x0d = np.array(x[0, 0])
+        lo = np.array(110, np.int64)
+        pairs = _frozen([x, x0d, lo, *(a for a in kept if isinstance(a, np.ndarray))])
+        assert quantize_uniform(x0d, grid).shape == ()
+        codes = quantize_uniform(x, grid)
+        pairs += _frozen([codes])
+        acc = integer_accumulate(codes, layer)
+        pairs += _frozen([acc])
+        for floor in (0, lo):
+            requantize(acc, layer, lo=floor)
+        fixed_point_multiply(acc, layer.m0[None, :], layer.shift[None, :])
+        assert all(a.tobytes() == copy.tobytes() for a, copy in pairs)
+
+    @pytest.mark.parametrize("rounding", [True, False])
+    def test_tapped_accumulators_outlive_the_run(self, rounding):
+        # sim_forward's tap keeps each param entry's accumulators; the run that follows must leave them as shown
+        from quantcomp.calibrate import CalibrationConfig, calibrate_model, fuse_model
+        from quantcomp.intengine import _interpret, fused_runtime
+        from quantcomp.refnet import build_mlp
+
+        model_f = build_mlp((4, 8, 8, 3), rng=np.random.default_rng(2))
+        calib = np.random.default_rng(3).standard_normal((64, 4)).astype(np.float32)
+        model = fused_runtime(fuse_model(calibrate_model(model_f, CalibrationConfig(sample_count=64), calib), beta_rounding=rounding))
+        seen = []
+
+        def tap(i, x_q, acc, layer):
+            seen.extend(_frozen([x_q, acc]))
+            return layer
+
+        x = np.random.default_rng(4).standard_normal((16, 4)).astype(np.float32)
+        got = _interpret(model, x, InferenceTrace(), tap)
+        assert len(seen) == 6 and all(a.tobytes() == copy.tobytes() for a, copy in seen)
+        assert got.tobytes() == run_int_model(model, x)[0].tobytes()
+
+
 def _full_i32_layer(m, z_r, bits):
     """A layer with multipliers ``m`` whose proven accumulator bounds are all of i32 on every channel."""
     c = len(m)
@@ -558,6 +631,40 @@ class TestFixedPointMultiplyBranchFree:
         v[2] = -(2**31)
         got = fixed_point_multiply(v, m0[None, :], shift[None, :])
         assert np.array_equal(got, _reference_fixed_point_multiply(v, m0[None, :], shift[None, :]))
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        m0=st.integers(2**30, 2**31 - 1) | st.integers(1, 2**31 - 1).map(lambda m: m << (31 - m.bit_length())),
+        b=st.integers(0, 62),
+        odd=st.lists(st.integers(0, 2**62), min_size=1, max_size=8),
+        drawn=st.lists(st.integers(-(2**63), 2**63 - 1), max_size=8),
+        dtype=st.sampled_from([np.int64, np.int32, np.uint8]),
+        shift_0d=st.booleans(),
+        sign_step=st.booleans(),
+    )
+    @example(m0=2**30, b=32, odd=[0, 1, 2**20], drawn=[], dtype=np.int64, shift_0d=True, sign_step=True)
+    @example(m0=3 * 2**29, b=0, odd=[0, 2**30], drawn=[-(2**31)], dtype=np.int32, shift_0d=False, sign_step=True)
+    def test_shift_sign_step_matches_the_abs_where_form(self, m0, b, odd, drawn, dtype, shift_0d, sign_step):
+        # negative ties v * M0 = -(2k + 1) 2^(shift - 1), products within a few M0 of +-2^62,
+        # the dtype's extremes and draws, on i64 (plain product) and i32/u8 (np.multiply to i64)
+        # inputs: the sign step p += p >> 63 rounds every tie as the abs/where form does, and
+        # without it a negative tie rounds up, every other product as with it
+        a = (m0 & -m0).bit_length() - 1  # M0 = o * 2^a with o odd, so v = -(2k + 1) 2^b is a tie at shift a + b + 1
+        shift = a + b + 1
+        assume(shift <= 63)
+        info = np.iinfo(dtype)
+        edge = (2**62 // m0) * np.array([-1, 1])
+        candidates = [-(2 * k + 1) * 2**b for k in odd] + [int(e) + d for e in edge for d in (-1, 0, 1)]
+        candidates += [0, 1, -1, info.min, info.max, *drawn]
+        # in the dtype, and |v * M0| + 2^(shift - 1) below 2^63, the caller's side of the contract
+        v = [c for c in candidates if info.min <= c <= info.max and abs(c * m0) + 2 ** (shift - 1) < 2**63]
+        event(f"{len([c for c in v if c < 0 and (c * m0) % 2**shift == 2 ** (shift - 1)])} negative ties kept")
+        v = np.array(v, dtype=dtype)
+        got = fixed_point_multiply(v, m0, np.array(shift, np.int64) if shift_0d else shift, sign_step=sign_step)
+        want = _reference_fixed_point_multiply(v, m0, shift)
+        if not sign_step:
+            want = want + np.array([p < 0 and p % 2**shift == 2 ** (shift - 1) for p in (int(x) * m0 for x in v)])
+        assert got.dtype == np.int64 and np.array_equal(got, want)
 
     def test_scalar_multiplier_on_pool_sums(self):
         # avgpool's use: non-negative sums, one scalar (M0, shift)

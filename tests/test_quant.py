@@ -143,6 +143,27 @@ class TestQuantizeDequantize:
         with pytest.raises(QuantError):
             quantize_uniform(np.zeros((3, 4)), p)
 
+    @pytest.mark.parametrize("bits", [2, 4, 8, 12, 16])
+    def test_per_tensor_grid_gives_the_scalar_formula_bytes(self, bits):
+        # the per-tensor s and z reach the ufuncs as 0-d f64 arrays; codes and values are
+        # byte for byte those of the formula on the numpy scalars scales[0] and zero_points[0]
+        rng = np.random.default_rng(bits)
+        x = np.concatenate([rng.normal(0.5, 3.0, 200), [0.0, -0.0, 1e6, -1e6]])
+        p = tensor_params(x[:200], bits)
+        s, z = p.scales[0], p.zero_points[0]
+        want = np.clip(np.rint(x / s) + z, 0, p.qmax).astype(code_dtype(bits))
+        got = quantize_uniform(x, p)
+        assert got.dtype == code_dtype(bits) and got.tobytes() == want.tobytes()
+        want_x = ((want.astype(np.float64) - z) * s).astype(np.float32)
+        assert dequantize(got, p).tobytes() == want_x.tobytes()
+        for i in (0, 1, 201, 203):  # a 0-d input keeps its shape: a shape-() code array
+            for v in (x[i], np.array(x[i]), float(x[i])):
+                code = quantize_uniform(v, p)
+                assert isinstance(code, np.ndarray) and code.shape == () and code.dtype == code_dtype(bits)
+                assert code == want[i]
+                back = dequantize(code, p)
+                assert back.shape == () and back.dtype == np.float32 and back.tobytes() == want_x[i].tobytes()
+
 
 class TestPerChannelWeights:
     def test_distinct_ranges_get_distinct_scales(self):
@@ -187,6 +208,11 @@ class TestPerChannelWeights:
             s, z = _affine_from_bounds(float(w[c].min()), float(w[c].max()), bits)
             assert p.scales[c] == s and p.zero_points[c] == z
         assert np.all(dequantize(codes, p)[3] == np.float32(0.7))  # a constant value dequantizes exactly
+        # codes and values byte for byte those of the formula on the broadcast per-channel arrays
+        s, z = p.scales.reshape(-1, 1, 1, 1), p.zero_points.reshape(-1, 1, 1, 1)
+        want = np.clip(np.rint(w / s) + z, 0, p.qmax).astype(code_dtype(bits))
+        assert codes.dtype == want.dtype and codes.tobytes() == want.tobytes()
+        assert dequantize(codes, p).tobytes() == ((want.astype(np.float64) - z) * s).astype(np.float32).tobytes()
 
     def test_one_signed_and_constant_channels_keep_their_values(self):
         # the grid used to span only [min, max]: 0.5 came back as 0.400 and the constant 0.24 as 0.000243
