@@ -131,7 +131,7 @@ import numpy as np
 from .compensate import ChannelAffineParams, identity_compensation
 from .quant import QuantParams, code_dtype, dequantize, quantize_uniform
 from .refnet import (
-    GRID_KEYS, PARAM_OPS, ModelBundle, RecordKey, gelu, im2col, read_record, reading_section, weight_matrix,
+    GRID_KEYS, LAYER_KIND, PARAM_OPS, ModelBundle, RecordKey, gelu, im2col, read_record, reading_section, weight_matrix,
     window_positions, window_sums, write_record,
 )
 
@@ -624,7 +624,7 @@ class FusedEntry:
 # the fusion section's ``beta_rounding``.
 FUSED_RECORDS = {
     "param": (
-        RecordKey("op_kind", "op_kind", "scalar", str),
+        LAYER_KIND,
         RecordKey("weight_codes", "w_q", "blob", blob="layer{i}.wq"),
         RecordKey("w_bits", "w_bits", "scalar", int),
         RecordKey("w_scales", "s_w", "channels", np.float64, blob="entry{i}.w_scales"),

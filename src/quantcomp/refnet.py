@@ -3,11 +3,11 @@
 A model lives on disk as a directory with a ``manifest.json`` and one blob
 file, ``tensors.bin``, of every array's raw little-endian bytes at the offset
 its ``tensors`` entry gives.  In memory it is a :class:`ModelBundle`
-(manifest dict + blob dict); layer views are resolved on demand.
+(manifest dict + blob dict) whose float layers are parsed once, on first use.
 
-It also owns the record mechanism that the quantization, compensation and
-fusion sections go through: each section's owner declares its records once, as
-tuples of :class:`RecordKey`, which ``write_record`` and ``read_record`` follow.
+It also owns the record mechanism of the layers, quantization, compensation and
+fusion sections: each section's owner declares its records once, as tuples of
+:class:`RecordKey` (here ``LAYER_RECORDS``), which ``write_record`` and ``read_record`` follow.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import shutil
 import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass, field, asdict
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -38,8 +39,6 @@ KIND_TO_DTYPE = {
 DTYPE_TO_KIND = {v: k for k, v in KIND_TO_DTYPE.items()}
 
 PARAM_OPS = ("linear", "conv2d")
-ACTIVATION_OPS = ("relu", "gelu")
-ALL_OPS = PARAM_OPS + ACTIVATION_OPS + ("avgpool", "flatten")
 # the manifest sections the pipeline adds, in order; each is built from the ones before it
 PIPELINE_SECTIONS = ("quantization", "compensation", "fusion")
 
@@ -80,7 +79,7 @@ class LayerSpec:
     pad: int = 0
 
     def validate(self, index=None):
-        if self.op_kind not in ALL_OPS:
+        if self.op_kind not in LAYER_RECORDS:
             raise ShapeError(f"unknown op_kind {self.op_kind!r}", index)
         if self.op_kind in PARAM_OPS and min(self.in_channels, self.out_channels) < 1:
             raise ShapeError(f"{self.op_kind} has {self.in_channels} input and {self.out_channels} output channels", index)
@@ -105,7 +104,13 @@ class LayerSpec:
 
 @dataclass
 class ModelBundle:
-    """Manifest + blobs; the single on-disk/in-memory model representation."""
+    """Manifest + blobs; the single on-disk/in-memory model representation.
+
+    ``layers`` parses the ``layers`` section once and keeps the result: the
+    section is fixed once a bundle is built, as no code writes it afterwards
+    and ``derive`` never replaces it (it is not in ``PIPELINE_SECTIONS``).
+    Every caller gets the same ``LayerSpec`` objects, and none modifies them.
+    """
 
     manifest: dict
     blobs: dict[str, np.ndarray] = field(default_factory=dict)
@@ -115,9 +120,14 @@ class ModelBundle:
             raise BundleError(f"manifest references missing blob {name!r}")
         return self.blobs[name]
 
-    @property
+    @cached_property
     def layers(self):
-        return [self._layer(i) for i in range(len(self.manifest["layers"]))]
+        """The float layers as ``LayerSpec``s (an unlisted kind reads bare, for ``validate`` to reject)."""
+        specs = []
+        for i, entry in enumerate(self.manifest["layers"]):
+            kind = LAYER_KIND.read(f"layer {i}:", entry, self)
+            specs.append(LayerSpec(kind, **read_record(LAYER_RECORDS.get(kind, ()), f"layer {i}:", entry, self)))
+        return specs
 
     @property
     def stage(self):
@@ -146,24 +156,8 @@ class ModelBundle:
                 kept.pop(name, None)
         return ModelBundle(manifest, kept)
 
-    def _layer(self, i):
-        entry = self.manifest["layers"][i]
-        spec = LayerSpec(
-            op_kind=entry["op_kind"],
-            in_channels=entry.get("in_channels", 0),
-            out_channels=entry.get("out_channels", 0),
-            kernel=entry.get("kernel", 0),
-            stride=entry.get("stride", 1),
-            pad=entry.get("pad", 0),
-        )
-        if "weight" in entry:
-            spec.weight = self.tensor(entry["weight"])
-        if "bias" in entry:
-            spec.bias = self.tensor(entry["bias"])
-        return spec
-
     def param_layer_indices(self):
-        return [i for i, e in enumerate(self.manifest["layers"]) if e["op_kind"] in PARAM_OPS]
+        return [i for i, layer in enumerate(self.layers) if layer.op_kind in PARAM_OPS]
 
 
 # ---------------------------------------------------------------------------
@@ -333,36 +327,21 @@ def _strings(value):
 
 
 def build_from_layers(layers, input_shape, name="model", metadata=None):
-    """Assemble a ModelBundle from LayerSpec objects, registering blobs."""
+    """Assemble a ModelBundle from LayerSpec objects through ``LAYER_RECORDS``; ``ShapeError`` names a value it cannot keep."""
+    blobs, entries = {}, []
+    for i, spec in enumerate(layers):
+        try:
+            entries.append(write_record((LAYER_KIND, *LAYER_RECORDS.get(spec.op_kind, ())), i, spec, blobs))
+        except ValueError as e:
+            raise ShapeError(str(e), i) from None
     manifest = {
         "format_version": FORMAT_VERSION,
         "name": name,
         "input_shape": list(input_shape),
         "metadata": metadata or {},
-        "layers": [],
-        "tensors": {},
+        "layers": entries,
+        "tensors": {blob: _tensor_entry(arr) for blob, arr in blobs.items()},
     }
-    blobs = {}
-    for i, spec in enumerate(layers):
-        entry = {"op_kind": spec.op_kind}
-        if spec.op_kind in PARAM_OPS:
-            entry["in_channels"] = spec.in_channels
-            entry["out_channels"] = spec.out_channels
-        if spec.op_kind == "conv2d" or spec.op_kind == "avgpool":
-            entry["kernel"] = spec.kernel
-            entry["stride"] = spec.stride
-            entry["pad"] = spec.pad
-        if spec.weight is not None:
-            wname = f"layer{i}.weight"
-            blobs[wname] = np.ascontiguousarray(spec.weight, dtype=np.float32)
-            manifest["tensors"][wname] = _tensor_entry(blobs[wname])
-            entry["weight"] = wname
-        if spec.bias is not None:
-            bname = f"layer{i}.bias"
-            blobs[bname] = np.ascontiguousarray(spec.bias, dtype=np.float32)
-            manifest["tensors"][bname] = _tensor_entry(blobs[bname])
-            entry["bias"] = bname
-        manifest["layers"].append(entry)
     bundle = ModelBundle(manifest, blobs)
     validate_bundle(bundle)
     return bundle
@@ -521,9 +500,10 @@ def bundles_equal(a: ModelBundle, b: ModelBundle) -> bool:
 # ---------------------------------------------------------------------------
 # manifest records
 
-# what a value read with each dtype must be, as errors say it; a float's must be finite
-_MUST = {bool: "be true or false"}
+# what a value of each dtype must be, as errors say it; a float's must be finite
+_MUST = {bool: "be true or false", str: "be a string"}
 _MUST.update(dict.fromkeys((int, np.int32, np.int64), "hold integers"))
+_BOOLS = frozenset((bool, np.bool_))  # the only types a bool key takes, and no other key
 
 
 @dataclass(frozen=True)
@@ -533,12 +513,15 @@ class RecordKey:
     ``form`` is ``scalar`` (inline, converted with ``dtype``), ``channels`` (a
     1-D blob of ``dtype``, read back through a safe cast, so floats in an
     integer key or i64 in an i32 key fail instead of truncating) or ``blob``
-    (an array blob kept as built).  The record holds a blob's name,
+    (an array blob, made contiguous in ``dtype`` if it has one, and read back
+    as stored).  The record holds a blob's name,
     ``blob.format(i=record position)``.  Only a key with a ``default`` may be
-    missing; a key that no table declares is ignored.  An integer
-    scalar rejects ``8.9`` or ``"8"`` instead of truncating or parsing it
-    (``8.0`` reads as ``8``), a float key NaN and infinities, and a ``bool``
-    scalar all but true and false.
+    missing; a key that no table declares is ignored.  A scalar is read and
+    written only if the conversion keeps its value: an integer key rejects
+    ``8.9`` or ``"8"`` instead of truncating or parsing it (``8.0`` reads as
+    ``8``), a float key NaN, infinities and strings, and a string key
+    numbers.  ``true`` and ``np.bool_`` are no numbers, and only a ``bool``
+    key, which rejects all else, takes them.
     """
 
     key: str
@@ -549,12 +532,14 @@ class RecordKey:
     default: object = None
 
     def write(self, i, holder, blobs):
-        """This key's manifest value for record ``i``; a blob it names goes into ``blobs``."""
+        """This key's manifest value for record ``i``, which must read back as given; a blob it names goes into ``blobs``."""
         value = getattr(holder, self.attr)
         if self.form == "scalar":
-            return self.dtype(value)
+            return self._scalar(value)
+        if value is None:
+            raise ValueError(f"{self.key} must be an array, got None")
         name = self.blob.format(i=i)
-        blobs[name] = value if self.form == "blob" else np.asarray(value, dtype=self.dtype)
+        blobs[name] = np.asarray(value, self.dtype) if self.form == "channels" else np.ascontiguousarray(value, self.dtype)
         return name
 
     def read(self, where, record, bundle):
@@ -565,34 +550,34 @@ class RecordKey:
         value is not of the key's kind.
         """
         raw = record[self.key] if self.default is None or self.key in record else self.default
-        if self.form in ("channels", "blob"):
-            if not isinstance(raw, str) or raw not in bundle.blobs:
-                raise ValueError(f"{where} {self.key} must name a blob, got {raw!r}")
-            if self.form == "blob":
-                return bundle.blobs[raw]
-            raw = bundle.blobs[raw]
-        try:
-            if self.form == "channels":
-                value = raw.astype(self.dtype, casting="safe")
-            else:
-                value = self.dtype(raw)
-            holds = self._holds(value, raw)
-        except (TypeError, ValueError, OverflowError):
-            holds = False
-        if not holds:
-            got = f"a {raw.dtype} blob of shape {raw.shape}" if self.form == "channels" else repr(raw)
-            raise ValueError(f"{where} {self.key} must {_MUST.get(self.dtype, 'hold finite numbers')}, got {got}")
-        return value
+        if self.form == "scalar":
+            return self._scalar(raw, where)
+        if not isinstance(raw, str) or raw not in bundle.blobs:
+            raise ValueError(f"{where} {self.key} must name a blob, got {raw!r}")
+        blob = bundle.blobs[raw]
+        if self.form == "blob":
+            return blob
+        try:  # the safe cast lets through only values of the key's kind
+            value = blob.astype(self.dtype, casting="safe")
+            if value.ndim == 1 and (value.dtype.kind != "f" or np.isfinite(value).all()):
+                return value
+        except TypeError:
+            pass
+        got = f"a {blob.dtype} blob of shape {blob.shape}"
+        raise ValueError(f"{where} {self.key} must {_MUST.get(self.dtype, 'hold finite numbers')}, got {got}")
 
-    def _holds(self, value, raw):
-        """Whether ``value``, converted from ``raw``, is of this key's kind."""
-        if self.form == "channels":  # the safe cast let through only values of the key's kind
-            return value.ndim == 1 and (value.dtype.kind != "f" or bool(np.isfinite(value).all()))
-        if self.dtype is float:
-            return math.isfinite(value)
-        if self.dtype is bool:
-            return isinstance(raw, bool)  # bool() reads "false" and 2 as true
-        return value == raw  # 8.9 or "8" fails for an int
+    def _scalar(self, raw, where=None):
+        """``raw`` converted with ``dtype``; ValueError naming ``where`` and the key unless that keeps its kind and value."""
+        dtype = self.dtype
+        try:
+            value = dtype(raw)
+            # bool() reads "false" and 2 as true, int() 8.9 and "8" as 8; true is no number, and 1 no flag
+            if (type(raw) in _BOOLS) is (dtype is bool) and value == raw and (dtype is not float or math.isfinite(value)):
+                return value
+        except (TypeError, ValueError, OverflowError):
+            pass
+        named = self.key if where is None else f"{where} {self.key}"
+        raise ValueError(f"{named} must {_MUST.get(dtype, 'hold finite numbers')}, got {raw!r}")
 
     def show(self, holder):
         """This key's value in ``holder`` as ``intengine.dump_fused`` prints it."""
@@ -608,6 +593,19 @@ GRID_KEYS = (
     RecordKey("zero_point", "z", "scalar", int),
     RecordKey("bitwidth", "bitwidth", "scalar", int),
 )
+
+
+# the float ``layers`` section: each record holds its ``LAYER_KIND``, then the keys its op kind lists
+LAYER_KIND = RecordKey("op_kind", "op_kind", "scalar", str)
+_CHANNELS = tuple(RecordKey(k, k, "scalar", int) for k in ("in_channels", "out_channels"))
+_WINDOW = tuple(RecordKey(k, k, "scalar", int) for k in ("kernel", "stride", "pad"))
+_PARAMS = tuple(RecordKey(k, k, "blob", np.float32, blob=f"layer{{i}}.{k}") for k in ("weight", "bias"))
+LAYER_RECORDS = {
+    "linear": _CHANNELS + _PARAMS,
+    "conv2d": _CHANNELS + _WINDOW + _PARAMS,
+    "avgpool": _WINDOW,
+    **dict.fromkeys(("relu", "gelu", "flatten"), ()),
+}
 
 
 def write_record(keys, i, holder, blobs=None) -> dict:

@@ -542,9 +542,10 @@ class TestOwnerChecks:
                 with pytest.raises(CalibrationError, match="zero_points must hold integers, got a float64 blob"):
                     build_fused_model(ModelBundle(manifest, {**gelu_qbundle.blobs, z: bad}))
             return
-        holder[path[-1]] = z + 0.5 if z < 255 else z - 0.5
-        with pytest.raises(CalibrationError, match="zero_point.* must hold integers"):
-            build_fused_model(ModelBundle(manifest, gelu_qbundle.blobs))
+        for bad in (z + 0.5 if z < 255 else z - 0.5, True):  # JSON true used to read as 1
+            holder[path[-1]] = bad
+            with pytest.raises(CalibrationError, match=f"zero_point.* must hold integers, got {bad}"):
+                build_fused_model(ModelBundle(manifest, gelu_qbundle.blobs))
         holder[path[-1]] = float(z)  # an integral float scalar still reads as its integer
         x = np.random.default_rng(0).standard_normal((4, 4)).astype(np.float32)
         assert sim_forward(ModelBundle(manifest, gelu_qbundle.blobs), x)[0].tobytes() == sim_forward(gelu_qbundle, x)[0].tobytes()

@@ -915,14 +915,18 @@ class TestFusionSectionOwner:
 
     @pytest.mark.parametrize(
         "entry, key, delta",
-        [(0, "z_x", 0.9), (0, "m0", 0.9), (0, "w_zero_points", 0.5), (1, "z", 0.25), (2, "out_bits", 0.5)],
+        [
+            *[(0, "z_x", 0.9), (0, "m0", 0.9), (0, "w_zero_points", 0.5), (1, "z", 0.25), (2, "out_bits", 0.5)],
+            *[(1, "z", True), (0, "in_bits", True)],
+        ],
     )
     def test_non_integral_number_in_integer_key_fails_at_load(self, entry, key, delta):
         from quantcomp.intengine import fused_runtime
 
-        # before, int() truncated these: z_x 8.9 loaded as 8 and ran unchanged logits
+        # before, int() truncated these: z_x 8.9 loaded as 8 and ran unchanged logits; JSON true loaded as 1
+        edit = (lambda v: True) if delta is True else (lambda v: v + delta)
         with pytest.raises(EngineError, match=f"layer {entry}: {key} must hold integers"):
-            fused_runtime(_edited(self._fused(), entry, key, lambda v: v + delta))
+            fused_runtime(_edited(self._fused(), entry, key, edit))
 
     def test_integral_floats_in_integer_keys_load(self):
         from quantcomp.intengine import fused_runtime
@@ -946,6 +950,8 @@ class TestFusionSectionOwner:
         [
             ("input", "zero_point", 8.9, "input grid: zero_point must hold integers, got 8.9"),
             ("output", "bitwidth", 4.5, "output grid: bitwidth must hold integers, got 4.5"),
+            ("input", "zero_point", True, "input grid: zero_point must hold integers, got True"),
+            ("output", "scale", True, "output grid: scale must hold finite numbers, got True"),
             ("input", "bitwidth", 8, "layer 0: in_bits is 4, but the layer receives 8-bit codes"),
         ],
     )
@@ -953,7 +959,7 @@ class TestFusionSectionOwner:
         from quantcomp.intengine import fused_runtime
         from quantcomp.refnet import ModelBundle
 
-        # before, int() read zero_point 8.9 as 8 and bitwidth 4.5 as 4
+        # before, int() read zero_point 8.9 as 8 and bitwidth 4.5 as 4, and true read as 1 or 1.0
         fused = self._fused()
         manifest = json.loads(json.dumps(fused.manifest))
         manifest["fusion"][grid][key] = value

@@ -3,9 +3,12 @@
 ``refnet`` owns ``layers``/``tensors``/``metadata``, ``calibrate`` owns
 ``quantization``/``compensation`` and ``intengine`` owns ``fusion``; the CLI
 and the ablation harness reach a bundle only through those owners, and name
-no field of the fused layout (``FusedLayerParams``, ``FusedEntry``).  The
-record tables keep the format tabular: every array is a blob of its own
-name, and a section's records hold only scalars and blob names.  The
+no field of the fused layout (``FusedLayerParams``, ``FusedEntry``).  Every
+section but ``metadata`` and ``tensors`` is written and read only through the
+record tables of ``refnet.RecordKey``, which no module bypasses with a hand
+read of a declared key.  The tables keep the format tabular: every array is a
+blob of its own name, owned by one key, and the layers, quantization,
+compensation and fusion records hold only scalars and blob names.  The
 package root re-exports only names that the package itself, the benchmark or
 the demos use.  Only the CLI reads the process environment.  Every public
 function and method of the package has a caller outside the tests, but for a
@@ -71,7 +74,7 @@ def _declared_record_keys():
 def test_every_blob_name_belongs_to_one_key():
     # ModelBundle.derive lets one section's blob replace another's of the same name; only the
     # weight codes are shared on purpose, by the quantization and the fusion records
-    owners = {"layer{i}.weight": ["weight"], "layer{i}.bias": ["bias"]}  # the float layers' blobs
+    owners = {}
     for k in _record_keys():
         if k.form in ("channels", "blob"):
             owners.setdefault(k.blob, []).append(k.key)
@@ -99,15 +102,16 @@ def test_a_saved_fused_bundle_is_a_manifest_of_scalars_and_one_blob_file(tmp_pat
     path = save_bundle(fuse_model(calibrate_model(model, CalibrationConfig(sample_count=64), pool)), tmp_path / "b")
     assert {p.name for p in path.iterdir()} == {"manifest.json", BLOB_FILE}
     manifest = json.loads((path / "manifest.json").read_text())
-    assert [hit for s in ("quantization", "compensation", "fusion") for hit in _number_lists(manifest[s], s)] == []
+    sections = ("layers", "quantization", "compensation", "fusion")
+    assert [hit for s in sections for hit in _number_lists(manifest[s], s)] == []
 
 
-@pytest.mark.parametrize("name", ["calibrate.py", "intengine.py"])
+@pytest.mark.parametrize("name", ["refnet.py", "calibrate.py", "intengine.py"])
 def test_no_hand_read_of_a_declared_key(name):
     # a record is read through refnet.read_record; ``record["weight_scales"]`` or
     # ``record.get("negative_clamped", 0)`` beside it is a second reader
     keys = _declared_record_keys()
-    assert {"weight_scales", "negative_clamped", "weight_bits", "beta_rounding", "z_x"} <= keys
+    assert {"weight_scales", "negative_clamped", "weight_bits", "beta_rounding", "z_x", "op_kind", "pad", "bias"} <= keys
     hits = []
     for node in ast.walk(ast.parse((SRC / name).read_text())):
         if isinstance(node, ast.Subscript):

@@ -1,4 +1,6 @@
 import json
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from quantcomp.refnet import (
     BundleError,
     LayerSpec,
     ModelBundle,
+    RecordKey,
     ShapeError,
     TaskSpec,
     TrainError,
@@ -466,6 +469,113 @@ class TestLayerGeometry:
         (path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(ShapeError, match="layer 0: linear weight shape"):
             load_bundle(path)
+
+
+def _conv_pool_net(pad=1, stride=1):
+    """conv -> relu -> avgpool -> flatten -> linear on a 2x6x6 input."""
+    rng = np.random.default_rng(3)
+    w = rng.standard_normal((3, 2, 3, 3)).astype(np.float32)
+    conv = LayerSpec("conv2d", 2, 3, weight=w, bias=rng.standard_normal(3).astype(np.float32), kernel=3, stride=stride, pad=pad)
+    head = linear(rng.standard_normal((4, 27)), rng.standard_normal(4))
+    return [conv, LayerSpec("relu"), LayerSpec("avgpool", kernel=2, stride=2), LayerSpec("flatten"), head], (2, 6, 6)
+
+
+def _saved_with(tmp_path, index, key, value):
+    """The saved ``_conv_pool_net`` bundle with ``layers[index][key]`` set to ``value`` in its manifest."""
+    path = save_bundle(build_from_layers(*_conv_pool_net()), tmp_path / "m")
+    manifest = json.loads((path / "manifest.json").read_text())
+    manifest["layers"][index][key] = value
+    (path / "manifest.json").write_text(json.dumps(manifest))
+    return path
+
+
+class TestLayerRecords:
+    @pytest.mark.parametrize(
+        "index, key, value, want",
+        [
+            (0, "kernel", 2.5, "kernel must hold integers, got 2.5"),
+            (0, "stride", "2", "stride must hold integers, got '2'"),
+            (0, "pad", True, "pad must hold integers, got True"),
+            (4, "in_channels", None, "in_channels must hold integers, got None"),
+            (1, "op_kind", 3, "op_kind must be a string, got 3"),
+        ],
+    )
+    def test_bad_value_fails_at_load_by_layer_and_key(self, tmp_path, index, key, value, want):
+        # before, pad true loaded as pad 1, and the others failed without naming the key
+        with pytest.raises(BundleError, match=re.escape(f"layer {index}: {want}")):
+            load_bundle(_saved_with(tmp_path, index, key, value))
+
+    def test_integral_float_kernel_loads_and_runs_as_an_integer(self, tmp_path):
+        # before, kernel 3.0 loaded and model_forward raised a bare TypeError
+        model = build_from_layers(*_conv_pool_net())
+        loaded = load_bundle(_saved_with(tmp_path, 0, "kernel", 3.0))
+        assert type(loaded.layers[0].kernel) is int and loaded.layers[0].kernel == 3
+        x = np.random.default_rng(4).standard_normal((5, 2, 6, 6)).astype(np.float32)
+        assert model_forward(loaded, x).tobytes() == model_forward(model, x).tobytes()
+
+    @pytest.mark.parametrize(
+        "edit, want", [({"pad": 1.5}, "pad must hold integers, got 1.5"), ({"stride": True}, "stride must hold integers, got True")]
+    )
+    def test_build_refuses_a_value_it_would_not_keep(self, edit, want):
+        # before, pad 1.5 built and stride True built as stride 1
+        with pytest.raises(ShapeError, match=re.escape(f"layer 0: {want}")):
+            build_from_layers(*_conv_pool_net(**edit))
+
+    def test_build_refuses_a_missing_bias(self):
+        # before, a linear layer without a bias built and model_forward raised a bare TypeError
+        with pytest.raises(ShapeError, match="layer 0: bias must be an array, got None"):
+            build_from_layers([LayerSpec("linear", 2, 1, weight=np.ones((1, 2), np.float32))], (2,))
+
+    def test_build_writes_the_entry_of_every_op_kind(self):
+        layers, shape = _conv_pool_net()
+        layers.insert(3, LayerSpec("gelu"))
+        layers[0].kernel, layers[0].weight = np.int64(3), np.asfortranarray(layers[0].weight, np.float64)
+        m = build_from_layers(layers, shape)
+        channels = {"in_channels": 2, "out_channels": 3}
+        want = [
+            {"op_kind": "conv2d", **channels, "kernel": 3, "stride": 1, "pad": 1, "weight": "layer0.weight", "bias": "layer0.bias"},
+            {"op_kind": "relu"},
+            {"op_kind": "avgpool", "kernel": 2, "stride": 2, "pad": 0},
+            {"op_kind": "gelu"},
+            {"op_kind": "flatten"},
+            {"op_kind": "linear", "in_channels": 27, "out_channels": 4, "weight": "layer5.weight", "bias": "layer5.bias"},
+        ]
+        assert json.dumps(m.manifest["layers"]) == json.dumps(want)  # key order, and 1 never written as true
+        assert list(m.manifest["tensors"]) == [f"layer{i}.{k}" for i in (0, 5) for k in ("weight", "bias")]
+        for name, entry in m.manifest["tensors"].items():
+            assert m.blobs[name].dtype == np.float32 and m.blobs[name].flags.c_contiguous and entry["kind"] == "f32"
+        assert np.array_equal(m.blobs["layer0.weight"], layers[0].weight)
+
+    def test_layers_are_parsed_once(self):
+        m = build_from_layers(*_conv_pool_net())
+        assert m.layers is m.layers
+        assert m.param_layer_indices() == [0, 4]
+
+
+class TestRecordKeyScalars:
+    KEYS = {dtype: RecordKey("v", "v", "scalar", dtype) for dtype in (int, float, bool, str)}
+
+    @pytest.mark.parametrize(
+        "dtype, value, want",
+        [
+            *[(int, np.int64(3), 3), (int, 3.0, 3), (float, np.float32(0.5), 0.5), (float, 2, 2.0)],
+            *[(bool, np.bool_(True), True), (str, "relu", "relu")],
+        ],
+    )
+    def test_writes_a_value_it_keeps(self, dtype, value, want):
+        got = self.KEYS[dtype].write(0, SimpleNamespace(v=value), {})
+        assert type(got) is dtype and got == want
+
+    @pytest.mark.parametrize(
+        "dtype, value",
+        [(int, 1.5), (int, True), (int, np.bool_(False)), (int, "8"), (float, True), (float, "nan"), (float, np.inf), (bool, 1), (str, 3)],
+    )
+    def test_refuses_a_value_it_would_change_on_write_and_read(self, dtype, value):
+        key = self.KEYS[dtype]
+        with pytest.raises(ValueError, match=f"^v must .*, got {re.escape(repr(value))}$"):
+            key.write(0, SimpleNamespace(v=value), {})
+        with pytest.raises(ValueError, match=f"^layer 2: v must .*, got {re.escape(repr(value))}$"):
+            key.read("layer 2:", {"v": value}, None)
 
 
 class TestBundleOwner:
