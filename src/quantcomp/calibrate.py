@@ -65,7 +65,12 @@ class CalibrationError(Exception):
 
 @dataclass(frozen=True)
 class CalibrationConfig:
-    """Knobs of the compensation pipeline; field names mirror the CLI flags."""
+    """Knobs of the compensation pipeline; field names mirror the CLI flags.
+
+    Quantization reads the bit-widths, ``estimator`` and ``range_split``, the fit
+    ``position``, ``sequential`` and, for fusion, ``beta_rounding``; both draw
+    ``sample_count`` samples by ``seed``.  A compensated bundle records ``FIT_CONFIG``.
+    """
 
     sample_count: int = 512
     position: str = "all"  # all | post
@@ -120,8 +125,15 @@ FIT_STATS = (
     RecordKey("fallback_count", "fallback_count", "scalar", int),
     RecordKey("negative_clamped", "negative_clamped", "scalar", int),
 )
-# the one key of the compensation ``config`` read back: the rounding fuse_model applies by default
+# compensation ``config``: the fit's knobs, keyed as CalibrationConfig; the one read back is
+# CONFIG_BETA_ROUNDING, the rounding fuse_model applies by default
 CONFIG_BETA_ROUNDING = RecordKey("beta_rounding", "beta_rounding", "scalar", bool, default=True)
+FIT_CONFIG = (
+    *(RecordKey(k, k, "scalar", int) for k in ("sample_count", "seed")),
+    RecordKey("position", "position", "scalar", str),
+    RecordKey("sequential", "sequential", "scalar", bool),
+    CONFIG_BETA_ROUNDING,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -358,13 +370,9 @@ def fit_compensation(qbundle: ModelBundle, config: CalibrationConfig, fit_x) -> 
     layers < L already compensated, matching what each correction will
     see at deployment.  ``config.sequential=False`` leaves the pass
     uncompensated, so every layer is fitted on the frozen quantized model.
-    ``config``'s bit-widths must be the ones ``qbundle`` was quantized to.
+    Only ``config``'s fit knobs count (see ``FIT_CONFIG``): the bit-widths and
+    the grids are the ones ``qbundle`` was quantized to.
     """
-    _, wb, ab = _quantization(qbundle)
-    if (config.weight_bits, config.act_bits) != (wb, ab):
-        raise CalibrationError(
-            f"config bits w{config.weight_bits}/a{config.act_bits} do not match the quantized bundle w{wb}/a{ab}"
-        )
     _, y_full = float_forward_capture(qbundle, fit_x)
     return _fit_from(qbundle, config, fit_x, y_full)
 
@@ -387,7 +395,7 @@ def _fit_from(qbundle: ModelBundle, config: CalibrationConfig, fit_x, y_full) ->
     sim_forward(qbundle, fit_x, _on_capture=fit)
     blobs = {}
     section = {
-        "config": asdict(config),
+        "config": write_record(FIT_CONFIG, None, config),
         "layers": {str(i): write_record(COMP_LAYER, i, p, blobs) for i, p in comp.items()},
         "stats": stats,
     }

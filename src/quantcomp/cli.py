@@ -1,6 +1,11 @@
 """Command-line entry point.
 
 Subcommands: train, quantize, compensate, fuse, eval, ablate, dump-fused.
+Each pipeline step takes only its own knobs.  quantize and compensate draw
+--sample-count samples by --seed; quantize also takes --range-split, the
+bit-widths and --percentile P (min/max ranges without it); compensate takes
+--position, --frozen and --no-beta-rounding (the rounding fuse follows) and
+reads the bit-widths from its bundle.  ablate takes them all.
 Exit codes: 0 success; 2 for any named error of the package (and for an I/O
 error), printed as one ``error:`` line; 3 for an invariant failure in --check
 mode.  Relative output paths resolve under $QUANTCOMP_OUT when it is set.
@@ -13,7 +18,7 @@ import contextlib
 import os
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -50,12 +55,8 @@ from .refnet import (
 )
 
 
-class CliError(Exception):
-    pass
-
-
 # every error main reports as ``error: ...`` with exit code 2
-NAMED_ERRORS = (BundleError, ShapeError, TrainError, QuantError, CalibrationError, EngineError, CliError, OSError)
+NAMED_ERRORS = (BundleError, ShapeError, TrainError, QuantError, CalibrationError, EngineError, OSError)
 
 
 TASK_PRESETS = {
@@ -77,24 +78,12 @@ def _save(bundle, args):
     return save_bundle(bundle, _out_path(args.out), force=args.force)
 
 
-def _estimator(args) -> RangeEstimator:
-    if args.estimator == "percentile":
-        return RangeEstimator("percentile", args.percentile)
-    return RangeEstimator("minmax")
-
-
 def _config(args) -> CalibrationConfig:
-    return CalibrationConfig(
-        sample_count=args.sample_count,
-        position=args.position,
-        estimator=_estimator(args),
-        weight_bits=args.weight_bits,
-        act_bits=args.act_bits,
-        beta_rounding=args.beta_rounding,
-        seed=args.seed,
-        sequential=args.sequential,
-        range_split=args.range_split,
-    )
+    """The config of the flags the subcommand parsed; a knob it has no flag for keeps its default."""
+    knobs = {f.name: getattr(args, f.name) for f in fields(CalibrationConfig) if hasattr(args, f.name)}
+    if getattr(args, "percentile", None) is not None:
+        knobs["estimator"] = RangeEstimator("percentile", args.percentile)
+    return CalibrationConfig(**knobs)
 
 
 def int_list(text):
@@ -112,19 +101,21 @@ def _add_task_flags(p):
     p.add_argument("--hidden", type=int_list, help="comma-separated hidden widths")
 
 
-def _add_config_flags(p):
+def _add_config_flags(p, quantize=True, fit=True):
+    """The CalibrationConfig flags of the calibration draw, then those of quantization and of the fit."""
     p.add_argument("--sample-count", type=int, default=512)
-    p.add_argument("--position", choices=["all", "post"], default="all")
-    p.add_argument("--estimator", choices=["minmax", "percentile"], default="minmax")
-    p.add_argument("--percentile", type=float, default=0.999)
-    p.add_argument("--weight-bits", type=int, default=8)
-    p.add_argument("--act-bits", type=int, default=8)
-    p.add_argument("--beta-rounding", dest="beta_rounding", action="store_true", default=True)
-    p.add_argument("--no-beta-rounding", dest="beta_rounding", action="store_false")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sequential", dest="sequential", action="store_true", default=True)
-    p.add_argument("--frozen", dest="sequential", action="store_false", help="fit all layers from one uncompensated pass")
-    p.add_argument("--range-split", action="store_true", default=False)
+    if quantize:
+        p.add_argument("--range-split", action="store_true", default=False, help="set ranges on a second sample set")
+        p.add_argument("--weight-bits", type=int, default=8)
+        p.add_argument("--act-bits", type=int, default=8)
+        p.add_argument("--percentile", type=float, metavar="P", help="clip activation ranges at percentile P in (0.5, 1]")
+    if fit:
+        p.add_argument("--position", choices=["all", "post"], default="all", help="compensate every linear/conv or the last")
+        p.add_argument("--sequential", dest="sequential", action="store_true", default=True)
+        p.add_argument("--frozen", dest="sequential", action="store_false", help="fit all layers from one uncompensated pass")
+        p.add_argument("--beta-rounding", dest="beta_rounding", action="store_true", default=True)
+        p.add_argument("--no-beta-rounding", dest="beta_rounding", action="store_false", help="fuse with real offsets by default")
 
 
 def _task(args) -> TaskSpec:
@@ -240,7 +231,6 @@ def cmd_ablate(args):
     out_dir = _out_path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     axes = ["size", "position", "beta"] if args.axis == "all" else [args.axis]
-    wrote = []
     failures = []
     for axis in axes:
         if axis == "size":
@@ -256,18 +246,15 @@ def cmd_ablate(args):
                 m_post = float(np.median([r["acc_comp"] for r in report.where(position="post")]))
                 if m_all < m_post:
                     failures.append(f"median accuracy all={m_all} < post={m_post}")
-        elif axis == "beta":
+        else:  # beta
             report = evalbench.ablate_beta_rounding(base, task, seeds)
             if args.check:
                 m_r = float(np.median([r["acc_fused"] for r in report.where(beta_rounding=True)]))
                 m_u = float(np.median([r["acc_fused"] for r in report.where(beta_rounding=False)]))
                 if abs(m_r - m_u) > 0.005:
                     failures.append(f"offset-rounding accuracy gap {abs(m_r - m_u):.4f} > 0.005")
-        else:
-            raise CliError(f"unknown ablation axis {axis!r}")
         path = out_dir / f"ablate_{axis}.csv"
         report.to_csv(path, fmt=args.format)
-        wrote.append(path)
         print(f"wrote {path} ({len(report.rows)} rows)")
     for msg in failures:
         print(f"CHECK FAILED: {msg}", file=sys.stderr)
@@ -297,15 +284,15 @@ def build_parser():
 
     q = sub.add_parser("quantize", help="quantize a float bundle")
     q.add_argument("bundle")
-    _add_config_flags(q)
+    _add_config_flags(q, fit=False)
     q.add_argument("--out", required=True)
     q.add_argument("--force", action="store_true")
     q.set_defaults(func=cmd_quantize)
 
-    what = "fit channel-affine compensation onto a quantized bundle; the float model it was quantized from is the target"
+    what = "fit channel-affine compensation onto a quantized bundle, at its bit-widths; the float model it was quantized from is the target"
     c = sub.add_parser("compensate", help=what, description=what)
     c.add_argument("bundle", help="a bundle written by quantize")
-    _add_config_flags(c)
+    _add_config_flags(c, quantize=False)
     c.add_argument("--out", required=True)
     c.add_argument("--force", action="store_true")
     c.set_defaults(func=cmd_compensate)

@@ -606,6 +606,8 @@ LAYER_RECORDS = {
     "avgpool": _WINDOW,
     **dict.fromkeys(("relu", "gelu", "flatten"), ()),
 }
+# the training seed that ``train_synthetic`` records in the ``metadata`` section
+METADATA_SEED = RecordKey("seed", "seed", "scalar", int)
 
 
 def write_record(keys, i, holder, blobs=None) -> dict:
@@ -676,12 +678,14 @@ def make_dataset(task: TaskSpec, seed: int):
     )
 
 
+@reading_section("metadata", BundleError)
 def task_dataset(bundle: ModelBundle):
     """``make_dataset`` for the task and seed that ``train_synthetic`` recorded in the metadata."""
     meta = bundle.manifest.get("metadata", {})
     if "task" not in meta:
         raise BundleError("bundle metadata carries no task; cannot derive its dataset")
-    return make_dataset(TaskSpec(**dict(meta["task"], hidden=tuple(meta["task"]["hidden"]))), meta["seed"])
+    task = TaskSpec(**dict(meta["task"], hidden=tuple(meta["task"]["hidden"])))
+    return make_dataset(task, METADATA_SEED.read("metadata", meta, bundle))
 
 
 def _softmax(z):

@@ -58,10 +58,6 @@ def workspace(tmp_path_factory):
         run(
             "compensate",
             root / "quant",
-            "--weight-bits",
-            "4",
-            "--act-bits",
-            "4",
             "--sample-count",
             "128",
             "--out",
@@ -116,37 +112,17 @@ class TestCompensate:
     def test_flags_roundtrip_into_metadata(self, workspace):
         b = load_bundle(workspace / "comp")
         cfg = b.manifest["compensation"]["config"]
-        assert cfg["sample_count"] == 128 and cfg["position"] == "all"
-        assert cfg["weight_bits"] == 4
+        assert cfg == {"sample_count": 128, "seed": 0, "position": "all", "sequential": True, "beta_rounding": True}
 
     def test_fit_csv_non_empty(self, workspace):
         lines = (workspace / "comp" / "fit_stats.csv").read_text().strip().splitlines()
         assert len(lines) == 4  # header + 3 linear layers
-
-    def test_bits_mismatch_rejected(self, workspace, tmp_path):
-        code = run(
-            "compensate",
-            workspace / "quant",
-            "--weight-bits",
-            "8",
-            "--act-bits",
-            "8",
-            "--sample-count",
-            "128",
-            "--out",
-            tmp_path / "x",
-        )
-        assert code == 2
 
     def test_rerun_bit_identical(self, workspace, tmp_path):
         assert (
             run(
                 "compensate",
                 workspace / "quant",
-                "--weight-bits",
-                "4",
-                "--act-bits",
-                "4",
                 "--sample-count",
                 "128",
                 "--out",
@@ -158,7 +134,8 @@ class TestCompensate:
         assert a == (tmp_path / "again" / "manifest.json").read_text()
 
 
-W4A4 = ("--weight-bits", "4", "--act-bits", "4", "--sample-count", "128")
+SAMPLES = ("--sample-count", "128")
+W4A4 = ("--weight-bits", "4", "--act-bits", "4", *SAMPLES)
 
 
 class TestRerunStage:
@@ -168,8 +145,8 @@ class TestRerunStage:
     def test_compensate_again_keeps_no_stale_fusion_or_blob(self, workspace, tmp_path, capsys, src):
         from quantcomp.refnet import bundles_equal
 
-        assert run("compensate", workspace / "quant", *W4A4, "--position", "post", "--out", tmp_path / "fresh") == 0
-        assert run("compensate", workspace / src, *W4A4, "--position", "post", "--out", tmp_path / "again") == 0
+        assert run("compensate", workspace / "quant", *SAMPLES, "--position", "post", "--out", tmp_path / "fresh") == 0
+        assert run("compensate", workspace / src, *SAMPLES, "--position", "post", "--out", tmp_path / "again") == 0
         again = load_bundle(tmp_path / "again")
         assert again.stage == "quantized" and list(again.manifest["compensation"]["layers"]) == ["4"]
         assert not any(name.startswith(("layer0.", "layer2.")) and "alpha" in name for name in again.blobs)
@@ -377,6 +354,19 @@ def _avgpool_bundle(path):
     return save_bundle(build_from_layers(layers, (1, 4, 4)), path)
 
 
+# edits of the trained bundle's metadata (a path under ``metadata``, and the value there or None to
+# delete it), each of which ``eval`` and ``quantize`` used to end in a bare traceback
+METADATA_EDITS = {
+    "hidden_5": (("task", "hidden"), 5),
+    "classes_ten": (("task", "classes"), "ten"),
+    "no_seed": (("seed",), None),
+    "extra_colour": (("task", "colour"), "red"),
+    "kind_moons": (("task", "kind"), "moons"),
+    "seed_half": (("seed",), 0.5),
+    "train_n_fractional": (("task", "train_n"), 300.7),
+}
+
+
 class TestNamedErrors:
     """Every named error of the package ends as one ``error:`` line and exit 2, never a traceback."""
 
@@ -396,13 +386,14 @@ class TestNamedErrors:
             "avgpool_pad_1",
             "transposed_weight",
             "truncated_manifest",
+            *[f"metadata_{edit}_{command}" for edit in METADATA_EDITS for command in ("eval", "quantize")],
         ],
     )
     def test_exits_two_without_traceback(self, workspace, tmp_path, case):
         if case == "weight_bits_1":
             argv, want = ["quantize", workspace / "float", "--weight-bits", "1", "--out", tmp_path / "o"], "bitwidths"
         elif case == "percentile_0.3":
-            argv = ["quantize", workspace / "float", "--estimator", "percentile", "--percentile", "0.3", "--out", tmp_path / "o"]
+            argv = ["quantize", workspace / "float", "--percentile", "0.3", "--out", tmp_path / "o"]
             want = "percentile"
         elif case == "fused_without_m0":
             argv, want = ["eval", edit_manifest(workspace / "fused", tmp_path / "b", _drop_first_m0)], "m0"
@@ -426,6 +417,12 @@ class TestNamedErrors:
         elif case == "avgpool_pad_1":
             bad = edit_manifest(_avgpool_bundle(tmp_path / "pool"), tmp_path / "b", _avgpool_pad_one)
             argv, want = ["eval", bad], "layer 1: avgpool does not pad, got pad 1"
+        elif case.startswith("metadata_"):
+            edit, command = case.removeprefix("metadata_").rsplit("_", 1)
+            path, value = METADATA_EDITS[edit]
+            bad = _put("metadata", *path, value=value)(workspace / "float", tmp_path / "b")
+            argv = ["eval", bad] if command == "eval" else ["quantize", bad, "--out", tmp_path / "o"]
+            want = "malformed metadata section"
         elif case == "transposed_weight":
             argv, want = ["eval", edit_manifest(workspace / "float", tmp_path / "b", _transpose_first_weight)], "weight shape"
         else:
@@ -441,10 +438,6 @@ class TestNamedErrors:
         code = run(
             "compensate",
             workspace / "quant",
-            "--weight-bits",
-            "4",
-            "--act-bits",
-            "4",
             "--sample-count",
             "5000",
             "--out",
@@ -487,8 +480,7 @@ class TestFuseFollowsLibrary:
         from quantcomp.calibrate import fuse_model
         from quantcomp.refnet import bundles_equal
 
-        q = ["--weight-bits", "4", "--act-bits", "4", "--sample-count", "128"]
-        assert run("compensate", workspace / "quant", *q, "--no-beta-rounding", "--out", tmp_path / "comp") == 0
+        assert run("compensate", workspace / "quant", *SAMPLES, "--no-beta-rounding", "--out", tmp_path / "comp") == 0
         assert run("fuse", tmp_path / "comp", "--out", tmp_path / "fused") == 0
         fused = load_bundle(tmp_path / "fused")
         assert fused.manifest["fusion"]["beta_rounding"] is False
@@ -523,7 +515,7 @@ class TestFuseFollowsLibrary:
 
         q = ["--weight-bits", "4", "--act-bits", "4", "--sample-count", "128", "--range-split"]
         assert run("quantize", workspace / "float", *q, "--out", tmp_path / "quant") == 0
-        assert run("compensate", tmp_path / "quant", *q, "--out", tmp_path / "comp") == 0
+        assert run("compensate", tmp_path / "quant", *SAMPLES, "--out", tmp_path / "comp") == 0
         model_f = load_bundle(workspace / "float")
         cfg = CalibrationConfig(sample_count=128, weight_bits=4, act_bits=4, range_split=True)
         assert bundles_equal(load_bundle(tmp_path / "comp"), calibrate_model(model_f, cfg, calibration_pool(model_f, cfg)))
@@ -599,3 +591,56 @@ class TestMalformedSections:
         err = capsys.readouterr().err
         assert err.startswith("error:") and want in err and len(err.splitlines()) == 1, err
         assert not (tmp_path / "fused").exists()
+
+
+# a non-default value of each knob that takes one; a flag sets its knob to the flag's constant
+KNOB_VALUES = {"sample_count": "64", "seed": "1", "weight_bits": "3", "act_bits": "3", "percentile": "0.99", "position": "post"}
+# what each step runs on, and the workspace bundle that it wrote from there with no knob flag but these
+STEP_RUNS = {"quantize": ("float", W4A4, "quant"), "compensate": ("quant", SAMPLES, "comp")}
+# flags each step took before it took only its own knobs
+REMOVED_FLAGS = {
+    "quantize": [("--estimator", "percentile"), ("--position", "post"), ("--sequential",), ("--frozen",), ("--beta-rounding",), ("--no-beta-rounding",)],
+    "compensate": [("--estimator", "percentile"), ("--percentile", "0.9"), ("--weight-bits", "4"), ("--act-bits", "4"), ("--range-split",)],
+}
+
+
+def _knob_flags(command):
+    """{knob: the argv that gives it a non-default value} of each knob that subcommand ``command`` takes."""
+    import argparse
+
+    from quantcomp.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices[command]
+    flags = {}
+    for action in sub._actions:
+        if action.dest in ("help", "bundle", "out", "force"):
+            continue
+        if action.nargs != 0:
+            flags[action.dest] = (action.option_strings[0], KNOB_VALUES[action.dest])
+        elif action.const != action.default:  # of a flag pair, the one that is not the default
+            flags[action.dest] = (action.option_strings[0],)
+    return flags
+
+
+class TestEachStepTakesOnlyItsKnobs:
+    def test_knobs_of_each_step(self):
+        assert sorted(_knob_flags("quantize")) == ["act_bits", "percentile", "range_split", "sample_count", "seed", "weight_bits"]
+        assert sorted(_knob_flags("compensate")) == ["beta_rounding", "position", "sample_count", "seed", "sequential"]
+
+    @pytest.mark.parametrize("command, knob", [(c, k) for c in STEP_RUNS for k in _knob_flags(c)])
+    def test_every_knob_changes_the_bundle_written(self, workspace, tmp_path, command, knob):
+        # a flag whose value the step never reads would write the workspace's bundle again
+        from quantcomp.refnet import bundles_equal
+
+        src, base, written = STEP_RUNS[command]
+        assert run(command, workspace / src, *base, *_knob_flags(command)[knob], "--out", tmp_path / "b") == 0
+        assert not bundles_equal(load_bundle(tmp_path / "b"), load_bundle(workspace / written))
+
+    @pytest.mark.parametrize("command, flag", [(c, f) for c, flags in REMOVED_FLAGS.items() for f in flags])
+    def test_removed_flag_is_a_usage_error(self, workspace, tmp_path, capsys, command, flag):
+        src, base, _ = STEP_RUNS[command]
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(workspace / src), *base, *flag, "--out", str(tmp_path / "b")])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()

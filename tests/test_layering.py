@@ -6,7 +6,11 @@ and the ablation harness reach a bundle only through those owners, and name
 no field of the fused layout (``FusedLayerParams``, ``FusedEntry``).  Every
 section but ``metadata`` and ``tensors`` is written and read only through the
 record tables of ``refnet.RecordKey``, which no module bypasses with a hand
-read of a declared key.  The tables keep the format tabular: every array is a
+read of a declared key: the compensation ``config`` goes through
+``calibrate.FIT_CONFIG``, and only ``quantization.estimator``, a provenance
+record that nothing reads, is still a hand-written ``asdict``.  ``metadata`` is
+read under ``reading_section``, its ``seed`` through a ``RecordKey``.  The
+tables keep the format tabular: every array is a
 blob of its own name, owned by one key, and the layers, quantization,
 compensation and fusion records hold only scalars and blob names.  The
 package root re-exports only names that the package itself, the benchmark or
