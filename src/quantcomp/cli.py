@@ -227,7 +227,7 @@ def cmd_eval(args):
 def cmd_ablate(args):
     task = _task(args)
     base = _config(args)
-    seeds = list(range(args.seeds))
+    seeds = list(range(args.seed, args.seed + args.seeds))
     out_dir = _out_path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     axes = ["size", "position", "beta"] if args.axis == "all" else [args.axis]
@@ -315,7 +315,7 @@ def build_parser():
     _add_task_flags(a)
     a.add_argument("--axis", choices=["size", "position", "beta", "all"], default="all")
     a.add_argument("--sizes", type=int_list, default="32,128,512,1024")
-    a.add_argument("--seeds", type=int, default=10)
+    a.add_argument("--seeds", type=int, default=10, help="run this many seeds, from --seed up")
     _add_config_flags(a)
     a.add_argument("--format", choices=["wide", "long"], default="wide")
     a.add_argument("--out-dir", required=True)

@@ -7,6 +7,10 @@ The per-channel affine fit solves, independently for every output channel c,
 The full-matrix fit regresses the residual ``y_full - y_quant`` on a block
 input, the older whole-matrix style of compensation; it is kept only to
 measure how much of its mass lies on the diagonal (``evalbench.figure1b_report``).
+
+The channel-affine fit and ``channel_mse`` need only per-channel means, so
+they run over row blocks sized from ``refnet.BLOCK_BYTES`` and hold no f64
+copy of a whole capture (``_column_means``).
 """
 
 from __future__ import annotations
@@ -15,16 +19,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import refnet
+
 # relative variance floor below which a channel is treated as constant
 VARIANCE_FLOOR = 1e-12
+# the f64 (rows, C) arrays one block of ``_column_means`` holds at once, at most: its terms,
+# their temporaries and the copies that join each to its running sum
+_LIVE_BLOCKS = 6
 
 
 @dataclass
 class ActivationPair:
     """Calibration outputs of one layer: float path vs dequantized quant path.
 
-    ``x_quant`` (the block input on the quant path) is only needed for the
-    full-matrix baseline fit.
+    Both captures are C-ordered; an f32 capture stays f32 and any other
+    becomes f64.  Every fit computes in f64 (the cast from f32 is exact).
+    ``x_quant`` (the block input on the quant path, f64) is only needed for
+    the full-matrix baseline fit.
     """
 
     y_full: np.ndarray
@@ -32,8 +43,7 @@ class ActivationPair:
     x_quant: np.ndarray | None = None
 
     def __post_init__(self):
-        self.y_full = np.asarray(self.y_full, dtype=np.float64)
-        self.y_quant = np.asarray(self.y_quant, dtype=np.float64)
+        self.y_full, self.y_quant = _capture(self.y_full), _capture(self.y_quant)
         if self.y_full.shape != self.y_quant.shape or self.y_full.ndim != 2:
             raise ValueError("y_full and y_quant must both be (N, C)")
         if self.y_full.shape[0] < 2:
@@ -81,6 +91,33 @@ class ChannelAffineParams:
         return len(self.alpha)
 
 
+def _capture(y):
+    """``y`` as a C-ordered array of its own f32, or of f64."""
+    y = np.asarray(y)
+    return np.ascontiguousarray(y, dtype=np.float32 if y.dtype == np.float32 else np.float64)
+
+
+def _column_means(n, channels, terms):
+    """Per array of ``terms(rows)``, the mean over all n rows of each column: ``np.mean(t, axis=0)`` of the whole, bitwise.
+
+    ``terms(rows)`` gives the f64 (len, C) values of a slice of rows.  numpy
+    sums the rows of a C-ordered (N, C) array along axis 0 in order, so each
+    block after the first is summed with the running sum as its leading row,
+    and the total divided by n.  A block holds as many rows as fit
+    ``refnet.BLOCK_BYTES`` at ``_LIVE_BLOCKS`` f64 values per column.  A
+    one-column array is summed whole: numpy adds a contiguous column
+    pairwise, not row by row.
+    """
+    totals = None
+    spans = refnet.blocks(n, 8 * channels * _LIVE_BLOCKS) if channels > 1 else [slice(0, n)]
+    for rows in spans:
+        parts = terms(rows)
+        if totals is not None:
+            parts = [np.concatenate([total[None], part]) for total, part in zip(totals, parts)]
+        totals = [np.add.reduce(part, axis=0) for part in parts]
+    return [total / n for total in totals]
+
+
 def identity_compensation(channels: int) -> ChannelAffineParams:
     return ChannelAffineParams(
         np.ones(channels, dtype=np.float32),
@@ -97,19 +134,23 @@ def fit_channel_affine(pair: ActivationPair) -> ChannelAffineParams:
     integer engine.
     """
     yq, yf = pair.y_quant, pair.y_full
-    mean_q = yq.mean(axis=0)
-    mean_f = yf.mean(axis=0)
-    dq = yq - mean_q
-    var_q = np.mean(dq * dq, axis=0)
-    cov = np.mean(dq * (yf - mean_f), axis=0)
+    n, c = yq.shape
+    mean_q, mean_f = _column_means(n, c, lambda rows: (np.asarray(yq[rows], np.float64), np.asarray(yf[rows], np.float64)))
+
+    def moments(rows):
+        dq = yq[rows] - mean_q  # f64, as mean_q is
+        return dq * dq, dq * (yf[rows] - mean_f)
+
+    var_q, cov = _column_means(n, c, moments)
     floor = VARIANCE_FLOOR * (1.0 + mean_q**2)
     fallback = var_q < floor
     alpha = np.where(fallback, 1.0, cov / np.where(fallback, 1.0, var_q))
     neg = (alpha < 0) & ~fallback
     alpha = np.where(neg, 1.0, alpha)
     beta = np.where(fallback | neg, mean_f - mean_q, mean_f - alpha * mean_q)
-    # the closed form can still yield an exactly-zero gain on freak inputs
-    zero = alpha == 0
+    # the closed form can still yield a gain that is zero, or that the f32 params round to
+    # zero, on freak inputs
+    zero = alpha.astype(np.float32) == 0
     if zero.any():
         alpha = np.where(zero, 1.0, alpha)
         beta = np.where(zero, mean_f - mean_q, beta)
@@ -143,7 +184,7 @@ def fit_full_matrix(pair: ActivationPair, ridge: float | None = None) -> FullMat
     if pair.x_quant is None:
         raise ValueError("full-matrix fit needs x_quant in the pair")
     x = pair.x_quant
-    r = pair.y_full - pair.y_quant
+    r = pair.y_full.astype(np.float64) - pair.y_quant
     xm = x.mean(axis=0)
     rm = r.mean(axis=0)
     xc = x - xm
@@ -168,8 +209,21 @@ def diagonal_energy(w) -> float:
     return float(np.abs(np.diag(w)).sum() / total)
 
 
-def channel_mse(y_ref, y) -> np.ndarray:
-    """Per-channel mean squared error between two (N, C) arrays."""
-    d = np.asarray(y_ref, dtype=np.float64) - np.asarray(y, dtype=np.float64)
-    d *= d  # in place: one (N, C) f64 array fewer at calibration's memory peak
-    return np.mean(d, axis=0)
+def channel_mse(y_ref, y, params: ChannelAffineParams | None = None) -> np.ndarray:
+    """Per-channel mean squared error between two (N, C) arrays; with ``params``, between ``y_ref`` and ``y * alpha + beta``.
+
+    The arrays keep their dtype; the arithmetic is f64 (``y * alpha + beta``
+    too), over row blocks whose rows are reduced in order (``_column_means``),
+    so the result is that of whole f64 arrays, bit for bit.
+    """
+    y_ref, y = np.asarray(y_ref), np.asarray(y)
+    if params is not None:
+        alpha, beta = params.alpha.astype(np.float64), params.beta.astype(np.float64)
+
+    def squares(rows):
+        d = y_ref[rows].astype(np.float64, order="C")
+        d -= y[rows] if params is None else y[rows] * alpha + beta
+        d *= d  # in place: one block of f64 temporaries fewer
+        return (d,)
+
+    return _column_means(len(y_ref), y_ref.shape[1], squares)[0]

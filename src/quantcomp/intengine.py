@@ -88,12 +88,14 @@ tracer that rebinds them sees every call.
 Each param step runs its GEMM in blocks of samples, as the gemmlowp line
 blocks inside the GEMM, sized from that GEMM's own shape (Jacob et al.
 2018): a block holds as many samples as fit the fixed byte budget
-``BLOCK_BYTES`` with that step's working set, its operand rows in the GEMM's
-float width plus its i64 accumulator rows (``_param_step``).  Every step
-maps each sample on its own, so blocking moves no bit; a batch that fits
-runs as one block, as do the fitting-time simulation's batches, whose taps
-need whole-layer captures.  The other steps, and the input quantization,
-run once per batch.
+``refnet.BLOCK_BYTES`` with that step's working set, its operand rows in the
+GEMM's float width plus its i64 accumulator rows (``_param_step``).  Every
+step maps each sample on its own, so blocking moves no bit; a batch that
+fits runs as one block.  The fitting-time simulation's batches run the same
+blocks: their taps need whole-layer captures, so the blocks fill one i64
+accumulator array of the layer, which the tap sees whole, and requantize
+from it block by block.  The other steps, and the input quantization, run
+once per batch.
 
 A layer fused with ``beta_rounding=False`` keeps the offset real and
 requantizes as ``Z_r + round((S_x S_W[c] acc_c alpha_c + beta_c) / S_r)``.
@@ -128,6 +130,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import refnet
 from .compensate import ChannelAffineParams, identity_compensation
 from .quant import QuantParams, code_dtype, dequantize, quantize_uniform
 from .refnet import (
@@ -137,11 +140,6 @@ from .refnet import (
 
 INT32_MIN = -(2**31)
 INT32_MAX = 2**31 - 1
-# The GEMM working set one block of a param step may take (see ``_param_step``).  On a 2-vCPU
-# Xeon with 2 MiB of L2 per core, the bench's conv batches ran within noise of each other at 2, 3,
-# 4 and 6 MiB; the u8 patches, the float GEMM result and the requantize temporaries, which the
-# budget leaves out, add about half as much again
-BLOCK_BYTES = 4 * 2**20
 _SIGN_BIT = np.array(63, np.int64)  # i64 p >> 63 is -1 where p < 0, else 0; 0-d, so no ufunc call converts it
 
 
@@ -400,8 +398,8 @@ class InferenceTrace:
     which requantize their real-valued offset in f64; it stays 0 on a model
     fused with ``beta_rounding=True``.  Each ``requantize`` call counts one
     multiply per accumulator plus the C_out products S_x S_W it forms, so a
-    param step that runs its batch in blocks (``_param_step``) counts those
-    once per block.  ``gemm_macs`` counts the
+    param step that runs its batch in blocks (``_param_step``), with a tap or
+    without, counts those once per block.  ``gemm_macs`` counts the
     multiply-accumulates ``integer_accumulate`` ran through the host's float
     GEMM, in f32 or f64 as each layer's reach allows: exact integer
     arithmetic on the host's BLAS, not float multiplies of the model.
@@ -776,12 +774,14 @@ class FusedModel:
 def _param_step(i, entry, lo=0):
     """linear/conv2d in blocks of samples: each runs ``integer_accumulate``, ``tap`` if given, then ``requantize`` clipped below at ``lo``.
 
-    A block holds as many samples as fit ``BLOCK_BYTES`` of this GEMM's
+    A block holds as many samples as fit ``refnet.BLOCK_BYTES`` of this GEMM's
     working set, at least one: per sample, its GEMM rows (one for a linear,
     H_out*W_out of the call's input for a conv2d), each an operand row in the
     GEMM's float width plus an i64 accumulator row.  A batch that fits runs
-    as one block, and so does every call with a ``tap``, which sees the whole
-    layer; otherwise the blocks write their codes into one output array.
+    as one block; otherwise the blocks write their codes into one output
+    array.  A call with a ``tap`` runs the same blocks: they write their
+    accumulators into one i64 array of the whole layer, the tap sees that and
+    the whole input, and the layer it returns requantizes block by block.
     """
     layer, lo = entry.layer, np.array(lo, np.int64)  # the clip floor as a 0-d i64, as ``code_max``
     c_out, c_in = layer.w_q.shape[:2]
@@ -790,16 +790,19 @@ def _param_step(i, entry, lo=0):
     conv = layer.op_kind == "conv2d"
     k, stride, pad, z_x = layer.kernel, layer.stride, layer.pad, layer.z_x
 
-    def run(x_q, trace, tap):
+    def accumulate(x_q, trace):
         rows = x_q
         if conv:
             # (k, k, C) patches of the NHWC codes on their own dtype, padded with the
             # input zero-point; the GEMM's (N*H_out*W_out, C_out) result is already NHWC
             cols, h_out, w_out = im2col(x_q, k, stride, pad, pad_value=z_x)
             rows = cols.reshape(cols.shape[0] * h_out * w_out, cols.shape[2])
-        acc = integer_accumulate(rows, layer, trace)
+        return integer_accumulate(rows, layer, trace)
+
+    def run(x_q, trace, tap, positions):
+        acc = accumulate(x_q, trace)
         r = requantize(acc, layer if tap is None else tap(i, x_q, acc, layer), trace, lo)
-        return r.reshape(x_q.shape[0], h_out, w_out, c_out) if conv else r
+        return r.reshape(x_q.shape[0], *positions, c_out) if conv else r
 
     # ``run`` is a closure of its own: a step that called itself per block would keep its layer in a reference cycle until the GC
     def step(x_q, trace, tap):
@@ -807,17 +810,27 @@ def _param_step(i, entry, lo=0):
             if x_q.ndim != 4 or x_q.shape[3] != c_in:
                 raise EngineError(f"layer {i}: conv2d expects (N, H, W, {c_in}) codes, got shape {x_q.shape}")
             positions = window_positions(x_q.shape[1], x_q.shape[2], k, stride, pad)
-            block = BLOCK_BYTES // (positions[0] * positions[1] * row_bytes) or 1
+            block = refnet.BLOCK_BYTES // (positions[0] * positions[1] * row_bytes) or 1
         elif x_q.ndim != 2 or x_q.shape[1] != c_in:
             raise EngineError(f"layer {i}: linear expects (N, {c_in}) codes, got shape {_nchw(x_q).shape}")
         else:
-            positions, block = (), BLOCK_BYTES // row_bytes or 1
+            positions, block = (), refnet.BLOCK_BYTES // row_bytes or 1
         n = x_q.shape[0]
-        if tap is not None or n <= block:
-            return run(x_q, trace, tap)
+        if n <= block:
+            return run(x_q, trace, tap, positions)
         out = np.empty((n, *positions, c_out), layer.out_dtype)
-        for s in range(0, n, block):
-            out[s : s + block] = run(x_q[s : s + block], trace, None)
+        starts = range(0, n, block)
+        if tap is None:
+            for s in starts:
+                out[s : s + block] = run(x_q[s : s + block], trace, None, positions)
+            return out
+        per = math.prod(positions)  # GEMM rows per sample
+        acc = np.empty((n * per, c_out), np.int64)
+        for s in starts:
+            acc[s * per : (s + block) * per] = accumulate(x_q[s : s + block], trace)
+        tapped = tap(i, x_q, acc, layer)
+        for s in starts:
+            out[s : s + block] = requantize(acc[s * per : (s + block) * per], tapped, trace, lo).reshape(-1, *positions, c_out)
         return out
 
     return step
@@ -859,12 +872,13 @@ def _interpret(model: FusedModel, x, trace: InferenceTrace, tap=None):
     ``quantize_uniform`` turns the input into codes on the input grid; each
     step of the plan then maps codes to codes (see ``FusedModel.plan``).
     ``tap(i, x_q, acc, layer)``, when given, sees each param entry's input
-    codes and accumulators (i64 rows of i32 range) and returns the layer to
-    requantize them with; the fitting-time simulation captures and overrides
-    compensation through it.  A linear entry's ``x_q`` is its (N, C_in)
-    matrix; a conv2d entry's is (N, H, W, C_in), NHWC, and its ``acc`` rows
-    run over (n, h_out, w_out).  4-D codes stay NHWC from the input to the
-    last entry or a flatten; the result is NCHW.
+    codes and accumulators (i64 rows of i32 range), each of the whole
+    batch, and returns the layer to requantize them with; the fitting-time
+    simulation captures and overrides compensation through it.  A linear
+    entry's ``x_q`` is its (N, C_in) matrix; a conv2d entry's is (N, H, W,
+    C_in), NHWC, and its ``acc`` rows run over (n, h_out, w_out).  4-D codes
+    stay NHWC from the input to the last entry or a flatten; the result is
+    NCHW.
     """
     x_q = quantize_uniform(np.asarray(x, dtype=np.float32), model.input_params.quant_params)
     if x_q.ndim == 4:

@@ -52,11 +52,13 @@ class RangeEstimator:
                 raise QuantError("percentile estimator needs p in (0.5, 1]")
 
     def bounds(self, x):
-        x = np.asarray(x, dtype=np.float64).ravel()
+        """(lo, hi) of x as Python floats.  minmax reduces x in its own dtype, with no
+        f64 copy: the cast to f64 keeps order, so min and max commute with it."""
+        x = np.asarray(x)
         if self.kind == "minmax":
             return float(x.min()), float(x.max())
         p = self.percentile
-        lo, hi = np.quantile(x, [1.0 - p, p])
+        lo, hi = np.quantile(x.astype(np.float64).ravel(), [1.0 - p, p])
         return float(lo), float(hi)
 
 

@@ -198,6 +198,21 @@ def gelu_grad(x):
     return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * _GELU_C * (1.0 + 3 * 0.044715 * x**2)
 
 
+# The working set one block of a blocked computation may take: the engine's GEMM blocks
+# (``intengine._param_step``), the float capture's convs, the simulation's captures and the
+# compensation fit (``calibrate``, ``compensate``) all size their blocks from it.  On a 2-vCPU
+# Xeon with 2 MiB of L2 per core, the bench's conv batches ran within noise of each other at 2, 3,
+# 4 and 6 MiB; the u8 patches, the float GEMM result and the requantize temporaries, which the
+# engine's budget leaves out, add about half as much again
+BLOCK_BYTES = 4 * 2**20
+
+
+def blocks(n, unit_bytes):
+    """Slices that cover ``range(n)`` in order, each of as many units of ``unit_bytes`` as fit ``BLOCK_BYTES``, at least one."""
+    step = BLOCK_BYTES // unit_bytes or 1
+    return [slice(s, s + step) for s in range(0, n, step)]
+
+
 def window_positions(h, w, kernel, stride, pad):
     """(H_out, W_out) of a kernel sliding over an H x W map; ``ShapeError`` if it has no position."""
     h_out = (h + 2 * pad - kernel) // stride + 1

@@ -1,12 +1,15 @@
 import copy
+import tempfile
+import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quantcomp import calibrate, intengine
+from quantcomp import calibrate, intengine, refnet
 from quantcomp.calibrate import (
     CalibrationConfig,
     CalibrationError,
@@ -33,6 +36,7 @@ from quantcomp.refnet import (
     bundles_equal,
     make_dataset,
     model_forward,
+    save_bundle,
     train_synthetic,
 )
 from strategies import graphs
@@ -827,3 +831,80 @@ def test_damaged_blob_file_fails_naming_it(conv_gelu_comp, tmp_path, damage):
         manifest_file.write_text(json.dumps(manifest))
     with pytest.raises(BundleError, match=BLOB_FILE):
         load_bundle(path)
+
+
+def _written(bundle):
+    """{file name: bytes} of ``bundle`` as ``save_bundle`` writes it."""
+    with tempfile.TemporaryDirectory() as d:
+        path = save_bundle(bundle, Path(d) / "b")
+        return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+
+def _calibration_run(model_f, config, calib):
+    """What calibration computes of ``model_f``: the float capture, the calibrated bundle's bytes and its simulation."""
+    x = calib[: config.sample_count]
+    logits, outputs = float_forward_capture(model_f, x)
+    comp = calibrate_model(model_f, config, calib)
+    sim_logits, captures, _ = sim_forward(comp, x, compensation_params(comp))
+    arrays = [logits, *outputs.values(), sim_logits, *captures.values()]
+    return list(outputs), list(captures), [(a.dtype, a.shape, a.tobytes()) for a in arrays], _written(comp)
+
+
+def _same_under_one_byte(model_f, config, calib):
+    want = _calibration_run(model_f, config, calib)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(refnet, "BLOCK_BYTES", 1)  # every block one sample, or one row
+        got = _calibration_run(model_f, config, calib)
+    assert got == want
+
+
+class TestCalibrationBlocks:
+    """Calibration runs its convs, its tapped simulation and its fit in blocks; no block size moves a bit."""
+
+    @settings(max_examples=15, derandomize=True, deadline=None)
+    @given(graphs())
+    def test_one_byte_budget_gives_the_default_bits_on_graphs(self, graph):
+        layers, shape, w_bits, a_bits, seed = graph
+        calib = np.random.default_rng([seed, 17]).standard_normal((24,) + shape).astype(np.float32)
+        config = CalibrationConfig(sample_count=16, weight_bits=w_bits, act_bits=a_bits)
+        _same_under_one_byte(build_from_layers(layers, shape), config, calib)
+
+    @pytest.mark.parametrize("net", ["conv_gelu", "conv_relu_pool"])
+    def test_one_byte_budget_gives_the_default_bits_on_conv_nets(self, net):
+        if net == "conv_gelu":
+            model_f, calib = _conv_gelu_model()
+        else:
+            model_f = TestConvPipeline()._conv_model()
+            calib = np.random.default_rng(1).uniform(-1, 1, (128, 1, 6, 6)).astype(np.float32)
+        _same_under_one_byte(model_f, CalibrationConfig(sample_count=64), calib)
+
+    def test_traced_peak_is_the_captures_and_a_few_blocks(self, monkeypatch):
+        # 256 samples of 8x12x12 outputs per conv: a budget of 64 KiB cuts the second conv's
+        # 10.6 MB f32 patch matrix into 160 blocks.  Calibration must hold the two f32
+        # captures, and at one layer at a time its whole i64 accumulators with their f32
+        # capture, or the float gelu's f64 output with an f32 temporary: 4 such arrays.
+        rng = np.random.default_rng(5)
+        c, hw, n = 8, 12, 256
+
+        def conv(c_in):
+            weight = (rng.standard_normal((c, c_in, 3, 3)) * 0.3).astype(np.float32)
+            return LayerSpec("conv2d", c_in, c, weight=weight, bias=np.zeros(c, np.float32), kernel=3, pad=1)
+
+        flat = c * (hw // 2) ** 2
+        head = LayerSpec("linear", flat, 4, weight=(rng.standard_normal((4, flat)) * 0.1).astype(np.float32), bias=np.zeros(4, np.float32))
+        layers = [conv(3), LayerSpec("relu"), conv(c), LayerSpec("gelu"), LayerSpec("avgpool", kernel=2, stride=2), LayerSpec("flatten"), head]
+        model_f = build_from_layers(layers, (3, hw, hw))
+        calib = rng.standard_normal((n, 3, hw, hw)).astype(np.float32)
+        config = CalibrationConfig(sample_count=n)
+        budget = 64 * 2**10
+        monkeypatch.setattr(refnet, "BLOCK_BYTES", budget)
+        calibrate_model(model_f, config, calib)  # every lazily built cache, before tracing
+        layer_bytes = n * hw * hw * c * 4
+        bound = 2 * layer_bytes + 4 * layer_bytes + 8 * budget
+        tracemalloc.start()
+        try:
+            calibrate_model(model_f, config, calib)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, f"traced peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"

@@ -607,13 +607,16 @@ REMOVED_FLAGS = {
 def _knob_flags(command):
     """{knob: the argv that gives it a non-default value} of each knob that subcommand ``command`` takes."""
     import argparse
+    from dataclasses import fields
 
+    from quantcomp.calibrate import CalibrationConfig
     from quantcomp.cli import build_parser
 
+    knobs = {f.name for f in fields(CalibrationConfig)} | {"percentile"}  # --percentile P sets the estimator
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices[command]
     flags = {}
     for action in sub._actions:
-        if action.dest in ("help", "bundle", "out", "force"):
+        if action.dest not in knobs:
             continue
         if action.nargs != 0:
             flags[action.dest] = (action.option_strings[0], KNOB_VALUES[action.dest])
@@ -622,10 +625,37 @@ def _knob_flags(command):
     return flags
 
 
+# a small ablate run on every axis, whose CSVs each knob must change
+ABLATE = ("--classes", "4", "--dim", "5", "--train-n", "600", "--test-n", "100", "--hidden", "8", "--sizes", "16,32", "--sample-count", "32")
+
+
+def _ablate_csvs(out_dir, *flags):
+    """{file name: text} of the CSVs ``quantcomp ablate`` writes on ``ABLATE`` plus ``flags``."""
+    assert run("ablate", *ABLATE, *flags, "--out-dir", out_dir) == 0
+    return {p.name: p.read_text() for p in sorted(out_dir.glob("*.csv"))}
+
+
 class TestEachStepTakesOnlyItsKnobs:
     def test_knobs_of_each_step(self):
         assert sorted(_knob_flags("quantize")) == ["act_bits", "percentile", "range_split", "sample_count", "seed", "weight_bits"]
         assert sorted(_knob_flags("compensate")) == ["beta_rounding", "position", "sample_count", "seed", "sequential"]
+        assert set(_knob_flags("ablate")) == set(_knob_flags("quantize")) | set(_knob_flags("compensate"))
+
+    @pytest.fixture(scope="class")
+    def ablated(self, tmp_path_factory):
+        return _ablate_csvs(tmp_path_factory.mktemp("ablate"), "--seeds", "1")
+
+    @pytest.mark.parametrize("knob", sorted(_knob_flags("ablate")))
+    def test_every_knob_changes_the_ablate_csvs(self, ablated, tmp_path, knob):
+        # ``--seed`` did nothing while the ablations ran the seeds of range(--seeds)
+        assert _ablate_csvs(tmp_path, "--seeds", "1", *_knob_flags("ablate")[knob]) != ablated
+
+    def test_ablate_runs_the_seeds_from_seed_up(self, tmp_path):
+        two = _ablate_csvs(tmp_path / "two", "--seeds", "2")
+        second = _ablate_csvs(tmp_path / "second", "--seed", "1", "--seeds", "1")
+        for name, text in two.items():
+            head, *rows = text.splitlines()
+            assert second[name].splitlines() == [head, *(r for r in rows if r.split(",")[1] == "1")]
 
     @pytest.mark.parametrize("command, knob", [(c, k) for c in STEP_RUNS for k in _knob_flags(c)])
     def test_every_knob_changes_the_bundle_written(self, workspace, tmp_path, command, knob):

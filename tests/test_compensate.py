@@ -1,6 +1,12 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from quantcomp import compensate, refnet
 from quantcomp.compensate import (
     ActivationPair,
     ChannelAffineParams,
@@ -61,6 +67,11 @@ class TestChannelAffineFit:
         p = fit_channel_affine(ActivationPair(yf, yq))
         assert p.fallback_mask[0] and not p.fallback_mask[1]
         assert p.alpha[0] == 1.0 and np.isclose(p.beta[0], 0.5)
+
+    def test_gain_that_rounds_to_zero_in_f32_falls_back(self):
+        # cov / var is 1e-300 here, nonzero in f64 but 0 as the f32 alpha, which ChannelAffineParams rejects
+        p = fit_channel_affine(ActivationPair(np.array([[0.0], [1e-300]]), np.array([[0.0], [1.0]])))
+        assert p.alpha.tolist() == [1.0] and p.beta.tolist() == [-0.5] and p.fallback_mask.tolist() == [True]
 
     def test_negative_alpha_clamped_by_default(self):
         rng = np.random.default_rng(3)
@@ -173,3 +184,71 @@ class TestDiagonalEnergy:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             diagonal_energy(np.zeros((3, 4)))
+
+
+@contextmanager
+def _rows_per_block(rows, channels):
+    """A budget under which the fit and ``channel_mse`` reduce ``rows`` rows of a ``channels``-column capture per block."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(refnet, "BLOCK_BYTES", rows * 8 * channels * compensate._LIVE_BLOCKS)
+        yield
+
+
+def _captures(data, n, c):
+    dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+    values = st.floats(-1e6, 1e6, width=8 * np.dtype(dtype).itemsize)
+    return data.draw(hnp.arrays(dtype, (n, c), elements=values))
+
+
+class TestBlockedMoments:
+    """The fit and ``channel_mse`` sum row blocks in order; they give what whole f64 arrays give, bit for bit."""
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_blocked_column_mean_is_np_mean(self, data):
+        n, c = data.draw(st.integers(1, 40)), data.draw(st.sampled_from([1, 2, 3, 16]))
+        x = _captures(data, n, c)
+        rows = data.draw(st.integers(1, n + 2))
+        with _rows_per_block(rows, c):
+            got = compensate._column_means(n, c, lambda r: (x[r].astype(np.float64),))[0]
+        assert got.tobytes() == np.mean(x.astype(np.float64), axis=0).tobytes()
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_fit_and_mse_in_blocks_give_the_whole_arrays_bits(self, data):
+        n, c = data.draw(st.integers(2, 40)), data.draw(st.sampled_from([1, 2, 5]))
+        yf, yq = _captures(data, n, c), _captures(data, n, c)
+        pair = ActivationPair(yf, yq)
+        want = fit_channel_affine(pair)  # the default budget holds these captures in one block
+        d = yf.astype(np.float64) - yq.astype(np.float64)
+        post = yf.astype(np.float64) - (yq.astype(np.float64) * want.alpha.astype(np.float64) + want.beta.astype(np.float64))
+        with _rows_per_block(data.draw(st.integers(1, n + 1)), c):
+            got = fit_channel_affine(pair)
+            assert channel_mse(yf, yq).tobytes() == np.mean(d * d, axis=0).tobytes()
+            assert channel_mse(yf, yq, got).tobytes() == np.mean(post * post, axis=0).tobytes()
+        for name in ("alpha", "beta", "fallback_mask"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert got.negative_clamped == want.negative_clamped
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("c", [1, 2, 16])
+    def test_blocks_of_sums_that_round(self, dtype, c):
+        # values of 17 decades, so that the f64 sums round and their order shows; numpy sums a
+        # single column pairwise from 9 rows on, which no row-by-row blocking reproduces
+        rng = np.random.default_rng(c)
+        for n in (9, 40, 300):
+            yf, yq = ((rng.standard_normal((n, c)) * 10.0 ** rng.integers(-8, 9, (n, c))).astype(dtype) for _ in range(2))
+            want = fit_channel_affine(ActivationPair(yf, yq))
+            d = yf.astype(np.float64) - yq
+            for rows in (1, 2, 7, 8, 129, n - 1, n):
+                with _rows_per_block(rows, c):
+                    got = compensate._column_means(n, c, lambda r: (yf[r].astype(np.float64),))[0]
+                    assert got.tobytes() == np.mean(yf.astype(np.float64), axis=0).tobytes()
+                    assert channel_mse(yf, yq).tobytes() == np.mean(d * d, axis=0).tobytes()
+                    assert fit_channel_affine(ActivationPair(yf, yq)).alpha.tobytes() == want.alpha.tobytes()
+
+    def test_f32_captures_stay_f32(self):
+        y = np.arange(12, dtype=np.float32).reshape(6, 2)
+        pair = ActivationPair(y, y[::-1].copy(), x_quant=y)
+        assert pair.y_full.dtype == pair.y_quant.dtype == np.float32 and pair.x_quant.dtype == np.float64
+        assert ActivationPair(y.astype(np.int64), y).y_full.dtype == np.float64

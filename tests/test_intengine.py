@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
-from quantcomp import intengine
+from quantcomp import intengine, refnet
 from quantcomp.compensate import ChannelAffineParams, identity_compensation
 from quantcomp.intengine import (
     INT32_MAX,
@@ -1451,7 +1451,7 @@ class TestStepBlocks:
         for rounding in (True, False):
             model = fused_runtime(fuse_model(comp, beta_rounding=rounding))
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(intengine, "BLOCK_BYTES", 2**62)
+                mp.setattr(refnet, "BLOCK_BYTES", 2**62)
                 calls = _gemm_rows(mp)
                 whole_trace = InferenceTrace()
                 whole, _ = run_int_model(model, x, whole_trace)
@@ -1462,7 +1462,7 @@ class TestStepBlocks:
                 w = [layer.w_centred for layer in layers_run]
                 sample_bytes = [r * (g.shape[1] * g.itemsize + 8 * g.shape[0]) for r, g in zip(rows, w)]
                 budget = per_block * min(sample_bytes)
-                mp.setattr(intengine, "BLOCK_BYTES", budget)
+                mp.setattr(refnet, "BLOCK_BYTES", budget)
                 calls.clear()
                 trace = InferenceTrace()
                 got, _ = run_int_model(model, x, trace)
@@ -1481,8 +1481,8 @@ class TestStepBlocks:
     @settings(max_examples=20, derandomize=True, deadline=None)
     @given(graphs())
     def test_a_tap_sees_its_whole_layer_under_any_budget(self, graph):
-        # sim_forward under a 1-byte budget: one GEMM per param layer, the default budget's
-        # logits and captures, while the engine without a tap runs blocks of one sample
+        # sim_forward under a 1-byte budget: the blocks of one sample that the engine runs
+        # without a tap, and the default budget's logits and whole-layer captures
         from quantcomp.calibrate import CalibrationConfig, calibrate_model, compensation_params, fuse_model, sim_forward
         from quantcomp.intengine import fused_runtime
         from quantcomp.refnet import build_from_layers
@@ -1496,12 +1496,13 @@ class TestStepBlocks:
         want, want_caps, _ = sim_forward(comp, x, compensation_params(comp))
         params = len(want_caps)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(intengine, "BLOCK_BYTES", 1)
+            mp.setattr(refnet, "BLOCK_BYTES", 1)
             calls = _gemm_rows(mp)
             got, caps, _ = sim_forward(comp, x, compensation_params(comp))
-            assert len(calls) == params
+            tapped = [rows for _, rows in calls]
+            calls.clear()
             run_int_model(fused_runtime(fuse_model(comp, beta_rounding=False)), x)
-            assert len(calls) == params + 5 * params
+            assert tapped == [rows for _, rows in calls] and len(calls) == 5 * params
         assert got.tobytes() == want.tobytes()
         assert caps.keys() == want_caps.keys()
         assert all(caps[i].tobytes() == want_caps[i].tobytes() for i in caps)
@@ -1523,7 +1524,7 @@ class TestStepBlocks:
         second = model.entries[2].layer.w_centred
         assert second.shape == (4, 36) and second.dtype == np.float32
         per_sample = 36 * (36 * 4 + 8 * 4)
-        monkeypatch.setattr(intengine, "BLOCK_BYTES", 3 * per_sample + per_sample // 2)
+        monkeypatch.setattr(refnet, "BLOCK_BYTES", 3 * per_sample + per_sample // 2)
         got, _ = run_int_model(model, x)
         assert got.tobytes() == whole.tobytes()
         assert [r for _, r in calls] == [36 * 5, 36 * 2, 36 * 3, 36 * 3, 36 * 1, 7]
