@@ -185,8 +185,8 @@ def _conv_blocks(layer, x, i):
     joined output is the NCHW view of an NHWC array, as ``layer_forward``
     returns it.
     """
-    if x.ndim != 4:
-        return layer_forward(layer, x, index=i)  # its ShapeError
+    if x.ndim != 4 or x.shape[1] != layer.in_channels:
+        return layer_forward(layer, x, index=i)  # its ShapeError, on the whole batch
     h_out, w_out = refnet.window_positions(x.shape[2], x.shape[3], layer.kernel, layer.stride, layer.pad)
     spans = refnet.blocks(len(x), 4 * h_out * w_out * (layer.kernel**2 * layer.in_channels + layer.out_channels))
     if len(spans) <= 1:

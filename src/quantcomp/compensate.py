@@ -23,9 +23,6 @@ from . import refnet
 
 # relative variance floor below which a channel is treated as constant
 VARIANCE_FLOOR = 1e-12
-# the f64 (rows, C) arrays one block of ``_column_means`` holds at once, at most: its terms,
-# their temporaries and the copies that join each to its running sum
-_LIVE_BLOCKS = 6
 
 
 @dataclass
@@ -97,21 +94,22 @@ def _capture(y):
     return np.ascontiguousarray(y, dtype=np.float32 if y.dtype == np.float32 else np.float64)
 
 
-def _column_means(n, channels, terms):
-    """Per array of ``terms(rows)``, the mean over all n rows of each column: ``np.mean(t, axis=0)`` of the whole, bitwise.
+def _column_means(n, channels, *terms):
+    """Per ``term``, the mean over all n rows of each column of ``term(rows)``: ``np.mean`` of the whole along axis 0, bitwise.
 
-    ``terms(rows)`` gives the f64 (len, C) values of a slice of rows.  numpy
+    ``term(rows)`` gives the f64 (len, C) values of a slice of rows.  numpy
     sums the rows of a C-ordered (N, C) array along axis 0 in order, so each
     block after the first is summed with the running sum as its leading row,
     and the total divided by n.  A block holds as many rows as fit
-    ``refnet.BLOCK_BYTES`` at ``_LIVE_BLOCKS`` f64 values per column.  A
-    one-column array is summed whole: numpy adds a contiguous column
-    pairwise, not row by row.
+    ``refnet.BLOCK_BYTES`` of what it holds per row: each term's f64 row and
+    that row's copy joined to the running sum; a term's own temporaries add
+    to that, as the engine's do to its GEMM blocks.  A one-column array is
+    summed whole: numpy adds a contiguous column pairwise, not row by row.
     """
     totals = None
-    spans = refnet.blocks(n, 8 * channels * _LIVE_BLOCKS) if channels > 1 else [slice(0, n)]
+    spans = refnet.blocks(n, 2 * 8 * channels * len(terms)) if channels > 1 else [slice(0, n)]
     for rows in spans:
-        parts = terms(rows)
+        parts = [term(rows) for term in terms]
         if totals is not None:
             parts = [np.concatenate([total[None], part]) for total, part in zip(totals, parts)]
         totals = [np.add.reduce(part, axis=0) for part in parts]
@@ -135,13 +133,19 @@ def fit_channel_affine(pair: ActivationPair) -> ChannelAffineParams:
     """
     yq, yf = pair.y_quant, pair.y_full
     n, c = yq.shape
-    mean_q, mean_f = _column_means(n, c, lambda rows: (np.asarray(yq[rows], np.float64), np.asarray(yf[rows], np.float64)))
+    mean_q, mean_f = _column_means(n, c, lambda rows: yq[rows].astype(np.float64), lambda rows: yf[rows].astype(np.float64))
 
-    def moments(rows):
+    def squared(rows):
         dq = yq[rows] - mean_q  # f64, as mean_q is
-        return dq * dq, dq * (yf[rows] - mean_f)
+        dq *= dq
+        return dq
 
-    var_q, cov = _column_means(n, c, moments)
+    def crossed(rows):
+        dq = yq[rows] - mean_q
+        dq *= yf[rows] - mean_f
+        return dq
+
+    var_q, cov = _column_means(n, c, squared, crossed)
     floor = VARIANCE_FLOOR * (1.0 + mean_q**2)
     fallback = var_q < floor
     alpha = np.where(fallback, 1.0, cov / np.where(fallback, 1.0, var_q))
@@ -221,9 +225,14 @@ def channel_mse(y_ref, y, params: ChannelAffineParams | None = None) -> np.ndarr
         alpha, beta = params.alpha.astype(np.float64), params.beta.astype(np.float64)
 
     def squares(rows):
-        d = y_ref[rows].astype(np.float64, order="C")
-        d -= y[rows] if params is None else y[rows] * alpha + beta
-        d *= d  # in place: one block of f64 temporaries fewer
-        return (d,)
+        # C-ordered f64 from the captures' own rows, then in place: one block of f64 a term
+        if params is None:
+            d = np.subtract(y_ref[rows], y[rows], dtype=np.float64, order="C")
+        else:
+            d = np.multiply(y[rows], alpha, order="C")
+            d += beta
+            np.subtract(y_ref[rows], d, out=d)
+        d *= d
+        return d
 
     return _column_means(len(y_ref), y_ref.shape[1], squares)[0]

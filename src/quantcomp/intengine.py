@@ -810,27 +810,28 @@ def _param_step(i, entry, lo=0):
             if x_q.ndim != 4 or x_q.shape[3] != c_in:
                 raise EngineError(f"layer {i}: conv2d expects (N, H, W, {c_in}) codes, got shape {x_q.shape}")
             positions = window_positions(x_q.shape[1], x_q.shape[2], k, stride, pad)
-            block = refnet.BLOCK_BYTES // (positions[0] * positions[1] * row_bytes) or 1
+            per = positions[0] * positions[1]  # GEMM rows per sample
         elif x_q.ndim != 2 or x_q.shape[1] != c_in:
             raise EngineError(f"layer {i}: linear expects (N, {c_in}) codes, got shape {_nchw(x_q).shape}")
         else:
-            positions, block = (), refnet.BLOCK_BYTES // row_bytes or 1
+            positions, per = (), 1
         n = x_q.shape[0]
-        if n <= block:
+        # the one-block test asks for no slices: the traffic path takes it per layer per call
+        if n <= refnet.block_units(per * row_bytes):
             return run(x_q, trace, tap, positions)
+        spans = refnet.blocks(n, per * row_bytes)
         out = np.empty((n, *positions, c_out), layer.out_dtype)
-        starts = range(0, n, block)
         if tap is None:
-            for s in starts:
-                out[s : s + block] = run(x_q[s : s + block], trace, None, positions)
+            for b in spans:
+                out[b] = run(x_q[b], trace, None, positions)
             return out
-        per = math.prod(positions)  # GEMM rows per sample
         acc = np.empty((n * per, c_out), np.int64)
-        for s in starts:
-            acc[s * per : (s + block) * per] = accumulate(x_q[s : s + block], trace)
+        rows = [slice(b.start * per, b.stop * per) for b in spans]
+        for b, r in zip(spans, rows):
+            acc[r] = accumulate(x_q[b], trace)
         tapped = tap(i, x_q, acc, layer)
-        for s in starts:
-            out[s : s + block] = requantize(acc[s * per : (s + block) * per], tapped, trace, lo).reshape(-1, *positions, c_out)
+        for b, r in zip(spans, rows):
+            out[b] = requantize(acc[r], tapped, trace, lo).reshape(-1, *positions, c_out)
         return out
 
     return step

@@ -207,9 +207,14 @@ def gelu_grad(x):
 BLOCK_BYTES = 4 * 2**20
 
 
+def block_units(unit_bytes):
+    """How many units of ``unit_bytes`` one block holds: as many as fit ``BLOCK_BYTES``, at least one."""
+    return BLOCK_BYTES // unit_bytes or 1
+
+
 def blocks(n, unit_bytes):
-    """Slices that cover ``range(n)`` in order, each of as many units of ``unit_bytes`` as fit ``BLOCK_BYTES``, at least one."""
-    step = BLOCK_BYTES // unit_bytes or 1
+    """Slices that cover ``range(n)`` in order, each of ``block_units(unit_bytes)`` units."""
+    step = block_units(unit_bytes)
     return [slice(s, s + step) for s in range(0, n, step)]
 
 

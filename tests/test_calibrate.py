@@ -878,6 +878,13 @@ class TestCalibrationBlocks:
             calib = np.random.default_rng(1).uniform(-1, 1, (128, 1, 6, 6)).astype(np.float32)
         _same_under_one_byte(model_f, CalibrationConfig(sample_count=64), calib)
 
+    def test_blocked_conv_names_the_layer_and_the_whole_batch_on_bad_channels(self, monkeypatch):
+        model_f = TestConvPipeline()._conv_model()
+        x = np.zeros((8, 2, 6, 6), np.float32)  # two channels into a one-channel conv
+        monkeypatch.setattr(refnet, "BLOCK_BYTES", 1)
+        with pytest.raises(refnet.ShapeError, match=r"layer 0: conv2d expects \(N, 1, H, W\), got \(8, 2, 6, 6\)"):
+            float_forward_capture(model_f, x)
+
     def test_traced_peak_is_the_captures_and_a_few_blocks(self, monkeypatch):
         # 256 samples of 8x12x12 outputs per conv: a budget of 64 KiB cuts the second conv's
         # 10.6 MB f32 patch matrix into 160 blocks.  Calibration must hold the two f32

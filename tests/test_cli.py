@@ -604,19 +604,22 @@ REMOVED_FLAGS = {
 }
 
 
+# the options of each subcommand that are not knobs; every other option must be a knob
+NOT_KNOBS = {"help", "bundle", "out", "force"}
+ABLATE_NOT_KNOBS = {"task", "classes", "dim", "train_n", "test_n", "noise", "hidden", "axis", "sizes", "seeds", "format", "out_dir", "check"}
+
+
 def _knob_flags(command):
     """{knob: the argv that gives it a non-default value} of each knob that subcommand ``command`` takes."""
     import argparse
-    from dataclasses import fields
 
-    from quantcomp.calibrate import CalibrationConfig
     from quantcomp.cli import build_parser
 
-    knobs = {f.name for f in fields(CalibrationConfig)} | {"percentile"}  # --percentile P sets the estimator
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices[command]
+    skip = NOT_KNOBS | (ABLATE_NOT_KNOBS if command == "ablate" else set())
     flags = {}
     for action in sub._actions:
-        if action.dest not in knobs:
+        if action.dest in skip:
             continue
         if action.nargs != 0:
             flags[action.dest] = (action.option_strings[0], KNOB_VALUES[action.dest])

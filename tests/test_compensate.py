@@ -188,9 +188,9 @@ class TestDiagonalEnergy:
 
 @contextmanager
 def _rows_per_block(rows, channels):
-    """A budget under which the fit and ``channel_mse`` reduce ``rows`` rows of a ``channels``-column capture per block."""
+    """A budget under which ``channel_mse`` reduces ``rows`` rows of a ``channels``-column capture per block, and the fit half as many, at least one."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(refnet, "BLOCK_BYTES", rows * 8 * channels * compensate._LIVE_BLOCKS)
+        mp.setattr(refnet, "BLOCK_BYTES", rows * 2 * 8 * channels)
         yield
 
 
@@ -210,7 +210,7 @@ class TestBlockedMoments:
         x = _captures(data, n, c)
         rows = data.draw(st.integers(1, n + 2))
         with _rows_per_block(rows, c):
-            got = compensate._column_means(n, c, lambda r: (x[r].astype(np.float64),))[0]
+            got = compensate._column_means(n, c, lambda r: x[r].astype(np.float64))[0]
         assert got.tobytes() == np.mean(x.astype(np.float64), axis=0).tobytes()
 
     @settings(max_examples=40, derandomize=True, deadline=None)
@@ -242,7 +242,7 @@ class TestBlockedMoments:
             d = yf.astype(np.float64) - yq
             for rows in (1, 2, 7, 8, 129, n - 1, n):
                 with _rows_per_block(rows, c):
-                    got = compensate._column_means(n, c, lambda r: (yf[r].astype(np.float64),))[0]
+                    got = compensate._column_means(n, c, lambda r: yf[r].astype(np.float64))[0]
                     assert got.tobytes() == np.mean(yf.astype(np.float64), axis=0).tobytes()
                     assert channel_mse(yf, yq).tobytes() == np.mean(d * d, axis=0).tobytes()
                     assert fit_channel_affine(ActivationPair(yf, yq)).alpha.tobytes() == want.alpha.tobytes()
